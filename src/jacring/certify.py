@@ -43,10 +43,6 @@ class Certificate:
                 f"a larger --bound may still succeed")
 
 
-def _field_name(field) -> str:
-    return "Q" if field.kind == "Q" else f"F_{field.p}"
-
-
 def _check_gens(gens) -> None:
     if not gens:
         raise InputError("need at least one generator")
@@ -73,7 +69,7 @@ def m_primary_certificate(gens: list[MultiPoly], bound: int,
         if quotient_dim(gens, N) == 0:
             found = N
             break
-    return Certificate(kind=kind, field=_field_name(gens[0].field),
+    return Certificate(kind=kind, field=repr(gens[0].field),
                        num_generators=len(gens), bound=bound,
                        vanishing_degree=found)
 

@@ -118,10 +118,6 @@ def _read_source(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _field_name(field) -> str:
-    return "Q" if field.kind == "Q" else f"F_{field.p}"
-
-
 def _parse_range(text: str, lo_default: int, hi_default: int) -> tuple[int, int]:
     if text is None:
         return lo_default, hi_default
@@ -149,7 +145,7 @@ def _cert_json(cert: Certificate) -> dict:
 def _base_json(problem: ProblemInput) -> dict:
     return {
         "input_hash": problem.input_hash,
-        "field": _field_name(problem.field),
+        "field": repr(problem.field),
         "n": problem.n,
         "r": problem.r,
         "degrees": list(problem.degrees),

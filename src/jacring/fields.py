@@ -45,8 +45,6 @@ class Rationals:
 
     def of(self, v) -> Fraction:
         """Coerce an int, Fraction, or 'a/b' string into the field."""
-        if isinstance(v, str):
-            return Fraction(v)
         return Fraction(v)
 
     def add(self, a, b):

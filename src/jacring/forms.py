@@ -5,16 +5,20 @@ tuples; the wedge factors are kept in the canonical order "all dx before all
 dy". The three operators of interest: the boundary (left wedge with dF,
 where F = sum_j y_j f_j), its horizontal/vertical parts, and the degree-
 preserving contraction theta that sends dx_i to x_i and dy_j to -d_j y_j
-with alternating signs.
+with alternating signs. Slice bases live here too, and so does the one
+term-level assembler that builds every operator matrix from a term rule.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import combinations
+from operator import add
 
 from .errors import InputError, SliceMismatch
+from .linalg import SparseMatrix, solve
 from .polynomials import MultiPoly, monomials_of_degree
 from .problem import ProblemInput
+from .quotients import quotient_slice
 
 
 def _merge_words(n, dxs_a, dys_a, dxs_b, dys_b):
@@ -255,41 +259,80 @@ def boundary(omega: DiffForm, part: str = "full") -> DiffForm:
     return dF_of(omega.problem, part).wedge(omega)
 
 
+def theta_rule(problem: ProblemInput):
+    """Term rule of the contraction: maps a term key to the (key,
+    coefficient) pairs of its image. dx_i goes to x_i and dy_j to -d_j y_j,
+    with signs alternating through the word."""
+    f = problem.field
+    one, minus_one = f.one, f.neg(f.one)
+    minus_d = [f.of(-dj) for dj in problem.degrees]
+
+    def rule(key):
+        xexp, yexp, dxs, dys = key
+        l = len(dxs)
+        for s, i in enumerate(dxs):
+            nx = xexp[:i] + (xexp[i] + 1,) + xexp[i + 1:]
+            yield ((nx, yexp, dxs[:s] + dxs[s + 1:], dys),
+                   one if s % 2 == 0 else minus_one)
+        for t, j in enumerate(dys):
+            c = minus_d[j]
+            if f.is_zero(c):
+                continue
+            ny = yexp[:j] + (yexp[j] + 1,) + yexp[j + 1:]
+            yield ((xexp, ny, dxs, dys[:t] + dys[t + 1:]),
+                   c if (l + t) % 2 == 0 else f.neg(c))
+    return rule
+
+
 def theta(omega: DiffForm) -> DiffForm:
     """The contraction: dx_i goes to x_i, dy_j goes to -d_j y_j, with signs
     alternating through the word; bidegree is preserved."""
     prob = omega.problem
     f = prob.field
-    d = prob.degrees
+    rule = theta_rule(prob)
     out = {}
-
-    def put(key, c):
-        cur = out.get(key)
-        s = c if cur is None else f.add(cur, c)
-        if f.is_zero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    for (xexp, yexp, dxs, dys), c in omega.terms.items():
-        l = len(dxs)
-        for s, i in enumerate(dxs):
-            c2 = c if s % 2 == 0 else f.neg(c)
-            nx = xexp[:i] + (xexp[i] + 1,) + xexp[i + 1:]
-            put((nx, yexp, dxs[:s] + dxs[s + 1:], dys), c2)
-        for t, j in enumerate(dys):
-            c2 = f.mul(c, f.of(-d[j]))
-            if (l + t) % 2 == 1:
-                c2 = f.neg(c2)
-            if f.is_zero(c2):
-                continue
-            ny = yexp[:j] + (yexp[j] + 1,) + yexp[j + 1:]
-            put((xexp, ny, dxs, dys[:t] + dys[t + 1:]), c2)
+    for key, c in omega.terms.items():
+        for ikey, w in rule(key):
+            v = f.mul(c, w)
+            cur = out.get(ikey)
+            s = v if cur is None else f.add(cur, v)
+            if f.is_zero(s):
+                out.pop(ikey, None)
+            else:
+                out[ikey] = s
     res = DiffForm(prob, omega.k - 1 if omega.k else 0)
     if omega.k == 0 and out:
         raise SliceMismatch("contraction of a 0-form produced terms")
     res.terms = out
     return res
+
+
+def wedge_rule(mu_terms: dict, n: int, field):
+    """Term rule of the left wedge with the form whose terms are mu_terms
+    (dx letters 0..n-1): maps a term key to the (key, coefficient) pairs of
+    its image. The word merge runs once per (mu word, source word) pair."""
+    by_word = {}
+    for (xa, ya, dxa, dya), c in mu_terms.items():
+        by_word.setdefault((dxa, dya), []).append((xa, ya, c, field.neg(c)))
+    merges = {}
+
+    def rule(key):
+        xb, yb, dxb, dyb = key
+        merged = merges.get((dxb, dyb))
+        if merged is None:
+            merged = []
+            for (dxa, dya), mono_terms in by_word.items():
+                m = _merge_words(n, dxa, dya, dxb, dyb)
+                if m is not None:
+                    sign, dxs, dys = m
+                    merged.append((dxs, dys, [(xa, ya, c if sign > 0 else nc)
+                                              for xa, ya, c, nc in mono_terms]))
+            merges[(dxb, dyb)] = merged
+        for dxs, dys, mono_terms in merged:
+            for xa, ya, c in mono_terms:
+                yield ((tuple(map(add, xa, xb)), tuple(map(add, ya, yb)),
+                        dxs, dys), c)
+    return rule
 
 
 def xi(problem: ProblemInput, k: int) -> DiffForm:
@@ -322,32 +365,50 @@ def xi(problem: ProblemInput, k: int) -> DiffForm:
 
 
 class BasisSlice:
-    """Ordered monomial-form basis of the (k, q, p) slice."""
+    """Ordered monomial-form basis of the (k, q, p) slice. With a quotient
+    slice attached, the coefficients live in K[x]/(gens) and the basis holds
+    the complement monomials only; a pivot monomial's term maps to its
+    normal form. `problem` is None for a bare coordinate space (Koszul)."""
 
-    __slots__ = ("problem", "k", "q", "p", "keys", "index")
+    __slots__ = ("problem", "k", "q", "p", "keys", "index", "quotient")
 
-    def __init__(self, problem, k, q, p, keys):
+    def __init__(self, problem, k, q, p, keys, quotient=None):
         self.problem = problem
         self.k = k
         self.q = q
         self.p = p
         self.keys = keys
         self.index = {key: i for i, key in enumerate(keys)}
+        self.quotient = quotient
 
     @property
     def dim(self) -> int:
         return len(self.keys)
 
+    def coords(self, key, c) -> list:
+        """(position, coefficient) pairs of the term c * key; raises
+        SliceMismatch for a term outside the space."""
+        pos = self.index.get(key)
+        if pos is not None:
+            return [(pos, c)]
+        xexp, yexp, dxs, dys = key
+        nf = None
+        if (self.quotient is not None and len(dxs) == self.k
+                and not any(yexp) and not dys):
+            nf = self.quotient.pivot_normal_forms().get(xexp)
+        if nf is None:
+            raise SliceMismatch(
+                f"term {key} is not in the (k={self.k}, q={self.q}, "
+                f"p={self.p}) slice")
+        f = self.problem.field
+        return [(self.index[(m, yexp, dxs, dys)], f.mul(c, w)) for m, w in nf]
+
     def vector_of_form(self, form: DiffForm) -> list:
         f = self.problem.field
         v = [f.zero] * len(self.keys)
         for key, c in form.terms.items():
-            pos = self.index.get(key)
-            if pos is None:
-                raise SliceMismatch(
-                    f"term {key} is not in the (k={self.k}, q={self.q}, "
-                    f"p={self.p}) slice")
-            v[pos] = c
+            for pos, w in self.coords(key, c):
+                v[pos] = f.add(v[pos], w)
         return v
 
     def form_of_vector(self, vec) -> DiffForm:
@@ -366,7 +427,8 @@ class BasisSlice:
 
 def basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
     """Monomial basis x^a y^b dx_I dy_J of the slice: |I| + |J| = k,
-    sum(b) + |J| = p, and sum(a) forced by the first grading."""
+    sum(b) + |J| = p, and sum(a) forced by the first grading. At p = 0 this
+    is the space of dx-only k-forms of weight q over K[x]."""
     key = ("basis", k, q, p)
     cached = problem._cache.get(key)
     if cached is not None:
@@ -393,19 +455,72 @@ def basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
     return slice_
 
 
+def quotient_basis(problem: ProblemInput, k: int, weight: int,
+                   gens) -> BasisSlice:
+    """dx-only k-forms of the given weight with coefficients in
+    K[x]/(gens): the complement monomials of the quotient slice in degree
+    weight - k, word by word. Cached on the problem, as is each quotient
+    slice."""
+    gens = tuple(gens)
+    key = ("quotient-basis", gens, k, weight)
+    cached = problem._cache.get(key)
+    if cached is not None:
+        return cached
+    degree = weight - k
+    qs = None
+    keys = []
+    if 0 <= k <= problem.n and degree >= 0:
+        qkey = ("quotient", gens, degree)
+        qs = problem._cache.get(qkey)
+        if qs is None:
+            qs = problem._cache[qkey] = quotient_slice(list(gens), degree)
+        zy = (0,) * problem.r
+        keys = [(m, zy, word, ()) for word in combinations(range(problem.n), k)
+                for m in qs.complement]
+    space = BasisSlice(problem, k, weight, 0, keys, qs)
+    problem._cache[key] = space
+    return space
+
+
+def assemble(mat: SparseMatrix, rule, source: BasisSlice, target: BasisSlice,
+             row0: int = 0, col0: int = 0) -> SparseMatrix:
+    """Add into mat, at block offset (row0, col0), the matrix of the linear
+    map with the given term rule: column j holds the image of the j-th
+    source key, rule(key) yields (image key, coefficient) pairs, and the
+    target maps each image term to its coordinates. An image term outside
+    the target raises SliceMismatch. Every operator matrix is built here."""
+    f = mat.field
+    entries = mat.entries
+    for col, key in enumerate(source.keys, col0):
+        for ikey, c in rule(key):
+            for row, v in target.coords(ikey, c):
+                at = (row0 + row, col)
+                cur = entries.get(at)
+                s = v if cur is None else f.add(cur, v)
+                if f.is_zero(s):
+                    entries.pop(at, None)
+                else:
+                    entries[at] = s
+    return mat
+
+
+def theta_matrix(problem: ProblemInput, k: int, q: int, p: int) -> SparseMatrix:
+    """Matrix of the contraction out of the (k, q, p) slice into
+    (k-1, q, p)."""
+    src = basis(problem, k, q, p)
+    tgt = basis(problem, k - 1, q, p)
+    return assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
+                    theta_rule(problem), src, tgt)
+
+
 def theta_preimage(eta: DiffForm, k: int, q: int, p: int):
     """A form zeta in the (k, q, p) slice with theta(zeta) = eta, or None.
     The solver's free coordinates are set to zero, so the result is
     deterministic but not canonical."""
-    from .homology import matrix_of
-    from .linalg import solve
-
     prob = eta.problem
     src = basis(prob, k, q, p)
-    tgt = basis(prob, k - 1, q, p)
-    mat = matrix_of(theta, src, tgt)
-    rhs = tgt.vector_of_form(eta)
-    sol = solve(mat, rhs)
+    sol = solve(theta_matrix(prob, k, q, p),
+                basis(prob, k - 1, q, p).vector_of_form(eta))
     if sol is None:
         return None
     return src.form_of_vector(sol)

@@ -13,32 +13,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .errors import CertificateRequired, HypothesisViolation, InputError, SliceMismatch
-from .forms import BasisSlice, DiffForm, basis, boundary, df_form
+from .errors import CertificateRequired, HypothesisViolation, InputError
+from .forms import (BasisSlice, DiffForm, assemble, basis, boundary, dF_of,
+                    df_form, quotient_basis, wedge_rule)
+from .hilbert import hodge_table
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank, solve
 from .polynomials import MultiPoly, monomials_of_degree
 from .problem import ProblemInput
-from .quotients import QuotientSlice, quotient_slice
-
-
-def matrix_of(op, source: BasisSlice, target: BasisSlice) -> SparseMatrix:
-    """Matrix of a linear operator between two slice bases; column j is the
-    image of the j-th source basis form. A term landing outside the target
-    slice raises SliceMismatch."""
-    prob = source.problem
-    mat = SparseMatrix(target.dim, source.dim, prob.field)
-    for col, key in enumerate(source.keys):
-        frm = DiffForm(prob, source.k)
-        frm.terms = {key: prob.field.one}
-        img = op(frm)
-        for ikey, c in img.terms.items():
-            row = target.index.get(ikey)
-            if row is None:
-                raise SliceMismatch(
-                    f"image term {ikey} outside the (k={target.k}, "
-                    f"q={target.q}, p={target.p}) slice")
-            mat.add_at(row, col, c)
-    return mat
 
 
 def boundary_matrix(problem: ProblemInput, k: int, q: int, p: int,
@@ -47,16 +28,9 @@ def boundary_matrix(problem: ProblemInput, k: int, q: int, p: int,
     (k+1, q, p+1)."""
     src = basis(problem, k, q, p)
     tgt = basis(problem, k + 1, q, p + 1)
-    return matrix_of(lambda w: boundary(w, part), src, tgt)
-
-
-def theta_matrix(problem: ProblemInput, k: int, q: int, p: int) -> SparseMatrix:
-    """Matrix of the contraction out of the (k, q, p) slice into
-    (k-1, q, p)."""
-    from .forms import theta
-    src = basis(problem, k, q, p)
-    tgt = basis(problem, k - 1, q, p)
-    return matrix_of(theta, src, tgt)
+    rule = wedge_rule(dF_of(problem, part).terms, problem.n, problem.field)
+    return assemble(SparseMatrix(tgt.dim, src.dim, problem.field), rule,
+                    src, tgt)
 
 
 def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int) -> int:
@@ -120,38 +94,6 @@ def cohomology_report(problem: ProblemInput, slices, threads: int | None = None
 # ---------------------------------------------------------------------------
 
 
-def _koszul_keys(gens, k: int, internal_degree: int):
-    r = len(gens)
-    n = gens[0].nvars
-    degs = [g.homogeneous_degree() for g in gens]
-    keys = []
-    for S in combinations(range(r), k):
-        d = internal_degree + sum(degs[j] for j in S)
-        for mono in monomials_of_degree(n, d):
-            keys.append((S, mono))
-    return keys
-
-
-def _koszul_matrix(gens, k: int, internal_degree: int) -> SparseMatrix:
-    field = gens[0].field
-    src = _koszul_keys(gens, k, internal_degree)
-    tgt = _koszul_keys(gens, k + 1, internal_degree)
-    tindex = {key: i for i, key in enumerate(tgt)}
-    mat = SparseMatrix(len(tgt), len(src), field)
-    r = len(gens)
-    for col, (S, mono) in enumerate(src):
-        for j in range(r):
-            if j in S:
-                continue
-            sign = -1 if sum(1 for s in S if s < j) % 2 else 1
-            T = tuple(sorted(S + (j,)))
-            for exp, c in gens[j].terms.items():
-                prod = tuple(a + b for a, b in zip(mono, exp))
-                v = c if sign > 0 else field.neg(c)
-                mat.add_at(tindex[(T, prod)], col, v)
-    return mat
-
-
 def koszul_cohomology_dim(gens: list[MultiPoly], k: int, internal_degree: int) -> int:
     """Cohomology dimension of the Koszul complex of (gens) at cochain
     position k and the given internal degree."""
@@ -163,11 +105,30 @@ def koszul_cohomology_dim(gens: list[MultiPoly], k: int, internal_degree: int) -
     r = len(gens)
     if k < 0 or k > r:
         return 0
-    dim = len(_koszul_keys(gens, k, internal_degree))
+    field, n = gens[0].field, gens[0].nvars
+    degs = [g.homogeneous_degree() for g in gens]
+
+    def space(kk):
+        keys = [(mono, (), S, ()) for S in combinations(range(r), kk)
+                for mono in monomials_of_degree(
+                    n, internal_degree + sum(degs[j] for j in S))]
+        return BasisSlice(None, kk, internal_degree, 0, keys)
+
+    # the differential is the left wedge with sum_j g_j e_j, where the
+    # exterior generator e_j is the word (j,) over an alphabet of r letters
+    rule = wedge_rule({(exp, (), (j,), ()): c for j, g in enumerate(gens)
+                       for exp, c in g.terms.items()}, r, field)
+
+    def diff_rank(kk):
+        src, tgt = space(kk), space(kk + 1)
+        return rank(assemble(SparseMatrix(tgt.dim, src.dim, field), rule,
+                             src, tgt))
+
+    dim = space(k).dim
     if dim == 0:
         return 0
-    out_rank = rank(_koszul_matrix(gens, k, internal_degree)) if k < r else 0
-    in_rank = rank(_koszul_matrix(gens, k - 1, internal_degree)) if k > 0 else 0
+    out_rank = diff_rank(k) if k < r else 0
+    in_rank = diff_rank(k - 1) if k > 0 else 0
     return dim - out_rank - in_rank
 
 
@@ -190,151 +151,16 @@ def _dx_only_weight(form: DiffForm, what: str) -> int:
     return weights.pop()
 
 
-class _PolyFormSpace:
-    """dx-only forms of fixed word length and weight over K[x]."""
-
-    def __init__(self, problem, k: int, weight: int):
-        self.problem = problem
-        self.k = k
-        self.weight = weight
-        self.keys = []
-        if 0 <= k <= problem.n and weight - k >= 0:
-            monos = monomials_of_degree(problem.n, weight - k)
-            for word in combinations(range(problem.n), k):
-                for mono in monos:
-                    self.keys.append((word, mono))
-        self.index = {key: i for i, key in enumerate(self.keys)}
-
-    @property
-    def dim(self):
-        return len(self.keys)
-
-    def vector_of(self, form: DiffForm) -> list:
-        f = self.problem.field
-        v = [f.zero] * self.dim
-        for (xexp, yexp, dxs, dys), c in form.terms.items():
-            pos = self.index.get((dxs, xexp))
-            if pos is None:
-                raise SliceMismatch(f"term {(dxs, xexp)} outside the form space")
-            v[pos] = c
-        return v
-
-    def form_of(self, vec) -> DiffForm:
-        prob = self.problem
-        f = prob.field
-        zy = (0,) * prob.r
-        terms = {}
-        for (word, mono), c in zip(self.keys, vec):
-            c = f.of(c)
-            if not f.is_zero(c):
-                terms[(mono, zy, word, ())] = c
-        res = DiffForm(prob, self.k)
-        res.terms = terms
-        return res
-
-
-class _QuotientFormSpace:
-    """dx-only forms of fixed word length and weight with coefficients in
-    K[x]/(gens), coordinatized by the complement monomials of the degree
-    slice."""
-
-    def __init__(self, problem, k: int, weight: int, qslice: QuotientSlice | None):
-        self.problem = problem
-        self.k = k
-        self.weight = weight
-        self.qslice = qslice
-        self.keys = []
-        if 0 <= k <= problem.n and qslice is not None:
-            for word in combinations(range(problem.n), k):
-                for mono in qslice.complement:
-                    self.keys.append((word, mono))
-        self.index = {key: i for i, key in enumerate(self.keys)}
-
-    @property
-    def dim(self):
-        return len(self.keys)
-
-    def vector_of(self, form: DiffForm) -> list:
-        """Coordinates after reducing each word's coefficient to its normal
-        form."""
-        prob = self.problem
-        f = prob.field
-        qs = self.qslice
-        v = [f.zero] * self.dim
-        if qs is None:
-            if form.is_zero():
-                return v
-            raise SliceMismatch("nonzero form in an empty form space")
-        per_word: dict[tuple, list] = {}
-        for (xexp, yexp, dxs, dys), c in form.terms.items():
-            if any(yexp) or dys or len(dxs) != self.k:
-                raise SliceMismatch("term outside the form space")
-            if sum(xexp) + self.k != self.weight:
-                raise SliceMismatch("term weight mismatch")
-            vec = per_word.get(dxs)
-            if vec is None:
-                vec = [f.zero] * len(qs.monomials)
-                per_word[dxs] = vec
-            vec[qs.index[xexp]] = c
-        for word, vec in per_word.items():
-            red = qs.normal_form_vector(vec)
-            for mono in qs.complement:
-                c = red[qs.index[mono]]
-                if not f.is_zero(c):
-                    v[self.index[(word, mono)]] = c
-        return v
-
-    def form_of(self, vec) -> DiffForm:
-        prob = self.problem
-        f = prob.field
-        zy = (0,) * prob.r
-        terms = {}
-        for (word, mono), c in zip(self.keys, vec):
-            c = f.of(c)
-            if not f.is_zero(c):
-                terms[(mono, zy, word, ())] = c
-        res = DiffForm(prob, self.k)
-        res.terms = terms
-        return res
-
-
-class _FormSpaceFactory:
-    """Builds form spaces for one solve, sharing quotient slices by degree."""
-
-    def __init__(self, problem, over: str, gens=None):
-        if over not in ("polynomial-ring", "quotient-by-f"):
-            raise InputError(f"unknown coefficient ring mode {over!r}")
-        self.problem = problem
-        self.over = over
-        self.gens = list(gens) if gens is not None else list(problem.polys)
-        self._qslices: dict[int, QuotientSlice] = {}
-
-    def qslice(self, degree: int) -> QuotientSlice | None:
-        if degree < 0:
-            return None
-        qs = self._qslices.get(degree)
-        if qs is None:
-            qs = quotient_slice(self.gens, degree)
-            self._qslices[degree] = qs
-        return qs
-
-    def space(self, k: int, weight: int):
-        if self.over == "polynomial-ring":
-            return _PolyFormSpace(self.problem, k, weight)
-        return _QuotientFormSpace(self.problem, k, weight,
-                                  self.qslice(weight - k) if k <= self.problem.n else None)
-
-
-def _wedge_block(mult: DiffForm, src, tgt) -> list[list]:
-    """Columns (as coordinate vectors in tgt) of wedging src basis forms by
-    mult on the left."""
-    cols = []
-    for i in range(src.dim):
-        unit = [src.problem.field.zero] * src.dim
-        unit[i] = src.problem.field.one
-        img = mult.wedge(src.form_of(unit))
-        cols.append(tgt.vector_of(img))
-    return cols
+def _form_spaces(problem, over: str, gens):
+    """space(k, weight): the dx-only k-forms of that weight with
+    coefficients in K[x] ("polynomial-ring") or in K[x]/(gens)
+    ("quotient-by-f"; default gens: the problem's polynomials)."""
+    if over == "polynomial-ring":
+        return lambda k, weight: basis(problem, k, weight, 0)
+    if over == "quotient-by-f":
+        gens = problem.polys if gens is None else tuple(gens)
+        return lambda k, weight: quotient_basis(problem, k, weight, gens)
+    raise InputError(f"unknown coefficient ring mode {over!r}")
 
 
 @dataclass
@@ -387,13 +213,13 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
     else:
         raise InputError(f"unknown shape {shape!r}")
 
-    factory = _FormSpaceFactory(prob, over, gens)
-    prods = {}
+    space = _form_spaces(prob, over, gens)
+    rules = {}
     for J in subsets:
         acc = multipliers[J[0]]
         for j in J[1:]:
             acc = acc.wedge(multipliers[j])
-        prods[J] = acc
+        rules[J] = wedge_rule(acc.terms, prob.n, f)
 
     if saturation is None:
         g, m_max = None, 0
@@ -416,14 +242,14 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
                 alphas.append(DiffForm.zero(prob, max(kk, 0)))
             return WedgeDivisionSolution(shape=shape, m=m, labels=labels, alphas=alphas)
         weight = base_weight + (m * g.homogeneous_degree() if m else 0)
-        tgt = factory.space(k, weight)
-        rhs = tgt.vector_of(target)
+        tgt = space(k, weight)
+        rhs = tgt.vector_of_form(target)
         blocks = []
         offsets = [0]
         for J in subsets:
             kk = k - len(J)
             ww = weight - sum(mult_weights[j] for j in J)
-            src = factory.space(kk, ww) if kk >= 0 else None
+            src = space(kk, ww) if kk >= 0 else None
             blocks.append((J, src))
             offsets.append(offsets[-1] + (src.dim if src is not None else 0))
         ncols = offsets[-1]
@@ -435,15 +261,9 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
                                                      for _ in subsets])
             continue
         mat = SparseMatrix(tgt.dim, ncols, f)
-        for bi, (J, src) in enumerate(blocks):
-            if src is None or src.dim == 0:
-                continue
-            cols = _wedge_block(prods[J], src, tgt)
-            for ci, colvec in enumerate(cols):
-                col = offsets[bi] + ci
-                for row, v in enumerate(colvec):
-                    if not f.is_zero(v):
-                        mat.add_at(row, col, v)
+        for (J, src), col0 in zip(blocks, offsets):
+            if src is not None:
+                assemble(mat, rules[J], src, tgt, col0=col0)
         sol = solve(mat, rhs)
         if sol is None:
             continue
@@ -454,7 +274,8 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
             if src is None:
                 alphas.append(DiffForm.zero(prob, 0))
             else:
-                alphas.append(src.form_of(sol[offsets[bi]:offsets[bi + 1]]))
+                alphas.append(src.form_of_vector(
+                    sol[offsets[bi]:offsets[bi + 1]]))
         return WedgeDivisionSolution(shape=shape, m=m, labels=labels, alphas=alphas)
     return None
 
@@ -465,60 +286,35 @@ def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
     """Basis of { omega of word length k and the given weight :
     w_i /\\ omega = 0 for every multiplier }, in the chosen coefficient
     ring."""
-    factory = _FormSpaceFactory(problem, over, gens)
-    src = factory.space(k, weight)
+    space = _form_spaces(problem, over, gens)
+    src = space(k, weight)
     if src.dim == 0:
         return []
     f = problem.field
-    tgts = []
-    for w in multipliers:
-        d = _dx_only_weight(w, "multiplier")
-        tgts.append((w, factory.space(k + 1, weight + d)))
-    total_rows = sum(t.dim for _, t in tgts)
-    mat = SparseMatrix(total_rows, src.dim, f)
+    tgts = [(w, space(k + 1, weight + _dx_only_weight(w, "multiplier")))
+            for w in multipliers]
+    mat = SparseMatrix(sum(t.dim for _, t in tgts), src.dim, f)
     row0 = 0
     for w, tgt in tgts:
-        if tgt.dim:
-            cols = _wedge_block(w, src, tgt)
-            for ci, colvec in enumerate(cols):
-                for row, v in enumerate(colvec):
-                    if not f.is_zero(v):
-                        mat.add_at(row0 + row, ci, v)
+        assemble(mat, wedge_rule(w.terms, problem.n, f), src, tgt, row0=row0)
         row0 += tgt.dim
-    return [src.form_of(vec) for vec in kernel_basis(mat)]
+    return [src.form_of_vector(vec) for vec in kernel_basis(mat)]
 
 
 def reduce_form_mod_ideal(form: DiffForm, gens) -> DiffForm:
     """Reduce every coefficient of a dx-only form to its normal form modulo
     the degree slices of (gens)."""
-    prob = form.problem
-    f = prob.field
     if form.is_zero():
         return form
-    by_bucket: dict[tuple, dict] = {}
-    for (xexp, yexp, dxs, dys), c in form.terms.items():
+    prob = form.problem
+    terms = []
+    for key, c in form.terms.items():
+        xexp, yexp, dxs, dys = key
         if any(yexp) or dys:
             raise InputError("only dx-only forms can be reduced")
-        by_bucket.setdefault((dxs, sum(xexp)), {})[xexp] = c
-    out = {}
-    zy = (0,) * prob.r
-    qcache: dict[int, QuotientSlice] = {}
-    for (word, deg), coeffs in by_bucket.items():
-        qs = qcache.get(deg)
-        if qs is None:
-            qs = quotient_slice(list(gens), deg)
-            qcache[deg] = qs
-        vec = [f.zero] * len(qs.monomials)
-        for exp, c in coeffs.items():
-            vec[qs.index[exp]] = c
-        red = qs.normal_form_vector(vec)
-        for mono in qs.complement:
-            c = red[qs.index[mono]]
-            if not f.is_zero(c):
-                out[(mono, zy, word, ())] = c
-    res = DiffForm(prob, form.k)
-    res.terms = out
-    return res
+        space = quotient_basis(prob, form.k, sum(xexp) + form.k, gens)
+        terms.extend((space.keys[pos], v) for pos, v in space.coords(key, c))
+    return DiffForm(prob, form.k, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +421,9 @@ def verify_predictions(problem: ProblemInput, mode: str, certificate,
         for p in range(p_max + 1):
             if p < r or p >= n:
                 checks.append(Check(f"top-vanishing[p={p}]", 0, dims[(top, 0, p)]))
-        exceptional = problem.exceptional
-        mid = (top // 2) if top % 2 == 0 else None
+        table = hodge_table(n, problem.degrees, problem.field)
         for p in range(p_max + 1):
-            if r == n - 1:
-                offset = 1 if p == r else 0
-            elif exceptional and mid is not None and p == mid - 1:
-                offset = 1
-            elif exceptional and mid is not None and p == mid:
-                offset = -1
-            else:
-                offset = 0
+            offset = table.dim_next.get(p, 0) - table.dim_top.get(p, 0)
             diff = dims[(top - 1, 0, p)] - dims[(top, 0, p)]
             checks.append(Check(f"middle-pair[p={p}]", offset, diff))
         if r < n - 1:

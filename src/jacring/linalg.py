@@ -65,14 +65,6 @@ class SparseMatrix:
             A[ii, jj] = vv
         return A
 
-    def column(self, j: int) -> list:
-        z = self.field.zero
-        col = [z] * self.nrows
-        for (i, jj), v in self.entries.items():
-            if jj == j:
-                col[i] = v
-        return col
-
     def augmented_with_column(self, vec) -> "SparseMatrix":
         if len(vec) != self.nrows:
             raise InputError("column length mismatch")

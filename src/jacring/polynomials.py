@@ -90,12 +90,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self):
-        """Max total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def homogeneous_degree(self):
         """The common total degree of all terms, or None if inhomogeneous
         or zero."""
@@ -195,15 +189,6 @@ class MultiPoly:
                 out[nexp] = s
         res = MultiPoly(f, self.nvars)
         res.terms = out
-        return res
-
-    def extend_vars(self, nvars: int) -> "MultiPoly":
-        """Reinterpret in a larger ring, new trailing variables unused."""
-        if nvars < self.nvars:
-            raise InputError("cannot shrink the variable count")
-        pad = (0,) * (nvars - self.nvars)
-        res = MultiPoly(self.field, nvars)
-        res.terms = {exp + pad: c for exp, c in self.terms.items()}
         return res
 
     # -- comparison / display ---------------------------------------------

@@ -15,7 +15,7 @@ class QuotientSlice:
     """Degree-N slice of K[x1..xn]/(gens)."""
 
     __slots__ = ("field", "nvars", "degree", "monomials", "index",
-                 "pivots", "rows", "complement")
+                 "pivots", "rows", "complement", "_pivot_forms")
 
     def __init__(self, field, nvars, degree, monomials, pivots, rows):
         self.field = field
@@ -27,15 +27,12 @@ class QuotientSlice:
         self.rows = rows
         pivset = set(pivots)
         self.complement = [m for i, m in enumerate(monomials) if i not in pivset]
+        self._pivot_forms = None
 
     @property
     def dim(self) -> int:
         """Dimension of the quotient slice."""
         return len(self.complement)
-
-    @property
-    def ideal_rank(self) -> int:
-        return len(self.pivots)
 
     def vector_of(self, poly: MultiPoly) -> list:
         f = self.field
@@ -65,9 +62,18 @@ class QuotientSlice:
         return MultiPoly(self.field, self.nvars,
                          {m: v[self.index[m]] for m in self.complement})
 
-    def complement_coords(self, poly: MultiPoly) -> list:
-        v = self.normal_form_vector(self.vector_of(poly))
-        return [v[self.index[m]] for m in self.complement]
+    def pivot_normal_forms(self) -> dict:
+        """Normal form of each pivot monomial as (complement monomial,
+        coefficient) pairs: minus its reduced row on the complement. A
+        complement monomial is its own normal form. Built on first use."""
+        if self._pivot_forms is None:
+            f = self.field
+            cols = [(self.index[m], m) for m in self.complement]
+            self._pivot_forms = {
+                self.monomials[pc]: [(m, f.neg(f.of(row[j]))) for j, m in cols
+                                     if not f.is_zero(row[j])]
+                for pc, row in zip(self.pivots, self.rows)}
+        return self._pivot_forms
 
 
 def quotient_slice(gens: list[MultiPoly], degree: int) -> QuotientSlice:

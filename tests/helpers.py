@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from jacring.errors import SliceMismatch
 from jacring.fields import PrimeField, Rationals
-from jacring.forms import DiffForm
+from jacring.forms import BasisSlice, DiffForm
+from jacring.linalg import SparseMatrix
 from jacring.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from jacring.problem import ProblemInput, problem_from_strings
 
@@ -137,3 +139,46 @@ def random_form(rng: random.Random, problem: ProblemInput, k: int,
             form = form + DiffForm.term(problem, xexp, yexp, dxs, dys,
                                         problem.field.of(c))
     return form
+
+
+def matrix_of(op, source: BasisSlice, target: BasisSlice) -> SparseMatrix:
+    """Reference oracle for the term-level assembler: the matrix of a
+    form-level operator between two slice bases, one DiffForm per column.
+    Column j is the image of the j-th source basis form; a term landing
+    outside the target slice raises SliceMismatch."""
+    prob = source.problem
+    mat = SparseMatrix(target.dim, source.dim, prob.field)
+    for col, key in enumerate(source.keys):
+        img = op(DiffForm(prob, source.k, {key: prob.field.one}))
+        for ikey, c in img.terms.items():
+            row = target.index.get(ikey)
+            if row is None:
+                raise SliceMismatch(
+                    f"image term {ikey} outside the (k={target.k}, "
+                    f"q={target.q}, p={target.p}) slice")
+            mat.add_at(row, col, c)
+    return mat
+
+
+def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
+                          target: BasisSlice) -> SparseMatrix:
+    """Reference oracle for a wedge block into a quotient form space: wedge
+    each source basis form with mult by DiffForm.wedge, then reduce each
+    word's coefficient with QuotientSlice.normal_form_vector."""
+    prob = source.problem
+    f = prob.field
+    qs = target.quotient
+    zy = (0,) * prob.r
+    mat = SparseMatrix(target.dim, source.dim, f)
+    for col, key in enumerate(source.keys):
+        img = mult.wedge(DiffForm(prob, source.k, {key: f.one}))
+        per_word = {}
+        for (xexp, _, dxs, _), c in img.terms.items():
+            vec = per_word.setdefault(dxs, [f.zero] * len(qs.monomials))
+            vec[qs.index[xexp]] = c
+        for word, vec in per_word.items():
+            red = qs.normal_form_vector(vec)
+            for m in qs.complement:
+                mat.add_at(target.index[(m, zy, word, ())], col,
+                           red[qs.index[m]])
+    return mat

@@ -7,16 +7,18 @@ import pytest
 
 from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
-from jacring.forms import basis, boundary, dF_of, theta, theta_preimage, xi
+from jacring.forms import (assemble, basis, boundary, dF_of, df_form,
+                           quotient_basis, theta, theta_matrix,
+                           theta_preimage, wedge_rule, xi)
 from jacring.homology import (boundary_matrix, cohomology_dim,
                               cohomology_report, koszul_cohomology_dim,
-                              matrix_of, theta_matrix,
                               _witness_class_is_nonzero)
 from jacring.linalg import SparseMatrix, in_column_span, rank
 from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
 
-from helpers import (Q, exceptional_pair_char2, fermat_cubic, square_pair,
+from helpers import (Q, conic_char2, exceptional_pair_char2, fermat_cubic,
+                     matrix_of, quotient_wedge_matrix, square_pair,
                      two_conics, two_quadrics)
 
 
@@ -41,6 +43,63 @@ def test_theta_matrix_one_by_one():
     assert src.dim == 1 and tgt.dim == 1
     m = matrix_of(theta, src, tgt)
     assert m.entries == {(0, 0): Q.one}
+
+
+def _same_matrix(got, want, where):
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols), where
+    assert got.entries == want.entries, where
+
+
+def test_assembler_matches_per_column_oracle():
+    """Every operator matrix from the term-level assembler equals the
+    per-column oracle entry for entry: the boundary and its parts, the
+    contraction, and the wedge blocks of the division solver into the
+    polynomial and the quotient form spaces."""
+    for prob in (fermat_cubic(), two_conics(), square_pair(), two_quadrics(),
+                 conic_char2()):
+        n, r, f = prob.n, prob.r, prob.field
+        for k in range(n + r + 1):
+            for q in range(2):
+                for p in range(4):
+                    src = basis(prob, k, q, p)
+                    where = (prob.degrees, f, k, q, p)
+                    for part in ("full", "h", "v"):
+                        _same_matrix(
+                            boundary_matrix(prob, k, q, p, part),
+                            matrix_of(lambda w: boundary(w, part), src,
+                                      basis(prob, k + 1, q, p + 1)),
+                            where + (part,))
+                    _same_matrix(theta_matrix(prob, k, q, p),
+                                 matrix_of(theta, src,
+                                           basis(prob, k - 1, q, p)),
+                                 where + ("theta",))
+        mults = [(df_form(prob, j), prob.degrees[j]) for j in range(r)]
+        if r > 1:
+            full = mults[0][0]
+            for w, _ in mults[1:]:
+                full = full.wedge(w)
+            mults.append((full, sum(prob.degrees)))
+        for k in range(n):
+            for weight in range(k, k + max(prob.degrees) + 2):
+                for mult, d in mults:
+                    rule = wedge_rule(mult.terms, n, f)
+                    where = (prob.degrees, f, k, weight, mult.k)
+                    src = basis(prob, k, weight, 0)
+                    tgt = basis(prob, k + mult.k, weight + d, 0)
+                    _same_matrix(
+                        assemble(SparseMatrix(tgt.dim, src.dim, f), rule,
+                                 src, tgt),
+                        matrix_of(mult.wedge, src, tgt), where)
+                    src = quotient_basis(prob, k, weight, prob.polys)
+                    tgt = quotient_basis(prob, k + mult.k, weight + d,
+                                         prob.polys)
+                    if tgt.quotient is None:
+                        continue
+                    _same_matrix(
+                        assemble(SparseMatrix(tgt.dim, src.dim, f), rule,
+                                 src, tgt),
+                        quotient_wedge_matrix(mult, src, tgt),
+                        where + ("quotient",))
 
 
 def test_boundary_matrices_compose_to_zero():

@@ -38,21 +38,25 @@ def test_monomials_order_deterministic():
 
 
 @st.composite
-def small_poly(draw):
+def small_polys(draw):
+    """Three small polynomials in one common number of variables."""
     nvars = draw(st.integers(1, 3))
-    nterms = draw(st.integers(0, 4))
-    terms = {}
-    for _ in range(nterms):
-        exp = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
-        terms[exp] = draw(st.integers(-4, 4))
-    return MultiPoly(Q, nvars, terms)
+    polys = []
+    for _ in range(3):
+        nterms = draw(st.integers(0, 4))
+        terms = {}
+        for _ in range(nterms):
+            exp = tuple(draw(st.integers(0, 2)) for _ in range(nvars))
+            terms[exp] = draw(st.integers(-4, 4))
+        polys.append(MultiPoly(Q, nvars, terms))
+    return polys
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_poly(), small_poly(), small_poly())
-def test_ring_axioms(f, g, h):
-    nv = max(f.nvars, g.nvars, h.nvars)
-    f, g, h = (p.extend_vars(nv) for p in (f, g, h))
+@given(small_polys())
+def test_ring_axioms(polys):
+    f, g, h = polys
+    nv = f.nvars
     assert f + g == g + f
     assert (f + g) + h == f + (g + h)
     assert f * g == g * f

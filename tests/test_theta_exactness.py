@@ -3,15 +3,13 @@ in every (q, p) slice except for a one-dimensional cokernel at (q, p) = (0, 0).
 
 The contraction only sees n, r and the degree vector, so each (n, r, degrees)
 shape is checked once per field with simple monomial systems, including
-degrees divisible by the characteristic.
+degrees divisible by the characteristic. The exhaustive sweep over Q, F_2
+and F_3 runs as acceptance criterion 08.
 """
 from __future__ import annotations
 
-import pytest
-
-from jacring.fields import PrimeField, Rationals
-from jacring.forms import basis
-from jacring.homology import theta_matrix
+from jacring.fields import Rationals
+from jacring.forms import basis, theta_matrix
 from jacring.linalg import rank
 from jacring.problem import problem_from_strings
 
@@ -66,14 +64,6 @@ def _check_exactness(prob):
             assert coker == want, (
                 f"cokernel {coker} != {want} at q={q}, p={p} for n={n}, "
                 f"r={r}, d={prob.degrees} over {prob.field}")
-
-
-@pytest.mark.parametrize("field", [Q, PrimeField(2), PrimeField(3)],
-                         ids=["Q", "F2", "F3"])
-def test_contraction_sequence_exact(field):
-    shapes = SHAPES + EXTRA.get(getattr(field, "p", 0), [])
-    for n, r, degrees in shapes:
-        _check_exactness(_monomial_system(field, n, degrees))
 
 
 def test_contraction_blind_to_the_polynomials():
