@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
@@ -188,7 +189,8 @@ def test_closed_form_hypothesis_errors():
 
 
 # ---------------------------------------------------------------------------
-# the full sweep (run once, under acceptance criterion 09)
+# the full sweep (memoized: run once per session, timed by acceptance
+# criterion 09 as well)
 # ---------------------------------------------------------------------------
 
 
@@ -199,10 +201,11 @@ def _sweep_cases():
                 yield n, d
 
 
-def check_series_sweep():
+@cache
+def series_sweep() -> tuple[int, float]:
     """Every degree multiset with n <= 7, r < n, d_i <= 5: palindromy, the
     alternating-composition value at 1, the series identity, nonnegativity,
-    and the support window."""
+    and the support window. Returns the case count and the elapsed time."""
     t0 = time.perf_counter()
     count = 0
     for n, d in _sweep_cases():
@@ -216,7 +219,11 @@ def check_series_sweep():
             assert c >= 0, (n, d, k)
             assert r <= k <= n - 1, (n, d, k)
         count += 1
-    elapsed = time.perf_counter() - t0
+    return count, time.perf_counter() - t0
+
+
+def test_series_sweep():
+    count, elapsed = series_sweep()
     assert count == 917
     assert elapsed < 60, f"sweep took {elapsed:.1f}s"
 
@@ -232,9 +239,12 @@ def test_closed_form_is_order_blind():
         assert closed_form_H(n, tuple(d)) == closed_form_H(n, tuple(shuffled))
 
 
-def check_euler_series_matches_slice_counts():
+@cache
+def euler_slice_count_sweep() -> float:
     """Coefficientwise: the alternating sum of slice dimensions along each
-    boundary diagonal equals the closed-form series, for n + r <= 6."""
+    boundary diagonal equals the closed-form series, for n + r <= 6.
+    Returns the elapsed time."""
+    t0 = time.perf_counter()
     for n, d in _sweep_cases():
         r = len(d)
         if n + r > 6:
@@ -249,6 +259,11 @@ def check_euler_series_matches_slice_counts():
                 sign = -1 if (n + r - k) % 2 else 1
                 direct += sign * omega_slice_dim(n, d, k, 0, p_k)
             assert direct == chi.coefficient(p), (n, d, p)
+    return time.perf_counter() - t0
+
+
+def test_euler_series_matches_slice_counts():
+    euler_slice_count_sweep()
 
 
 # ---------------------------------------------------------------------------
