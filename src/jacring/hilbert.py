@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, factorial, prod
 
@@ -171,9 +172,11 @@ class Poly:
 _ONE_MINUS_T = Poly({0: 1, 1: -1})
 
 
+@cache
 def eulerian_p(e: int, variant: str = "plain") -> Poly:
     """The polynomial p_e with p_e(t)/(1-t)^(e+1) = (t d/dt)^e 1/(1-t);
-    variant "tilde" differs only at e = 0, where it is t instead of 1."""
+    variant "tilde" differs only at e = 0, where it is t instead of 1.
+    Memoized: every caller gets the same Poly, which none mutates."""
     if e < 0:
         raise InputError("e must be nonnegative")
     if variant not in ("plain", "tilde"):
@@ -233,9 +236,9 @@ def _exponent_vectors(r: int, bound: int):
             yield tuple(w + 1 for w in weak)
 
 
-def closed_form_H(n: int, d) -> Poly:
-    """The field-independent polynomial H(t) = sum_p h_p t^p, supported on
-    degrees r..n-1, from the closed-form pipeline. Needs 1 <= r < n."""
+def _closed_form(n: int, d) -> tuple[Poly, list[Poly]]:
+    """H(t) and its terms quot_e * prod_i p_(e_i), one per exponent vector
+    e, each built once. Needs 1 <= r < n; asserts H is integral."""
     r = len(d)
     if not 1 <= r < n:
         raise HypothesisViolation(f"the closed form needs 1 <= r < n "
@@ -244,14 +247,21 @@ def closed_form_H(n: int, d) -> Poly:
         raise InputError("degrees must be at least 1")
     sign = -1 if (n - r) % 2 else 1
     H = Poly({p: sign for p in range(r, n)})
+    terms = []
     for e in _exponent_vectors(r, n - 1):
-        _, quot = g_poly(n, d, e)
-        term = quot
+        _, term = g_poly(n, d, e)
         for ei in e:
             term = term * eulerian_p(ei)
+        terms.append(term)
         H = H + term
     H.int_coefficients()   # integrality assertion
-    return H
+    return H, terms
+
+
+def closed_form_H(n: int, d) -> Poly:
+    """The field-independent polynomial H(t) = sum_p h_p t^p, supported on
+    degrees r..n-1, from the closed-form pipeline. Needs 1 <= r < n."""
+    return _closed_form(n, d)[0]
 
 
 def H_at_one(n: int, d) -> int:
@@ -277,18 +287,11 @@ def euler_series(n: int, d) -> Poly:
     """The alternating-sum Hilbert series of the boundary complex at q = 0,
     from the closed form; asserts the identity
     series = (1-t) H(t) + (-1)^(n-r) t^n."""
+    H, terms = _closed_form(n, d)
     r = len(d)
-    if not 1 <= r < n:
-        raise HypothesisViolation(f"needs 1 <= r < n (got r={r}, n={n})")
-    sign_nr = -1 if (n + r) % 2 else 1
-    chi = Poly.monomial(sign_nr, r)
-    for e in _exponent_vectors(r, n - 1):
-        _, quot = g_poly(n, d, e)
-        term = _ONE_MINUS_T * quot
-        for ei in e:
-            term = term * eulerian_p(ei)
-        chi = chi + term
-    H = closed_form_H(n, d)
+    chi = Poly.monomial(-1 if (n + r) % 2 else 1, r)
+    for term in terms:
+        chi = chi + _ONE_MINUS_T * term
     expected = _ONE_MINUS_T * H + Poly.monomial(-1 if (n - r) % 2 else 1, n)
     if chi != expected:
         raise InputError("alternating-sum series identity failed "

@@ -1,14 +1,17 @@
 """Exact rank, solve, kernel, and row reduction over Q and prime fields.
 
 Production engines: fraction-free integer elimination over Q (divisions are
-exact by Sylvester's identity) and vectorized int64 elimination mod p with
-deferred reduction. Independent textbook reference implementations live at
-the bottom of the module and are used by the test suite to cross-check the
-production engines; the two routes intentionally share no code.
+exact by Sylvester's identity) and, mod p, structured Gaussian elimination:
+Markowitz pivots on sparse rows of Python ints, then the dense Schur block in
+vectorized int64 elimination with deferred reduction. Independent textbook
+reference implementations live at the bottom of the module and are used by
+the test suite to cross-check the production engines; the two routes
+intentionally share no code.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 
 import numpy as np
@@ -17,6 +20,10 @@ from .errors import InputError
 
 # largest modulus for the vectorized engine: products must fit in int64
 _NUMPY_P_LIMIT = 2**31
+
+# density of the active block at which sparse elimination stops and the
+# remaining Schur block goes to the dense kernel (only below _NUMPY_P_LIMIT)
+_DENSE_HANDOFF = 0.1
 
 
 class SparseMatrix:
@@ -56,15 +63,6 @@ class SparseMatrix:
             rows[i][j] = v
         return rows
 
-    def to_numpy(self) -> np.ndarray:
-        A = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        if self.entries:
-            ii = np.fromiter((k[0] for k in self.entries), dtype=np.int64, count=len(self.entries))
-            jj = np.fromiter((k[1] for k in self.entries), dtype=np.int64, count=len(self.entries))
-            vv = np.fromiter((int(v) for v in self.entries.values()), dtype=np.int64, count=len(self.entries))
-            A[ii, jj] = vv
-        return A
-
     def augmented_with_column(self, vec) -> "SparseMatrix":
         if len(vec) != self.nrows:
             raise InputError("column length mismatch")
@@ -88,10 +86,7 @@ def rank(mat: SparseMatrix) -> int:
         return 0
     if mat.field.kind == "Q":
         return _rank_fraction_free(_int_dict_rows(mat), mat.ncols)
-    p = mat.field.p
-    if p < _NUMPY_P_LIMIT:
-        return _rank_modp_vectorized(mat.to_numpy(), p)
-    return _rank_modp_bigp(mat, p)
+    return _rank_modp(mat, mat.field.p)
 
 
 def _int_dict_rows(mat: SparseMatrix) -> list[dict[int, int]]:
@@ -157,6 +152,89 @@ def _rank_fraction_free(rows: list[dict[int, int]], ncols: int) -> int:
     return rk
 
 
+def _rank_modp(mat: SparseMatrix, p: int) -> int:
+    """Structured Gaussian elimination mod p. Each step pivots on a column
+    of fewest nonzeros, in its shortest row, so column singletons go first
+    and fill stays low. Rows are dicts of Python ints, exact for every p.
+    Once the active block is denser than _DENSE_HANDOFF, and p is small
+    enough for int64, the block is finished by the dense kernel."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (i, j), v in mat.entries.items():
+        v = int(v) % p
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
+    nnz = sum(map(len, rows.values()))
+    dense_ok = p < _NUMPY_P_LIMIT
+    # lazy heap: an entry is live while it matches its column's count
+    heap = [(len(s), j) for j, s in cols.items()]
+    heapify(heap)
+    rk = 0
+    while heap:
+        if dense_ok and nnz > _DENSE_HANDOFF * len(rows) * len(cols):
+            return rk + _rank_dense_tail(rows, cols, p)
+        count, col = heappop(heap)
+        holders = cols.get(col)
+        if holders is None or len(holders) != count:
+            continue
+        del cols[col]
+        piv = min(holders, key=lambda i: (len(rows[i]), i))
+        holders.discard(piv)
+        prow = rows.pop(piv)
+        inv = pow(prow.pop(col), -1, p)
+        nnz -= 1 + len(prow)
+        for i in holders:
+            row = rows[i]
+            fac = row.pop(col) * inv % p
+            nnz -= 1
+            for j, v in prow.items():
+                w = row.get(j)
+                if w is None:
+                    row[j] = -fac * v % p
+                    cols[j].add(i)
+                    nnz += 1
+                else:
+                    w = (w - fac * v) % p
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+                        nnz -= 1
+            if not row:
+                del rows[i]
+        for j in prow:
+            s = cols[j]
+            s.discard(piv)
+            if s:
+                heappush(heap, (len(s), j))
+            else:
+                del cols[j]
+        rk += 1
+    return rk
+
+
+def _rank_dense_tail(rows: dict[int, dict[int, int]], cols: dict[int, set[int]],
+                     p: int) -> int:
+    """Rank of the active block by the dense kernel, copied into int64 with
+    the shorter side as rows."""
+    cpos = {j: b for b, j in enumerate(cols)}
+    ii: list[int] = []
+    jj: list[int] = []
+    vv: list[int] = []
+    for a, row in enumerate(rows.values()):
+        ii.extend([a] * len(row))
+        jj.extend(map(cpos.__getitem__, row))
+        vv.extend(row.values())
+    if len(rows) > len(cols):
+        ii, jj = jj, ii
+    A = np.zeros((min(len(rows), len(cols)), max(len(rows), len(cols))),
+                 dtype=np.int64)
+    A[ii, jj] = vv
+    return _rank_modp_vectorized(A, p)
+
+
 def _rank_modp_vectorized(A: np.ndarray, p: int) -> int:
     """In-place elimination mod p on an int64 matrix. Row updates defer the
     mod reduction as long as the int64 growth budget allows."""
@@ -194,44 +272,6 @@ def _rank_modp_vectorized(A: np.ndarray, p: int) -> int:
                 if dirty >= budget:
                     A[rk + 1:] %= p
                     dirty = 0
-        rk += 1
-    return rk
-
-
-def _rank_modp_bigp(mat: SparseMatrix, p: int) -> int:
-    """Sparse elimination mod p in plain Python for moduli too large for the
-    vectorized engine."""
-    rows: list[dict[int, int]] = [dict() for _ in range(mat.nrows)]
-    for (i, j), v in mat.entries.items():
-        rows[i][j] = int(v) % p
-    rows = [r for r in rows if r]
-    rk = 0
-    for col in range(mat.ncols):
-        if not rows:
-            break
-        best = -1
-        for idx, row in enumerate(rows):
-            if row.get(col, 0) % p:
-                if best < 0 or len(row) < len(rows[best]):
-                    best = idx
-        if best < 0:
-            continue
-        pivrow = rows.pop(best)
-        inv = pow(pivrow[col], -1, p)
-        pivrow = {j: v * inv % p for j, v in pivrow.items() if v % p}
-        nxt = []
-        for row in rows:
-            fac = row.get(col, 0) % p
-            if fac:
-                for j, pv in pivrow.items():
-                    w = (row.get(j, 0) - fac * pv) % p
-                    if w:
-                        row[j] = w
-                    else:
-                        row.pop(j, None)
-            if row:
-                nxt.append(row)
-        rows = nxt
         rk += 1
     return rk
 

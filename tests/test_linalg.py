@@ -3,13 +3,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from jacring import linalg
 from jacring.fields import PrimeField, Rationals
+from jacring.homology import boundary_matrix
 from jacring.linalg import (SparseMatrix, in_column_span, kernel_basis, rank,
                             rank_reference, rref_rows, solve)
 
+from helpers import fermat_cubic, square_pair, two_conics, two_quadrics
+
 Q = Rationals()
 FIELDS = [Q, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003),
-          PrimeField(2**31 + 11)]
+          PrimeField(2**31 + 11), PrimeField(2**61 - 1), PrimeField(2**89 - 1)]
 
 
 def random_matrix(rng: random.Random, field, nrows: int, ncols: int,
@@ -94,6 +98,52 @@ def test_rank_matches_reference_200():
     for field in (Q, PrimeField(32003)):
         m = random_matrix(rng, field, 200, 200, density=0.02)
         assert rank(m) == rank_reference(m)
+
+
+def test_sparse_phase_hands_off_to_dense_tail(monkeypatch):
+    """Column singletons beside a dense (m x k)(k x n) product. The whole
+    matrix is sparser than the hand-off density; eliminating singletons
+    leaves the product block, denser than it. Below 2^31 the dense kernel
+    finishes a block smaller than the input, above it the sparse phase runs
+    to the end. Boundary matrices of the fixtures cross-check both primes."""
+    shapes = []
+    kernel = linalg._rank_modp_vectorized
+
+    def spy(A, p):
+        shapes.append(A.shape)
+        return kernel(A, p)
+
+    monkeypatch.setattr(linalg, "_rank_modp_vectorized", spy)
+    rng = random.Random(41)
+    s, m, n, k = 60, 12, 12, 4
+    for p in (32003, 2**61 - 1):
+        field = PrimeField(p)
+        mat = SparseMatrix(s + m, s + n, field)
+        for i in range(s):
+            mat.add_at(i, i, rng.randrange(1, p))
+            for j in rng.sample(range(s, s + n), 2):
+                mat.add_at(i, j, rng.randrange(1, p))
+        A = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+        B = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+        for i in range(m):
+            for j in range(n):
+                mat.add_at(s + i, s + j,
+                           sum(A[i][t] * B[t][j] for t in range(k)))
+        assert mat.nnz() < linalg._DENSE_HANDOFF * mat.nrows * mat.ncols
+        shapes.clear()
+        assert rank(mat) == rank_reference(mat) == s + k
+        if p < linalg._NUMPY_P_LIMIT:
+            assert len(shapes) == 1
+            assert shapes[0][0] * shapes[0][1] < mat.nrows * mat.ncols
+        else:
+            assert shapes == []
+        for prob in (fermat_cubic(field), two_conics(field),
+                     square_pair(field), two_quadrics(field)):
+            for deg in range(prob.n + prob.r):
+                for wt in range(3 if prob.n + prob.r < 6 else 2):
+                    bd = boundary_matrix(prob, deg, 0, wt)
+                    assert rank(bd) == rank_reference(bd), (
+                        prob.degrees, p, deg, wt)
 
 
 def test_rank_edge_cases():
