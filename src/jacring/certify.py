@@ -16,7 +16,7 @@ from itertools import combinations
 from .errors import HypothesisViolation, InputError
 from .polynomials import MultiPoly
 from .problem import ProblemInput
-from .quotients import quotient_dim, quotient_slice
+from .quotients import check_generators, quotient_dim, quotient_slice
 
 
 @dataclass(frozen=True)
@@ -43,25 +43,11 @@ class Certificate:
                 f"a larger --bound may still succeed")
 
 
-def _check_gens(gens) -> None:
-    if not gens:
-        raise InputError("need at least one generator")
-    f0 = gens[0].field
-    n0 = gens[0].nvars
-    for g in gens:
-        if g.field != f0 or g.nvars != n0:
-            raise InputError("generators must live in one polynomial ring")
-        if g.is_zero():
-            raise InputError("generators must be nonzero")
-        if g.homogeneous_degree() is None:
-            raise InputError("generators must be homogeneous")
-
-
 def m_primary_certificate(gens: list[MultiPoly], bound: int,
                           kind: str = "m-primary") -> Certificate:
     """Search degrees 1..bound for the least N whose quotient slice is
     zero."""
-    _check_gens(gens)
+    check_generators(gens)
     if bound < 1:
         raise InputError("bound must be at least 1")
     found = None
@@ -143,7 +129,7 @@ def no_common_zero_certificate(problem: ProblemInput,
 def ideal_membership(poly: MultiPoly, gens: list[MultiPoly]) -> bool:
     """Whether a homogeneous polynomial lies in the ideal generated by
     homogeneous gens, decided on its degree slice."""
-    _check_gens(gens)
+    check_generators(gens)
     if poly.is_zero():
         return True
     deg = poly.homogeneous_degree()

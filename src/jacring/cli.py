@@ -7,7 +7,9 @@ assembled deterministically and printed in one piece, so results are
 byte-identical regardless of the thread count.
 
 Exit codes: 0 success; 1 certificate NONE or verification failure; 2 parse
-error; 3 hypothesis violation (e.g. a mode that needs r < n).
+error, or a modulus too large for row reduction (p >= 3037000500, where the
+int64 kernel stops being exact); 3 hypothesis violation (e.g. a mode that
+needs r < n).
 """
 from __future__ import annotations
 

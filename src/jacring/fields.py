@@ -7,21 +7,30 @@ pay no wrapper overhead.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
+
+
+# Miller-Rabin to the prime bases 2..41 proves primality below psi_13
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every 64-bit integer."""
+    """Strong-pseudoprime test to the bases 2..41, which is a proof for
+    every p below psi_13 = 3317044064679887385961981. At or above psi_13 a
+    strong Lucas test is added (Baillie-PSW): no composite is known to pass
+    it, but it is not a proof."""
     if p < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
+    for q in _MR_BASES:
         if p % q == 0:
             return p == q
     d, s = p - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in small:
+    for a in _MR_BASES:
         x = pow(a, d, p)
         if x == 1 or x == p - 1:
             continue
@@ -31,7 +40,58 @@ def is_prime(p: int) -> bool:
                 break
         else:
             return False
-    return True
+    return p < _PSI_13 or _strong_lucas(p)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, for odd
+    n free of prime factors up to 41."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4    # P = 1
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # U_k, V_k, Q^k mod n by binary expansion of d, starting at k = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class Rationals:

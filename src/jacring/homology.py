@@ -20,6 +20,7 @@ from .hilbert import hodge_table
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank, solve
 from .polynomials import MultiPoly, monomials_of_degree
 from .problem import ProblemInput
+from .quotients import check_generators
 
 
 def boundary_matrix(problem: ProblemInput, k: int, q: int, p: int,
@@ -97,11 +98,7 @@ def cohomology_report(problem: ProblemInput, slices, threads: int | None = None
 def koszul_cohomology_dim(gens: list[MultiPoly], k: int, internal_degree: int) -> int:
     """Cohomology dimension of the Koszul complex of (gens) at cochain
     position k and the given internal degree."""
-    if not gens:
-        raise InputError("need at least one generator")
-    for g in gens:
-        if g.is_zero() or g.homogeneous_degree() is None:
-            raise InputError("generators must be nonzero and homogeneous")
+    check_generators(gens)
     r = len(gens)
     if k < 0 or k > r:
         return 0

@@ -1,9 +1,12 @@
 """Exact rank, solve, kernel, and row reduction over Q and prime fields.
 
-Production engines: fraction-free integer elimination over Q (divisions are
-exact by Sylvester's identity) and, mod p, structured Gaussian elimination:
-Markowitz pivots on sparse rows of Python ints, then the dense Schur block in
-vectorized int64 elimination with deferred reduction. Independent textbook
+One echelon core per field family: rank counts its pivots, row reduction
+back-substitutes. Over Q the core eliminates on sparse integer rows and
+divides each updated row by the gcd of its entries. Mod p it is an int64
+kernel with deferred reduction, exact for p < _NUMPY_P_LIMIT: row reduction
+runs it on the whole matrix, while rank first runs structured Gaussian
+elimination (Markowitz pivots on sparse rows of Python ints, exact for every
+p) and hands the kernel only the dense Schur block. Independent textbook
 reference implementations live at the bottom of the module and are used by
 the test suite to cross-check the production engines; the two routes
 intentionally share no code.
@@ -12,14 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from .errors import InputError
 
-# largest modulus for the vectorized engine: products must fit in int64
-_NUMPY_P_LIMIT = 2**31
+# the int64 kernel is exact for p below this bound: p*p < 2^63
+_NUMPY_P_LIMIT = isqrt(2**63 - 1) + 1
 
 # density of the active block at which sparse elimination stops and the
 # remaining Schur block goes to the dense kernel (only below _NUMPY_P_LIMIT)
@@ -85,31 +88,54 @@ def rank(mat: SparseMatrix) -> int:
     if mat.nrows == 0 or mat.ncols == 0 or not mat.entries:
         return 0
     if mat.field.kind == "Q":
-        return _rank_fraction_free(_int_dict_rows(mat), mat.ncols)
+        rows: list[dict] = [{} for _ in range(mat.nrows)]
+        for (i, j), v in mat.entries.items():
+            rows[i][j] = v
+        return len(_echelon_q(_int_dict_rows(rows), mat.ncols)[0])
     return _rank_modp(mat, mat.field.p)
 
 
-def _int_dict_rows(mat: SparseMatrix) -> list[dict[int, int]]:
-    """Rows as integer dicts; each row is scaled by its denominator lcm,
-    which leaves the rank unchanged."""
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(mat.nrows)]
-    for (i, j), v in mat.entries.items():
-        rows[i][j] = Fraction(v)
+def _int_dict_rows(rows) -> list[dict[int, int]]:
+    """The nonzero rows, each a dict col -> rational, as integer dicts
+    scaled by the lcm of their denominators; scaling a row changes neither
+    the rank nor the reduced row echelon form."""
     out = []
     for row in rows:
         if not row:
             continue
+        row = {j: Fraction(v) for j, v in row.items()}
         scale = lcm(*(v.denominator for v in row.values()))
-        out.append({j: int(v * scale) for j, v in row.items()})
+        out.append({j: v.numerator * (scale // v.denominator)
+                    for j, v in row.items()})
     return out
 
 
-def _rank_fraction_free(rows: list[dict[int, int]], ncols: int) -> int:
-    """One-step fraction-free elimination on sparse integer rows; every
-    division below is exact, so no rationals ever appear."""
-    rows = [r for r in rows if r]
-    prev = 1
-    rk = 0
+def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """a*row - b*prow with a/b = prow[col]/row[col] in lowest terms, so the
+    entry at col cancels, divided by the gcd of its entries."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    new = {j: a * v for j, v in row.items()}
+    for j, w in prow.items():
+        v = new.get(j, 0) - b * w
+        if v:
+            new[j] = v
+        else:
+            del new[j]
+    c = gcd(*new.values())
+    if c > 1:
+        new = {j: v // c for j, v in new.items()}
+    return new
+
+
+def _echelon_q(rows: list[dict[int, int]],
+               ncols: int) -> tuple[list[int], list[dict[int, int]]]:
+    """Forward elimination on sparse integer rows, column by column. The
+    pivot is the shortest row holding the column, then the one of least
+    |entry|; only the rows holding the column change, by `_eliminate`, so
+    no rationals appear. Returns the pivot columns and the pivot rows."""
+    pivots: list[int] = []
+    prows: list[dict[int, int]] = []
     for col in range(ncols):
         if not rows:
             break
@@ -123,41 +149,21 @@ def _rank_fraction_free(rows: list[dict[int, int]], ncols: int) -> int:
                     best, best_key = idx, key
         if best < 0:
             continue
-        pivrow = rows.pop(best)
-        piv = pivrow[col]
-        nxt = []
-        for row in rows:
-            fac = row.get(col, 0)
-            if fac:
-                new = {}
-                for j, v in row.items():
-                    if j == col:
-                        continue
-                    w = piv * v - fac * pivrow.get(j, 0)
-                    if w:
-                        new[j] = w // prev
-                for j, pv in pivrow.items():
-                    if j == col or j in row:
-                        continue
-                    w = -fac * pv
-                    if w:
-                        new[j] = w // prev
-            else:
-                new = {j: piv * v // prev for j, v in row.items()}
-            if new:
-                nxt.append(new)
-        rows = nxt
-        prev = piv
-        rk += 1
-    return rk
+        prow = rows.pop(best)
+        rows = [_eliminate(row, prow, col) if col in row else row
+                for row in rows]
+        rows = [row for row in rows if row]
+        pivots.append(col)
+        prows.append(prow)
+    return pivots, prows
 
 
 def _rank_modp(mat: SparseMatrix, p: int) -> int:
     """Structured Gaussian elimination mod p. Each step pivots on a column
     of fewest nonzeros, in its shortest row, so column singletons go first
     and fill stays low. Rows are dicts of Python ints, exact for every p.
-    Once the active block is denser than _DENSE_HANDOFF, and p is small
-    enough for int64, the block is finished by the dense kernel."""
+    Once the active block is denser than _DENSE_HANDOFF, and p is below
+    _NUMPY_P_LIMIT, the block is finished by the dense kernel."""
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (i, j), v in mat.entries.items():
@@ -232,15 +238,19 @@ def _rank_dense_tail(rows: dict[int, dict[int, int]], cols: dict[int, set[int]],
     A = np.zeros((min(len(rows), len(cols)), max(len(rows), len(cols))),
                  dtype=np.int64)
     A[ii, jj] = vv
-    return _rank_modp_vectorized(A, p)
+    return len(_echelon_modp(A, p))
 
 
-def _rank_modp_vectorized(A: np.ndarray, p: int) -> int:
-    """In-place elimination mod p on an int64 matrix. Row updates defer the
-    mod reduction as long as the int64 growth budget allows."""
+def _echelon_modp(A: np.ndarray, p: int) -> list[int]:
+    """In-place forward elimination mod p on an int64 matrix with entries
+    in [0, p), p < _NUMPY_P_LIMIT. Row updates defer the mod reduction as
+    long as the int64 growth budget allows. Returns the pivot columns; the
+    first len(pivots) rows of A are then the echelon rows, reduced mod p,
+    with unit pivots."""
     m, n = A.shape
+    pivots: list[int] = []
     if m == 0 or n == 0:
-        return 0
+        return pivots
     step = (p - 1) ** 2
     budget = max(1, (2**61) // step)
     dirty = 0
@@ -272,8 +282,9 @@ def _rank_modp_vectorized(A: np.ndarray, p: int) -> int:
                 if dirty >= budget:
                     A[rk + 1:] %= p
                     dirty = 0
+        pivots.append(col)
         rk += 1
-    return rk
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -283,68 +294,40 @@ def _rank_modp_vectorized(A: np.ndarray, p: int) -> int:
 
 def rref_rows(rows: list[list], field) -> tuple[list[int], list[list]]:
     """Reduced row echelon form. Returns (pivot columns, nonzero rows with
-    unit pivots and zeros above and below each pivot)."""
+    unit pivots and zeros above and below each pivot): the echelon core of
+    the field, then back-substitution. Raises InputError for a prime at or
+    above _NUMPY_P_LIMIT."""
     if not rows:
         return [], []
-    if field.kind == "Q":
-        return _rref_fractions([list(map(Fraction, r)) for r in rows])
-    p = field.p
-    A = np.array([[int(v) % p for v in r] for r in rows], dtype=np.int64)
-    pivots, R = _rref_modp(A, p)
-    return pivots, [[int(v) for v in row] for row in R]
-
-
-def _rref_fractions(rows: list[list[Fraction]]) -> tuple[list[int], list[list[Fraction]]]:
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][col]
-        if piv != 1:
-            rows[r] = [v / piv for v in rows[r]]
-        prow = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                fac = rows[i][col]
-                rows[i] = [v - fac * w for v, w in zip(rows[i], prow)]
-        pivots.append(col)
-        r += 1
-    return pivots, rows[:r]
-
-
-def _rref_modp(A: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    m, n = A.shape
-    A %= p
-    pivots = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(A[r:, col])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, col]), -1, p)
-        A[r] = A[r] * inv % p
-        others = np.nonzero(A[:, col])[0]
-        others = others[others != r]
-        if others.size:
-            A[others] = (A[others] - np.outer(A[others, col], A[r])) % p
-        pivots.append(col)
-        r += 1
-    return pivots, A[:r]
+    if field.kind == "Q":
+        pivots, prows = _echelon_q(
+            _int_dict_rows({j: v for j, v in enumerate(r) if v} for r in rows),
+            ncols)
+        for i in reversed(range(len(prows))):
+            for j in range(i + 1, len(prows)):
+                if pivots[j] in prows[i]:
+                    prows[i] = _eliminate(prows[i], prows[j], pivots[j])
+        out = []
+        for pc, row in zip(pivots, prows):
+            dense = [field.zero] * ncols
+            for j, v in row.items():
+                dense[j] = Fraction(v, row[pc])
+            out.append(dense)
+        return pivots, out
+    p = field.p
+    if p >= _NUMPY_P_LIMIT:
+        raise InputError(f"modulus {p} is too large for row reduction "
+                         f"(needs p < {_NUMPY_P_LIMIT})")
+    A = np.array([[int(v) % p for v in r] for r in rows], dtype=np.int64)
+    pivots = _echelon_modp(A, p)
+    R = A[:len(pivots)]
+    for i in reversed(range(len(pivots))):
+        f = R[:i, pivots[i]]
+        hot = np.nonzero(f)[0]
+        if hot.size:
+            R[hot] = (R[hot] - np.outer(f[hot], R[i])) % p
+    return pivots, R.tolist()
 
 
 def solve(mat: SparseMatrix, rhs: list):

@@ -76,17 +76,27 @@ class QuotientSlice:
         return self._pivot_forms
 
 
-def quotient_slice(gens: list[MultiPoly], degree: int) -> QuotientSlice:
-    """Row-reduce the degree-`degree` slice of the ideal (gens)."""
+def check_generators(gens: list[MultiPoly]) -> None:
+    """Raise InputError unless gens are nonzero homogeneous polynomials of
+    one polynomial ring, at least one of them."""
     if not gens:
         raise InputError("need at least one generator")
+    f0 = gens[0].field
+    n0 = gens[0].nvars
+    for g in gens:
+        if g.field != f0 or g.nvars != n0:
+            raise InputError("generators must live in one polynomial ring")
+        if g.is_zero():
+            raise InputError("generators must be nonzero")
+        if g.homogeneous_degree() is None:
+            raise InputError("generators must be homogeneous")
+
+
+def quotient_slice(gens: list[MultiPoly], degree: int) -> QuotientSlice:
+    """Row-reduce the degree-`degree` slice of the ideal (gens)."""
+    check_generators(gens)
     field = gens[0].field
     nvars = gens[0].nvars
-    for g in gens:
-        if g.field != field or g.nvars != nvars:
-            raise InputError("generators live in different rings")
-        if g.is_zero() or g.homogeneous_degree() is None:
-            raise InputError("generators must be nonzero and homogeneous")
     monomials = monomials_of_degree(nvars, degree)
     index = {m: i for i, m in enumerate(monomials)}
     rows = []

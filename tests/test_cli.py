@@ -54,6 +54,26 @@ def test_certify_field_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a smooth complete intersection whose certificate needs degree 6
+D5 = ("field Q\nvars x1 x2 x3 x4\n"
+      "poly x1^3 + 2*x2^3 + 3*x3^3 + 4*x4^3\n"
+      "poly x1^2 + x2^2 + x3^2 + 5*x4^2 + x1*x2\n")
+
+
+def test_certify_at_a_prime_above_2_31(tmp_path, capsys):
+    rc = main(["certify", write(tmp_path, D5), "--field", f"F {2**31 + 11}",
+               "--json"])
+    cert = json.loads(capsys.readouterr().out)["certificates"][0]
+    assert rc == 0 and cert["vanishing_degree"] == 6
+
+
+def test_certify_refuses_a_prime_too_large_for_row_reduction(tmp_path, capsys):
+    rc = main(["certify", write(tmp_path, D5), "--field", f"F {2**61 - 1}"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "too large for row reduction" in err
+
+
 def test_certify_json(tmp_path, capsys):
     rc = main(["certify", write(tmp_path, SQUARES), "--json"])
     out = json.loads(capsys.readouterr().out)
@@ -244,6 +264,7 @@ BAD_INPUTS = [
     ("field Q\nvars x1 x1\npoly x1\n", "repeated"),
     ("field Q\nvars x1\nwat x1\n", "unknown directive"),
     ("field Q\nvars x1\npoly\n", "line 3"),
+    ("field F 318665857834031151167461\nvars x1\npoly x1\n", "not prime"),
 ]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,10 @@ F7 = PrimeField(7)
 F32003 = PrimeField(32003)
 
 FIELDS = [Q, PrimeField(2), PrimeField(3), F7, F32003]
+
+# least strong pseudoprimes to all prime bases up to 37 and up to 41
+PSI_12 = 318665857834031151167461   # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
 
 
 def _trial_division_prime(m: int) -> bool:
@@ -34,14 +39,26 @@ def test_is_prime_matches_trial_division():
 def test_is_prime_on_strong_pseudoprimes():
     # Carmichael numbers and large near-primes
     for m in [561, 1105, 1729, 2465, 2821, 6601, 8911, 29341,
-              3215031751, 3825123056546413051]:
+              3215031751, 3825123056546413051, PSI_12, PSI_13]:
         assert not is_prime(m), m
-    for m in [2, 32003, 65537, 2**31 - 1, 4294967311]:
+    for m in [2, 32003, 65537, 2**31 - 1, 4294967311, 2**31 + 11, 2**61 - 1,
+              2**89 - 1]:
         assert is_prime(m), m
 
 
+def test_is_prime_matches_sympy():
+    """Seeded odd numbers from 2^20 to 2^100, so the strong Lucas test above
+    PSI_13 meets primes and composites too."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(89)
+    sample = [rng.randrange(2**20, 2**100) | 1 for _ in range(3000)]
+    verdicts = [is_prime(m) for m in sample]
+    assert verdicts == [sympy.isprime(m) for m in sample]
+    assert any(v and m >= PSI_13 for m, v in zip(sample, verdicts))
+
+
 def test_nonprime_modulus_rejected():
-    for bad in [0, 1, 4, 6, 9, 32004]:
+    for bad in [0, 1, 4, 6, 9, 32004, PSI_12, PSI_13]:
         with pytest.raises(ValueError):
             PrimeField(bad)
 

@@ -3,7 +3,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jacring import linalg
+import pytest
+
+from jacring import linalg, quotients
+from jacring.certify import jacobian_minors
+from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.homology import boundary_matrix
 from jacring.linalg import (SparseMatrix, in_column_span, kernel_basis, rank,
@@ -103,17 +107,18 @@ def test_rank_matches_reference_200():
 def test_sparse_phase_hands_off_to_dense_tail(monkeypatch):
     """Column singletons beside a dense (m x k)(k x n) product. The whole
     matrix is sparser than the hand-off density; eliminating singletons
-    leaves the product block, denser than it. Below 2^31 the dense kernel
-    finishes a block smaller than the input, above it the sparse phase runs
-    to the end. Boundary matrices of the fixtures cross-check both primes."""
+    leaves the product block, denser than it. Below _NUMPY_P_LIMIT the
+    dense kernel finishes a block smaller than the input, above it the
+    sparse phase runs to the end. Boundary matrices of the fixtures
+    cross-check both primes and the Q core."""
     shapes = []
-    kernel = linalg._rank_modp_vectorized
+    kernel = linalg._echelon_modp
 
     def spy(A, p):
         shapes.append(A.shape)
         return kernel(A, p)
 
-    monkeypatch.setattr(linalg, "_rank_modp_vectorized", spy)
+    monkeypatch.setattr(linalg, "_echelon_modp", spy)
     rng = random.Random(41)
     s, m, n, k = 60, 12, 12, 4
     for p in (32003, 2**61 - 1):
@@ -137,13 +142,14 @@ def test_sparse_phase_hands_off_to_dense_tail(monkeypatch):
             assert shapes[0][0] * shapes[0][1] < mat.nrows * mat.ncols
         else:
             assert shapes == []
+    for field in (Q, PrimeField(32003), PrimeField(2**61 - 1)):
         for prob in (fermat_cubic(field), two_conics(field),
                      square_pair(field), two_quadrics(field)):
             for deg in range(prob.n + prob.r):
                 for wt in range(3 if prob.n + prob.r < 6 else 2):
                     bd = boundary_matrix(prob, deg, 0, wt)
                     assert rank(bd) == rank_reference(bd), (
-                        prob.degrees, p, deg, wt)
+                        prob.degrees, field, deg, wt)
 
 
 def test_rank_edge_cases():
@@ -252,3 +258,91 @@ def test_rref_idempotent_and_consistent():
                         assert field.is_zero(other[pc])
             pivots2, red2 = rref_rows(red, field)
             assert pivots2 == pivots and red2 == red
+
+
+RREF_FIELDS = [Q, PrimeField(2), PrimeField(5), PrimeField(32003),
+               PrimeField(2**31 + 11), PrimeField(3037000493)]
+
+
+def _sympy_rref(rows, field):
+    """Pivot columns and nonzero rows of the RREF by sympy's DomainMatrix,
+    in this package's scalars."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    if field.kind == "Q":
+        dom = sympy.QQ
+        entries = [[dom(Fraction(v).numerator, Fraction(v).denominator)
+                    for v in r] for r in rows]
+
+        def back(x):
+            return Fraction(int(x.numerator), int(x.denominator))
+    else:
+        dom = sympy.GF(field.p)
+        entries = [[dom(int(v)) for v in r] for r in rows]
+
+        def back(x):
+            return int(x) % field.p
+    R, pivots = DomainMatrix(entries, (len(rows), len(rows[0])), dom).rref()
+    return (list(pivots),
+            [[back(x) for x in r] for r in R.to_list()[:len(pivots)]])
+
+
+def test_rref_matches_sympy_on_random_rows():
+    """Rows with denominators, zero rows and repeated rows, against an
+    independent RREF. The last prime is the largest the int64 kernel
+    accepts."""
+    rng = random.Random(23)
+    for field in RREF_FIELDS:
+        for trial in range(30):
+            ncols = rng.randint(1, 12)
+            mat = random_matrix(rng, field, rng.randint(1, 10), ncols,
+                                density=rng.choice([0.2, 0.5, 0.9]),
+                                denominators=True)
+            rows = mat.to_dense_rows()
+            if field.kind == "F" and trial % 3 == 0:
+                rows = [[rng.randrange(field.p) for _ in range(ncols)]
+                        for _ in rows]
+            rows.insert(rng.randint(0, len(rows)), [field.zero] * ncols)
+            rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+            assert rref_rows(rows, field) == _sympy_rref(rows, field), (
+                field, trial)
+
+
+def test_rref_matches_sympy_on_macaulay_rows(monkeypatch):
+    """The rows quotient_slice row-reduces, for the ideal of each fixture's
+    polynomials, alone and with its Jacobian minors, against an independent
+    RREF."""
+    seen = []
+
+    def spy(rows, field):
+        seen.append((rows, field))
+        return rref_rows(rows, field)
+
+    monkeypatch.setattr(quotients, "rref_rows", spy)
+    for field in RREF_FIELDS[:5]:
+        for prob in (fermat_cubic(field), two_conics(field),
+                     square_pair(field), two_quadrics(field)):
+            minors = [g for g in jacobian_minors(prob) if not g.is_zero()]
+            for gens in (list(prob.polys), list(prob.polys) + minors):
+                for degree in range(1, 6):
+                    seen.clear()
+                    qs = quotients.quotient_slice(gens, degree)
+                    [(rows, _)] = seen
+                    if rows:
+                        assert (qs.pivots, qs.rows) == _sympy_rref(
+                            rows, field), (field, prob.degrees, degree)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
+def test_row_reduction_refuses_primes_beyond_int64(p):
+    """Row reduction runs on the int64 kernel, exact only while p*p < 2^63:
+    a larger prime is refused, never answered wrongly. Rank stays exact."""
+    field = PrimeField(p)
+    mat = SparseMatrix(2, 3, field, {(0, 0): 1, (0, 2): p - 1, (1, 1): 3})
+    with pytest.raises(InputError, match="too large"):
+        rref_rows(mat.to_dense_rows(), field)
+    with pytest.raises(InputError, match="too large"):
+        solve(mat, [1, 1])
+    with pytest.raises(InputError, match="too large"):
+        kernel_basis(mat)
+    assert rank(mat) == 2

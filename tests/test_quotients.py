@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from jacring.certify import m_primary_certificate
 from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.hilbert import product_hilbert_series
+from jacring.homology import koszul_cohomology_dim
 from jacring.polynomials import MultiPoly, monomials_of_degree
 from jacring.quotients import quotient_dim, quotient_slice
 
@@ -87,6 +89,25 @@ def test_normal_form_properties():
                 for m in monomials_of_degree(3, degree - g.homogeneous_degree()):
                     mult = MultiPoly(field, 3, {m: field.one}) * g
                     assert sl.normal_form(mult).is_zero()
+
+
+def test_generator_check_is_shared():
+    """quotient_slice, the certificates and the Koszul complex reject the
+    same generator lists with the same message."""
+    f = MultiPoly(Q, 2, {(2, 0): Q.one})
+    bad = [[], [MultiPoly(Q, 2, {})],
+           [MultiPoly(Q, 2, {(1, 0): Q.one, (2, 0): Q.one})],
+           [f, MultiPoly(Q, 3, {(1, 0, 0): Q.one})],
+           [f, MultiPoly(PrimeField(5), 2, {(2, 0): 1})]]
+    for gens in bad:
+        messages = set()
+        for call in (lambda: quotient_slice(gens, 2),
+                     lambda: m_primary_certificate(gens, 3),
+                     lambda: koszul_cohomology_dim(gens, 0, 2)):
+            with pytest.raises(InputError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert len(messages) == 1, messages
 
 
 def test_quotient_slice_errors():
