@@ -3,8 +3,10 @@
 Subcommands: certify, hilbert, hodge, cohomology, verify. Input files are
 line-oriented: `field Q` or `field F <p>`, `vars <name>+`, one `poly <expr>`
 per line; `#` starts a comment; whitespace is insignificant. All output is
-assembled deterministically and printed in one piece, so results are
-byte-identical regardless of the thread count.
+assembled deterministically and printed in one piece. Slices are computed
+one at a time in one process: the worker-count flag of `cohomology` and
+`verify` still parses an integer, so existing command lines keep working,
+and nothing reads it.
 
 Exit codes: 0 success; 1 certificate NONE or verification failure; 2 parse
 error, or a modulus too large for row reduction (p >= 3037000500, where the
@@ -270,15 +272,15 @@ def _cmd_cohomology(args) -> int:
               for p in range(p_lo, p_hi + 1)]
     if not slices:
         raise InputError("empty slice window")
-    report = cohomology_report(problem, slices, threads=args.threads)
+    dims = cohomology_report(problem, slices)
     if args.json:
         out = _base_json(problem)
         out["slices"] = [{"k": k, "q": q, "p": p, "dim": dim}
-                         for (k, q, p), dim in report.slices_sorted()]
+                         for (k, q, p), dim in dims.items()]
         _emit(out)
     else:
         lines = [f"dim H^{k}(q={q},p={p}) = {dim}"
-                 for (k, q, p), dim in report.slices_sorted()]
+                 for (k, q, p), dim in dims.items()]
         _emit("\n".join(lines))
     return 0
 
@@ -301,7 +303,6 @@ def _cmd_verify(args) -> int:
         return 1
     p_hi = _parse_range(args.p, 0, problem.n + 1)[1] if args.p else None
     report = verify_predictions(problem, mode, cert, p_max=p_hi,
-                                threads=args.threads,
                                 division_m_max=args.m_max)
     if args.json:
         out = _base_json(problem)
@@ -322,6 +323,11 @@ def _cmd_verify(args) -> int:
                      f"({len(report.checks)} checks, {nfail} failed)")
         _emit("\n".join(lines))
     return 0 if report.passed else 1
+
+
+# help of the worker-count flag, parsed for old command lines and read by
+# nothing
+_IGNORED = "ignored: slices are computed one at a time"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument("--p", help="second-grading range a..b (default 0..n+1)")
     p_coh.add_argument("--all", action="store_true",
                        help="the full default window")
-    p_coh.add_argument("--threads", type=int, default=None)
+    p_coh.add_argument("--threads", type=int, default=None, help=_IGNORED)
     p_coh.set_defaults(func=_cmd_cohomology)
 
     p_ver = sub.add_parser("verify", help="run every predicted-pattern check")
@@ -376,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run wedge-division checks with this "
                             "saturation bound (complete-intersection mode)")
     p_ver.add_argument("--p", help="second-grading range a..b for the window")
-    p_ver.add_argument("--threads", type=int, default=None)
+    p_ver.add_argument("--threads", type=int, default=None, help=_IGNORED)
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

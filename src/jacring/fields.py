@@ -191,15 +191,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"F_{self.p}"
-
-
-def field_of_spec(kind: str, p: int | None = None):
-    """Build a field from its kind name: 'Q'/'rationals' for the rational
-    numbers, 'F'/'prime-field' with a prime modulus."""
-    if kind in ("Q", "rationals"):
-        return Rationals()
-    if kind in ("F", "prime-field"):
-        if p is None:
-            raise ValueError("prime field needs a modulus")
-        return PrimeField(p)
-    raise ValueError(f"unknown field kind {kind!r}")

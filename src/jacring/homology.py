@@ -8,9 +8,7 @@ ever materialized.
 """
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CertificateRequired, HypothesisViolation, InputError
@@ -61,33 +59,10 @@ def cohomology_dim(problem: ProblemInput, k: int, q: int, p: int) -> int:
     return d - out_rank - in_rank
 
 
-@dataclass
-class CohomologyReport:
-    problem: ProblemInput
-    entries: dict = dc_field(default_factory=dict)   # (k, q, p) -> dim
-    elapsed: float = 0.0
-
-    def slices_sorted(self):
-        return sorted(self.entries.items())
-
-
-def cohomology_report(problem: ProblemInput, slices, threads: int | None = None
-                      ) -> CohomologyReport:
-    """Dimensions for an iterable of (k, q, p) slices; results do not depend
-    on the worker count."""
-    wanted = sorted(set(slices))
-    t0 = time.perf_counter()
-    report = CohomologyReport(problem)
-    if threads is not None and threads <= 1:
-        for kqp in wanted:
-            report.entries[kqp] = cohomology_dim(problem, *kqp)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            dims = pool.map(lambda kqp: cohomology_dim(problem, *kqp), wanted)
-            for kqp, d in zip(wanted, dims):
-                report.entries[kqp] = d
-    report.elapsed = time.perf_counter() - t0
-    return report
+def cohomology_report(problem: ProblemInput, slices) -> dict:
+    """{(k, q, p): dim} for an iterable of (k, q, p) slices, in sorted
+    order."""
+    return {kqp: cohomology_dim(problem, *kqp) for kqp in sorted(set(slices))}
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +123,15 @@ def _dx_only_weight(form: DiffForm, what: str) -> int:
     return weights.pop()
 
 
-def _form_spaces(problem, over: str, gens):
+def _form_spaces(problem, over: str):
     """space(k, weight): the dx-only k-forms of that weight with
-    coefficients in K[x] ("polynomial-ring") or in K[x]/(gens)
-    ("quotient-by-f"; default gens: the problem's polynomials)."""
+    coefficients in K[x] ("polynomial-ring") or in K[x]/(f), f the
+    problem's polynomials ("quotient-by-f")."""
     if over == "polynomial-ring":
         return lambda k, weight: basis(problem, k, weight, 0)
     if over == "quotient-by-f":
-        gens = problem.polys if gens is None else tuple(gens)
-        return lambda k, weight: quotient_basis(problem, k, weight, gens)
+        return lambda k, weight: quotient_basis(problem, k, weight,
+                                                problem.polys)
     raise InputError(f"unknown coefficient ring mode {over!r}")
 
 
@@ -170,7 +145,7 @@ class WedgeDivisionSolution:
 
 def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
                          shape, over: str = "polynomial-ring",
-                         gens=None, saturation=None):
+                         saturation=None):
     """Solve one of the wedge-division shapes for omega in the forced graded
     slice:
 
@@ -180,8 +155,8 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
                           (/\\_{j in J} w_j) /\\ alpha_J
 
     over "polynomial-ring" solves with coefficients in K[x]; over
-    "quotient-by-f" with coefficients in K[x]/(gens) (default: the problem's
-    polynomials). With saturation=(g, m_max), tries g^m * omega for
+    "quotient-by-f" with coefficients in K[x]/(f), f the problem's
+    polynomials. With saturation=(g, m_max), tries g^m * omega for
     m = 0..m_max and returns the least solvable m. Returns a
     WedgeDivisionSolution or None.
     """
@@ -210,7 +185,7 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
     else:
         raise InputError(f"unknown shape {shape!r}")
 
-    space = _form_spaces(prob, over, gens)
+    space = _form_spaces(prob, over)
     rules = {}
     for J in subsets:
         acc = multipliers[J[0]]
@@ -278,12 +253,12 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
 
 
 def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
-                       k: int, weight: int, over: str = "polynomial-ring",
-                       gens=None) -> list[DiffForm]:
+                       k: int, weight: int, over: str = "polynomial-ring"
+                       ) -> list[DiffForm]:
     """Basis of { omega of word length k and the given weight :
     w_i /\\ omega = 0 for every multiplier }, in the chosen coefficient
     ring."""
-    space = _form_spaces(problem, over, gens)
+    space = _form_spaces(problem, over)
     src = space(k, weight)
     if src.dim == 0:
         return []
@@ -339,7 +314,6 @@ class VerificationReport:
     mode: str
     checks: list
     dims: dict            # (k, q, p) -> dim
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -367,7 +341,6 @@ def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
 
 def verify_predictions(problem: ProblemInput, mode: str, certificate,
                        p_max: int | None = None,
-                       threads: int | None = None,
                        division_m_max: int | None = None) -> VerificationReport:
     """Brute-force the q = 0 cohomology dimensions over a (k, p) window and
     compare them with the predicted patterns for the chosen mode. Refuses to
@@ -400,21 +373,20 @@ def verify_predictions(problem: ProblemInput, mode: str, certificate,
 
     if p_max is None:
         p_max = n + 1
-    t0 = time.perf_counter()
     top = n + r
     slices = [(k, 0, p) for k in range(top + 1) for p in range(p_max + 1)]
-    report = cohomology_report(problem, slices, threads=threads)
-    dims = report.entries
+    dims = cohomology_report(problem, slices)
 
+    # every row outside the live ones must vanish
+    live_rows = {2 * r, top - 1, top} if mode == MODE_CI else {2 * n}
     checks: list[Check] = []
+    for k in range(top + 1):
+        if k in live_rows:
+            continue
+        bad = [(p, dims[(k, 0, p)]) for p in range(p_max + 1) if dims[(k, 0, p)]]
+        got = "all zero" if not bad else f"dim {bad[0][1]} at p={bad[0][0]}"
+        checks.append(Check(f"vanishing[k={k}]", "all zero", got))
     if mode == MODE_CI:
-        live_rows = {2 * r, top - 1, top}
-        for k in range(top + 1):
-            if k in live_rows:
-                continue
-            bad = [(p, dims[(k, 0, p)]) for p in range(p_max + 1) if dims[(k, 0, p)]]
-            got = "all zero" if not bad else f"dim {bad[0][1]} at p={bad[0][0]}"
-            checks.append(Check(f"vanishing[k={k}]", "all zero", got))
         for p in range(p_max + 1):
             if p < r or p >= n:
                 checks.append(Check(f"top-vanishing[p={p}]", 0, dims[(top, 0, p)]))
@@ -431,12 +403,6 @@ def verify_predictions(problem: ProblemInput, mode: str, certificate,
                                 "nonzero" if _witness_class_is_nonzero(problem)
                                 else "boundary"))
     else:
-        for k in range(top + 1):
-            if k == 2 * n:
-                continue
-            bad = [(p, dims[(k, 0, p)]) for p in range(p_max + 1) if dims[(k, 0, p)]]
-            got = "all zero" if not bad else f"dim {bad[0][1]} at p={bad[0][0]}"
-            checks.append(Check(f"vanishing[k={k}]", "all zero", got))
         for p in range(p_max + 1):
             checks.append(Check(f"top-slice[p={p}]",
                                 1 if p == n else 0, dims[(2 * n, 0, p)]))
@@ -449,8 +415,7 @@ def verify_predictions(problem: ProblemInput, mode: str, certificate,
     if division_m_max is not None and mode == MODE_CI:
         checks.extend(_division_checks(problem, division_m_max))
 
-    return VerificationReport(mode=mode, checks=checks, dims=dict(dims),
-                              elapsed=time.perf_counter() - t0)
+    return VerificationReport(mode=mode, checks=checks, dims=dims)
 
 
 def _division_checks(problem: ProblemInput, m_max: int) -> list:

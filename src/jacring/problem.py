@@ -63,12 +63,6 @@ class ProblemInput:
             c = self.field.mul(c, self.field.of(d))
         return c
 
-    @property
-    def exceptional(self) -> bool:
-        """Degree product vanishes in the field and n + r is even."""
-        return (self.field.is_zero(self.degree_product_in_field())
-                and (self.n + self.r) % 2 == 0)
-
     def canonical_text(self) -> str:
         lines = [f"field {self.field!r}", f"n {self.n}", f"r {self.r}",
                  "degrees " + " ".join(map(str, self.degrees))]

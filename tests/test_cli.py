@@ -305,12 +305,16 @@ def test_module_entry_point(tmp_path):
 
 def test_thread_count_never_changes_the_bytes(tmp_path):
     path = write(tmp_path, CUBIC)
-    outs = []
-    for threads in ("1", "4"):
+    runs = []
+    for flag in ([], ["--threads", "4"]):
         proc = subprocess.run(
             [sys.executable, "-m", "jacring", "cohomology", path, "--all",
-             "--json", "--threads", threads],
+             "--json", *flag],
             capture_output=True)
-        assert proc.returncode == 0
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    for cmd in ("cohomology", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, path, "--threads", "two"])
+        assert exc.value.code == 2

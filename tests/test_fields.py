@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacring.fields import PrimeField, Rationals, field_of_spec, is_prime
+from jacring.fields import PrimeField, Rationals, is_prime
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -104,15 +104,6 @@ def test_prime_field_coercions():
     assert F7.of("12") == 5
     with pytest.raises(ZeroDivisionError):
         F7.of(Fraction(1, 7))           # denominator divisible by p
-
-
-def test_field_of_spec():
-    assert field_of_spec("rationals").kind == "Q"
-    assert field_of_spec("prime-field", 7) == F7
-    with pytest.raises(ValueError):
-        field_of_spec("prime-field")
-    with pytest.raises(ValueError):
-        field_of_spec("galois")
 
 
 def test_equality_and_hash():

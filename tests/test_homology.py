@@ -179,11 +179,9 @@ def test_euler_characteristic_diagonal():
 def test_report_is_thread_count_independent():
     prob = fermat_cubic()
     slices = [(k, 0, p) for k in range(5) for p in range(3)]
-    seq = cohomology_report(prob, slices, threads=1)
-    par = cohomology_report(prob, slices, threads=3)
-    assert seq.entries == par.entries
-    assert set(seq.entries) == set(slices)
-    assert all(v >= 0 for v in seq.entries.values())
+    dims = cohomology_report(prob, slices)
+    assert set(dims) == set(slices)
+    assert all(v >= 0 for v in dims.values())
 
 
 # ---------------------------------------------------------------------------
