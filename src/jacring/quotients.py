@@ -1,13 +1,17 @@
-"""Graded slices of quotients K[x]/(gens) by normal forms, no Groebner bases.
+"""Graded slices of quotients K[x]/(gens), no Groebner bases.
 
-For a fixed degree N the span of {m*g : g in gens, deg(m*g) = N} is row
-reduced once; the non-pivot monomials form a basis of the quotient slice and
-arbitrary degree-N polynomials reduce to it by a single elimination pass.
+In a fixed degree N the ideal is spanned by the rows m*g of the Macaulay
+matrix, one for each generator g and monomial m with deg(m*g) = N. The
+dimension of the quotient slice is the number of degree-N monomials minus
+the rank of that matrix, taken by the sparse rank engines of `linalg` with
+no row reduction. `quotient_slice` row reduces the same rows once: the
+non-pivot monomials form a basis of the slice, and the reduced pivot rows
+give each pivot monomial's normal form, which wedge division needs.
 """
 from __future__ import annotations
 
 from .errors import InputError
-from .linalg import rref_rows
+from .linalg import SparseMatrix, rank, rref_rows
 from .polynomials import MultiPoly, monomials_of_degree
 
 
@@ -28,39 +32,6 @@ class QuotientSlice:
         pivset = set(pivots)
         self.complement = [m for i, m in enumerate(monomials) if i not in pivset]
         self._pivot_forms = None
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the quotient slice."""
-        return len(self.complement)
-
-    def vector_of(self, poly: MultiPoly) -> list:
-        f = self.field
-        v = [f.zero] * len(self.monomials)
-        for exp, c in poly.terms.items():
-            if sum(exp) != self.degree:
-                raise InputError(f"term of degree {sum(exp)} in degree-{self.degree} slice")
-            v[self.index[exp]] = c
-        return v
-
-    def normal_form_vector(self, v: list) -> list:
-        """Reduce a coefficient vector modulo the ideal slice; the result is
-        supported on the complement monomials."""
-        f = self.field
-        v = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if f.is_zero(c):
-                continue
-            for j, w in enumerate(row):
-                if not f.is_zero(w):
-                    v[j] = f.sub(v[j], f.mul(c, f.of(w)))
-        return v
-
-    def normal_form(self, poly: MultiPoly) -> MultiPoly:
-        v = self.normal_form_vector(self.vector_of(poly))
-        return MultiPoly(self.field, self.nvars,
-                         {m: v[self.index[m]] for m in self.complement})
 
     def pivot_normal_forms(self) -> dict:
         """Normal form of each pivot monomial as (complement monomial,
@@ -92,31 +63,36 @@ def check_generators(gens: list[MultiPoly]) -> None:
             raise InputError("generators must be homogeneous")
 
 
-def quotient_slice(gens: list[MultiPoly], degree: int) -> QuotientSlice:
-    """Row-reduce the degree-`degree` slice of the ideal (gens)."""
+def _macaulay_matrix(gens: list[MultiPoly],
+                     degree: int) -> tuple[list, SparseMatrix]:
+    """The Macaulay matrix of (gens) in one degree: the degree's monomials,
+    one per column, and the sparse matrix with one row per product m*g of a
+    monomial m and a generator g with deg(m*g) = degree."""
     check_generators(gens)
-    field = gens[0].field
     nvars = gens[0].nvars
     monomials = monomials_of_degree(nvars, degree)
     index = {m: i for i, m in enumerate(monomials)}
-    rows = []
-    z = field.zero
-    for g in gens:
-        d = g.homogeneous_degree()
-        if d > degree:
-            continue
-        for m in monomials_of_degree(nvars, degree - d):
-            row = [z] * len(monomials)
-            for exp, c in g.terms.items():
-                prod = tuple(a + b for a, b in zip(m, exp))
-                row[index[prod]] = c
-            rows.append(row)
-    pivots, red = rref_rows(rows, field)
-    return QuotientSlice(field, nvars, degree, monomials, pivots, red)
+    products = [(m, g) for g in gens for m in
+                monomials_of_degree(nvars, degree - g.homogeneous_degree())]
+    mat = SparseMatrix(len(products), len(index), gens[0].field)
+    mat.entries = {(i, index[tuple(a + b for a, b in zip(m, exp))]): c
+                   for i, (m, g) in enumerate(products)
+                   for exp, c in g.terms.items()}
+    return monomials, mat
+
+
+def quotient_slice(gens: list[MultiPoly], degree: int) -> QuotientSlice:
+    """Row-reduce the degree-`degree` slice of the ideal (gens)."""
+    monomials, mat = _macaulay_matrix(gens, degree)
+    pivots, red = rref_rows(mat.to_dense_rows(), mat.field)
+    return QuotientSlice(mat.field, gens[0].nvars, degree, monomials, pivots,
+                         red)
 
 
 def quotient_dim(gens: list[MultiPoly], degree: int) -> int:
-    """Hilbert-function value of K[x]/(gens) at the given degree."""
+    """Hilbert-function value of K[x]/(gens) at the given degree: the
+    number of monomials minus the rank of the Macaulay matrix."""
     if degree < 0:
         return 0
-    return quotient_slice(gens, degree).dim
+    monomials, mat = _macaulay_matrix(gens, degree)
+    return len(monomials) - rank(mat)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from jacring.errors import SliceMismatch
+from jacring.errors import InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals
 from jacring.forms import BasisSlice, DiffForm
 from jacring.linalg import SparseMatrix
@@ -97,6 +97,42 @@ def sympy_quotient_dim(gens, degree):
     return count
 
 
+def slice_vector(qs, poly: MultiPoly) -> list:
+    """Coefficient vector of a degree-N polynomial over the monomials of a
+    degree-N QuotientSlice; a term of another degree raises InputError."""
+    f = qs.field
+    v = [f.zero] * len(qs.monomials)
+    for exp, c in poly.terms.items():
+        if sum(exp) != qs.degree:
+            raise InputError(f"term of degree {sum(exp)} in degree-{qs.degree} slice")
+        v[qs.index[exp]] = c
+    return v
+
+
+def normal_form_vector(qs, v: list) -> list:
+    """Oracle: reduce a coefficient vector modulo the ideal slice by the
+    row-reduced pivot rows of a QuotientSlice; the result is supported on
+    the complement monomials."""
+    f = qs.field
+    v = list(v)
+    for row, pc in zip(qs.rows, qs.pivots):
+        c = v[pc]
+        if f.is_zero(c):
+            continue
+        for j, w in enumerate(row):
+            if not f.is_zero(w):
+                v[j] = f.sub(v[j], f.mul(c, f.of(w)))
+    return v
+
+
+def normal_form(qs, poly: MultiPoly) -> MultiPoly:
+    """Oracle: the normal form of a degree-N polynomial in a QuotientSlice,
+    on the complement monomials."""
+    v = normal_form_vector(qs, slice_vector(qs, poly))
+    return MultiPoly(qs.field, qs.nvars,
+                     {m: v[qs.index[m]] for m in qs.complement})
+
+
 def random_homogeneous(rng: random.Random, field, nvars: int, degree: int) -> MultiPoly:
     """A random nonzero homogeneous polynomial with small coefficients."""
     monos = monomials_of_degree(nvars, degree)
@@ -164,7 +200,7 @@ def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
                           target: BasisSlice) -> SparseMatrix:
     """Reference oracle for a wedge block into a quotient form space: wedge
     each source basis form with mult by DiffForm.wedge, then reduce each
-    word's coefficient with QuotientSlice.normal_form_vector."""
+    word's coefficient with normal_form_vector."""
     prob = source.problem
     f = prob.field
     qs = target.quotient
@@ -177,7 +213,7 @@ def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
             vec = per_word.setdefault(dxs, [f.zero] * len(qs.monomials))
             vec[qs.index[xexp]] = c
         for word, vec in per_word.items():
-            red = qs.normal_form_vector(vec)
+            red = normal_form_vector(qs, vec)
             for m in qs.complement:
                 mat.add_at(target.index[(m, zy, word, ())], col,
                            red[qs.index[m]])

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
 
+from jacring import linalg, quotients
 from jacring.certify import (Certificate, ideal_membership,
                              jacobian_determinant, jacobian_minors,
                              m_primary_certificate, no_common_zero_certificate,
@@ -11,10 +13,11 @@ from jacring.certify import (Certificate, ideal_membership,
 from jacring.errors import HypothesisViolation, InputError
 from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
+from jacring.quotients import quotient_dim, quotient_slice
 
-from helpers import (F2, F3, Q, conic_char2, fermat_cubic,
-                     singular_cubic_curve, square_pair, sympy_quotient_dim,
-                     two_quadrics)
+from helpers import (F2, F3, F7, F32003, Q, conic_char2, fermat_cubic,
+                     normal_form, random_homogeneous, singular_cubic_curve,
+                     square_pair, sympy_quotient_dim, two_quadrics)
 
 
 def test_smooth_ci_certificate_values():
@@ -120,6 +123,48 @@ def test_ideal_membership():
     inhom = parse_poly(Q, ["x1", "x2"], "x1 + x1^2")
     with pytest.raises(InputError):
         ideal_membership(inhom, gens)
+    # against the row-reduction route: a normal form that vanishes
+    rng = random.Random(5)
+    verdicts = []
+    for field in (Q, F7, F32003):
+        for _ in range(8):
+            nvars = rng.randint(2, 3)
+            gens = [random_homogeneous(rng, field, nvars, rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 3))]
+            deg = rng.randint(min(g.homogeneous_degree() for g in gens), 4)
+            member = MultiPoly.zero(field, nvars)
+            for g in gens:
+                if g.homogeneous_degree() <= deg:
+                    member = member + g * random_homogeneous(
+                        rng, field, nvars, deg - g.homogeneous_degree())
+            outsider = random_homogeneous(rng, field, nvars, deg)
+            qs = quotient_slice(gens, deg)
+            assert normal_form(qs, member).is_zero()
+            for poly in (member, outsider):
+                want = normal_form(qs, poly).is_zero()
+                assert ideal_membership(poly, gens) is want, (field, deg)
+                verdicts.append(want)
+            assert quotient_dim(gens, deg) == len(qs.complement)
+    assert verdicts.count(False) >= 8 and verdicts.count(True) >= 24
+
+
+def test_certificates_and_membership_run_no_row_reduction(monkeypatch):
+    """Certificate dimensions and membership come from ranks alone."""
+    def refuse(*_):
+        raise AssertionError("row reduction")
+
+    monkeypatch.setattr(linalg, "rref_rows", refuse)
+    monkeypatch.setattr(quotients, "rref_rows", refuse)
+    assert smooth_ci_certificate(fermat_cubic()).vanishing_degree == 4
+    assert smooth_ci_certificate(fermat_cubic(F7)).vanishing_degree == 4
+    assert smooth_ci_certificate(two_quadrics(F32003)).vanishing_degree == 3
+    assert smooth_ci_certificate(conic_char2()).vanishing_degree == 2
+    assert not smooth_ci_certificate(singular_cubic_curve()).success
+    assert no_common_zero_certificate(square_pair()).vanishing_degree == 3
+    sq = square_pair(F7)
+    assert ideal_membership(jacobian_determinant(sq), list(sq.polys)) is False
+    gens = [parse_poly(F7, ["x1", "x2"], "x1^2")]
+    assert ideal_membership(parse_poly(F7, ["x1", "x2"], "3*x1^2*x2"), gens)
 
 
 def test_certificate_describe():

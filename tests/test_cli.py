@@ -74,6 +74,15 @@ def test_certify_refuses_a_prime_too_large_for_row_reduction(tmp_path, capsys):
     assert err.count("\n") == 1 and "too large for row reduction" in err
 
 
+def test_commands_refuse_a_prime_too_large_for_row_reduction(tmp_path, capsys):
+    path = write(tmp_path, D5)
+    for command in ("hodge", "verify"):
+        rc = main([command, path, "--field", f"F {2**61 - 1}"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "", command
+        assert err.count("\n") == 1 and "too large for row reduction" in err
+
+
 def test_certify_json(tmp_path, capsys):
     rc = main(["certify", write(tmp_path, SQUARES), "--json"])
     out = json.loads(capsys.readouterr().out)
