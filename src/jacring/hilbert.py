@@ -1,7 +1,13 @@
 """Closed-form Hilbert-series pipeline: the derivative-recursion polynomials
-p_e, the symmetric-function coefficients a^(l), the g-polynomials and their
-exact quotients by powers of (1-t), the closed form of H(t), its value at 1,
-the alternating-sum series of the complex, and the predicted dimension table.
+p_e, the closed form of H(t), the alternating-sum series of the complex
+derived from it, the slice-dimension count, and the predicted dimension
+table.
+
+The paper writes H(t) as a sum over exponent vectors e; its terms depend on
+e only through E = sum(e_i) and a multinomial weight, so H is built with one
+exact quotient by (1-t)^(E+1) per E and a truncated product of r series:
+a polynomial amount of work in n and r. The per-vector sum itself is the
+reference oracle of the tests.
 
 Everything is computed in exact rational arithmetic; integrality of the final
 answers is asserted, never rounded.
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .errors import HypothesisViolation, InputError
 from .polynomials import monomials_of_degree
@@ -60,7 +66,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
+            s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
@@ -82,7 +88,7 @@ class Poly:
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                s = out.get(k, Fraction(0)) + c1 * c2
+                s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
@@ -122,7 +128,7 @@ class Poly:
             out[k - dd] = q
             for dk, dc in divisor.coeffs.items():
                 j = k - dd + dk
-                s = rem.get(j, Fraction(0)) - q * dc
+                s = rem.get(j, 0) - q * dc
                 if s:
                     rem[j] = s
                 else:
@@ -173,130 +179,73 @@ _ONE_MINUS_T = Poly({0: 1, 1: -1})
 
 
 @cache
-def eulerian_p(e: int, variant: str = "plain") -> Poly:
-    """The polynomial p_e with p_e(t)/(1-t)^(e+1) = (t d/dt)^e 1/(1-t);
-    variant "tilde" differs only at e = 0, where it is t instead of 1.
+def eulerian_p(e: int) -> Poly:
+    """The polynomial p_e with p_e(t)/(1-t)^(e+1) = (t d/dt)^e 1/(1-t).
     Memoized: every caller gets the same Poly, which none mutates."""
     if e < 0:
         raise InputError("e must be nonnegative")
-    if variant not in ("plain", "tilde"):
-        raise InputError(f"unknown variant {variant!r}")
-    if e == 0:
-        return Poly.t() if variant == "tilde" else Poly.one()
     p = Poly.one()
     for j in range(e):
         p = Poly.t() * (_ONE_MINUS_T * p.derivative() + p.scale(j + 1))
     return p
 
 
-def _elementary_symmetric(values, i: int):
-    """s_i of the given integers (s_0 = 1)."""
-    coeffs = [Fraction(1)] + [Fraction(0)] * len(values)
-    for v in values:
-        for j in range(len(values), 0, -1):
-            coeffs[j] += v * coeffs[j - 1]
-    return coeffs[i]
-
-
-def coeff_a(n: int, d, e, l: int) -> Fraction:
-    """The rational coefficient a^(l) attached to the exponent vector e:
-    (-1)^(n-1-E) * E!/((n-1)! prod e_i!) * s_(n-1-E)(l-1, ..., l-(n-1))
-    * prod d_i^(e_i), with E = sum(e)."""
-    if len(d) != len(e):
-        raise InputError("degree and exponent vectors must have equal length")
-    E = sum(e)
-    if E > n - 1:
-        raise InputError(f"sum of exponents {E} exceeds n-1 = {n - 1}")
-    sym = _elementary_symmetric([l - j for j in range(1, n)], n - 1 - E)
-    sign = -1 if (n - 1 - E) % 2 else 1
-    num = Fraction(sign * factorial(E), factorial(n - 1) * prod(factorial(ei) for ei in e))
-    return num * sym * prod(di ** ei for di, ei in zip(d, e))
-
-
-def g_poly(n: int, d, e) -> tuple[Poly, Poly]:
-    """The polynomial g(t) = sum_l (-1)^(n-l) C(n,l) a^(l) t^(n-l) and its
-    exact quotient by (1-t)^(E+1)."""
-    if any(ei < 1 for ei in e):
-        raise InputError("all exponents must be at least 1")
-    E = sum(e)
-    g = Poly.zero()
+def _quotients(n: int, r: int) -> dict[int, Poly]:
+    """Q_(n,E) = G_(n,E) / (1-t)^(E+1) for E = r..n-1, where
+    G_(n,E)(t) = sum_l (-1)^(n-l) C(n,l) A_(n,E)(l) t^(n-l) and
+    A_(n,E)(l) = [X^E] prod_(j=1..n-1) (X - l + j) / (n-1)!."""
+    A = []      # A[l][E] = (n-1)! A_(n,E)(l), an integer
     for l in range(n + 1):
-        sign = -1 if (n - l) % 2 else 1
-        g = g + Poly.monomial(sign * comb(n, l) * coeff_a(n, d, e, l), n - l)
-    div = Poly.one()
-    for _ in range(E + 1):
-        div = div * _ONE_MINUS_T
-    return g, g.divide_exact(div)
+        a = [1]
+        for j in range(1, n):
+            a = [u + (j - l) * v for u, v in zip([0] + a, a + [0])]
+        A.append(a)
+    out = {}
+    for E in range(r, n):
+        g = Poly({n - l: Fraction((-1) ** (n - l) * comb(n, l) * A[l][E],
+                                  factorial(n - 1))
+                  for l in range(n + 1)})
+        one_minus_t_power = Poly({k: (-1) ** k * comb(E + 1, k)
+                                  for k in range(E + 2)})
+        out[E] = g.divide_exact(one_minus_t_power)
+    return out
 
 
-def _exponent_vectors(r: int, bound: int):
-    """All e in Z^r with e_i >= 1 and sum(e) <= bound, in a fixed order."""
-    for E in range(r, bound + 1):
-        for weak in monomials_of_degree(r, E - r):
-            yield tuple(w + 1 for w in weak)
+def closed_form_H(n: int, d) -> Poly:
+    """The field-independent polynomial H(t) = sum_p h_p t^p, supported on
+    degrees r..n-1. Needs 1 <= r < n; asserts H is integral.
 
-
-def _closed_form(n: int, d) -> tuple[Poly, list[Poly]]:
-    """H(t) and its terms quot_e * prod_i p_(e_i), one per exponent vector
-    e, each built once. Needs 1 <= r < n; asserts H is integral."""
+    The paper's sum over exponent vectors e (all e_i >= 1, E = sum e_i
+    <= n-1) depends on e only through E and the weight
+    E!/prod e_i! * prod d_i^(e_i), so it is taken one E at a time:
+    H = (-1)^(n-r) sum_(p=r..n-1) t^p + sum_E Q_(n,E)(t) S_E(t), with
+    S_E = E! [z^E] prod_i sum_(e>=1) (d_i z)^e p_e(t)/e!, a binomial
+    convolution over the r degrees."""
     r = len(d)
     if not 1 <= r < n:
         raise HypothesisViolation(f"the closed form needs 1 <= r < n "
                                   f"(got r={r}, n={n})")
     if any(di < 1 for di in d):
         raise InputError("degrees must be at least 1")
+    S = [Poly.one()] + [Poly.zero()] * (n - 1)
+    for di in d:
+        S = [sum(((S[E - e] * eulerian_p(e)).scale(comb(E, e) * di ** e)
+                  for e in range(1, E + 1)), Poly.zero())
+             for E in range(n)]
     sign = -1 if (n - r) % 2 else 1
     H = Poly({p: sign for p in range(r, n)})
-    terms = []
-    for e in _exponent_vectors(r, n - 1):
-        _, term = g_poly(n, d, e)
-        for ei in e:
-            term = term * eulerian_p(ei)
-        terms.append(term)
-        H = H + term
+    for E, quot in _quotients(n, r).items():
+        H = H + quot * S[E]
     H.int_coefficients()   # integrality assertion
-    return H, terms
-
-
-def closed_form_H(n: int, d) -> Poly:
-    """The field-independent polynomial H(t) = sum_p h_p t^p, supported on
-    degrees r..n-1, from the closed-form pipeline. Needs 1 <= r < n."""
-    return _closed_form(n, d)[0]
-
-
-def H_at_one(n: int, d) -> int:
-    """Independent evaluation of sum_p h_p by the alternating composition
-    sum: (-1)^(n-r)(n-r) + (-1)^n sum_l (-1)^(l+1) C(n,l+1)
-    sum_(compositions of l into r positive parts) prod d_i^(i_j)."""
-    r = len(d)
-    if not 1 <= r < n:
-        raise HypothesisViolation(f"needs 1 <= r < n (got r={r}, n={n})")
-    total = (n - r) if (n - r) % 2 == 0 else -(n - r)
-    acc = 0
-    for l in range(r, n):
-        inner = 0
-        for weak in monomials_of_degree(r, l - r):
-            comp = tuple(w + 1 for w in weak)
-            inner += prod(di ** ci for di, ci in zip(d, comp))
-        acc += (comb(n, l + 1) * inner) if (l + 1) % 2 == 0 else -(comb(n, l + 1) * inner)
-    total += acc if n % 2 == 0 else -acc
-    return total
+    return H
 
 
 def euler_series(n: int, d) -> Poly:
     """The alternating-sum Hilbert series of the boundary complex at q = 0,
-    from the closed form; asserts the identity
-    series = (1-t) H(t) + (-1)^(n-r) t^n."""
-    H, terms = _closed_form(n, d)
+    (1-t) H(t) + (-1)^(n-r) t^n."""
     r = len(d)
-    chi = Poly.monomial(-1 if (n + r) % 2 else 1, r)
-    for term in terms:
-        chi = chi + _ONE_MINUS_T * term
-    expected = _ONE_MINUS_T * H + Poly.monomial(-1 if (n - r) % 2 else 1, n)
-    if chi != expected:
-        raise InputError("alternating-sum series identity failed "
-                         "(arithmetic bug)")
-    return chi
+    return (_ONE_MINUS_T * closed_form_H(n, d)
+            + Poly.monomial(-1 if (n - r) % 2 else 1, n))
 
 
 def symmetry_check(H: Poly, n: int, r: int) -> bool:
@@ -306,23 +255,6 @@ def symmetry_check(H: Poly, n: int, r: int) -> bool:
     degs = set(H.coeffs)
     degs |= {span - k for k in degs}
     return all(H.coefficient(k) == H.coefficient(span - k) for k in degs)
-
-
-def product_hilbert_series(n: int, d, upto: int) -> list[int]:
-    """Coefficients 0..upto of prod_j (1 - t^(d_j)) / (1-t)^n, the Hilbert
-    series of the quotient by a length-r regular sequence of the given
-    degrees."""
-    if upto < 0:
-        raise InputError("upto must be nonnegative")
-    num = Poly.one()
-    for dj in d:
-        num = num * Poly({0: 1, dj: -1})
-    coeffs = [int(num.coefficient(k)) for k in range(upto + 1)]
-    for _ in range(n):
-        # dividing by (1-t) = prefix sums
-        for k in range(1, upto + 1):
-            coeffs[k] += coeffs[k - 1]
-    return coeffs
 
 
 def omega_slice_dim(n: int, d, k: int, q: int, p: int) -> int:

@@ -6,10 +6,9 @@ divides each updated row by the gcd of its entries. Mod p it is an int64
 kernel with deferred reduction, exact for p < _NUMPY_P_LIMIT: row reduction
 runs it on the whole matrix, while rank first runs structured Gaussian
 elimination (Markowitz pivots on sparse rows of Python ints, exact for every
-p) and hands the kernel only the dense Schur block. Independent textbook
-reference implementations live at the bottom of the module and are used by
-the test suite to cross-check the production engines; the two routes
-intentionally share no code.
+p) and hands the kernel only the dense Schur block. The independent
+textbook rank that the tests cross-check these engines against lives in the
+test suite, and shares no code with them.
 """
 from __future__ import annotations
 
@@ -387,49 +386,3 @@ def in_column_span(mat: SparseMatrix, vec) -> bool:
     if all(mat.field.is_zero(v) for v in vec):
         return True
     return rank(mat.augmented_with_column(vec)) == rank(mat)
-
-
-# ---------------------------------------------------------------------------
-# independent reference engines (test oracles; deliberately naive)
-# ---------------------------------------------------------------------------
-
-
-def rank_reference(mat: SparseMatrix) -> int:
-    """Textbook Gaussian elimination on dense rows. Kept independent of the
-    production engines so the two can cross-check each other."""
-    if mat.field.kind == "Q":
-        rows = [[Fraction(v) for v in row] for row in mat.to_dense_rows()]
-        return _rank_dense_gauss(rows, lambda a: a == 0, lambda a: 1 / a,
-                                 lambda a, b: a * b, lambda a, b: a - b)
-    p = mat.field.p
-    rows = [[int(v) % p for v in row] for row in mat.to_dense_rows()]
-    return _rank_dense_gauss(rows, lambda a: a % p == 0,
-                             lambda a: pow(a, -1, p),
-                             lambda a, b: a * b % p,
-                             lambda a, b: (a - b) % p)
-
-
-def _rank_dense_gauss(rows, is_zero, inv, mul, sub) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rk, len(rows)):
-            if not is_zero(rows[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rk], rows[sel] = rows[sel], rows[rk]
-        piv_inv = inv(rows[rk][col])
-        rows[rk] = [mul(v, piv_inv) for v in rows[rk]]
-        for i in range(rk + 1, len(rows)):
-            fac = rows[i][col]
-            if not is_zero(fac):
-                rows[i] = [sub(v, mul(fac, w)) for v, w in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk

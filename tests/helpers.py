@@ -3,11 +3,14 @@ seeded random generators for forms and polynomial systems."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial, prod
 
-from jacring.errors import InputError, SliceMismatch
+from jacring.errors import HypothesisViolation, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals
 from jacring.forms import BasisSlice, DiffForm
+from jacring.hilbert import Poly, eulerian_p
 from jacring.linalg import SparseMatrix
 from jacring.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from jacring.problem import ProblemInput, problem_from_strings
@@ -218,3 +221,159 @@ def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
                 mat.add_at(target.index[(m, zy, word, ())], col,
                            red[qs.index[m]])
     return mat
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-series oracles: the paper's closed form term by term, one term per
+# exponent vector, and two independent evaluations
+# ---------------------------------------------------------------------------
+
+
+def _elementary_symmetric(values, i: int):
+    """s_i of the given integers (s_0 = 1)."""
+    coeffs = [Fraction(1)] + [Fraction(0)] * len(values)
+    for v in values:
+        for j in range(len(values), 0, -1):
+            coeffs[j] += v * coeffs[j - 1]
+    return coeffs[i]
+
+
+def coeff_a(n: int, d, e, l: int) -> Fraction:
+    """The rational coefficient a^(l) attached to the exponent vector e:
+    (-1)^(n-1-E) * E!/((n-1)! prod e_i!) * s_(n-1-E)(l-1, ..., l-(n-1))
+    * prod d_i^(e_i), with E = sum(e)."""
+    if len(d) != len(e):
+        raise InputError("degree and exponent vectors must have equal length")
+    E = sum(e)
+    if E > n - 1:
+        raise InputError(f"sum of exponents {E} exceeds n-1 = {n - 1}")
+    sym = _elementary_symmetric([l - j for j in range(1, n)], n - 1 - E)
+    sign = -1 if (n - 1 - E) % 2 else 1
+    num = Fraction(sign * factorial(E), factorial(n - 1) * prod(factorial(ei) for ei in e))
+    return num * sym * prod(di ** ei for di, ei in zip(d, e))
+
+
+def g_poly(n: int, d, e) -> tuple[Poly, Poly]:
+    """The polynomial g(t) = sum_l (-1)^(n-l) C(n,l) a^(l) t^(n-l) and its
+    exact quotient by (1-t)^(E+1)."""
+    if any(ei < 1 for ei in e):
+        raise InputError("all exponents must be at least 1")
+    E = sum(e)
+    g = Poly.zero()
+    for l in range(n + 1):
+        sign = -1 if (n - l) % 2 else 1
+        g = g + Poly.monomial(sign * comb(n, l) * coeff_a(n, d, e, l), n - l)
+    div = Poly.one()
+    for _ in range(E + 1):
+        div = div * Poly({0: 1, 1: -1})
+    return g, g.divide_exact(div)
+
+
+def _exponent_vectors(r: int, bound: int):
+    """All e in Z^r with e_i >= 1 and sum(e) <= bound, in a fixed order."""
+    for E in range(r, bound + 1):
+        for weak in monomials_of_degree(r, E - r):
+            yield tuple(w + 1 for w in weak)
+
+
+def closed_form_H_per_vector(n: int, d) -> Poly:
+    """Oracle: H(t) as the paper writes it, (-1)^(n-r) sum_(p=r..n-1) t^p
+    plus one term quot_e * prod_i p_(e_i) per exponent vector e. Needs
+    1 <= r < n; asserts H is integral."""
+    r = len(d)
+    if not 1 <= r < n:
+        raise HypothesisViolation(f"the closed form needs 1 <= r < n "
+                                  f"(got r={r}, n={n})")
+    if any(di < 1 for di in d):
+        raise InputError("degrees must be at least 1")
+    sign = -1 if (n - r) % 2 else 1
+    H = Poly({p: sign for p in range(r, n)})
+    for e in _exponent_vectors(r, n - 1):
+        _, term = g_poly(n, d, e)
+        for ei in e:
+            term = term * eulerian_p(ei)
+        H = H + term
+    H.int_coefficients()   # integrality assertion
+    return H
+
+
+def H_at_one(n: int, d) -> int:
+    """Oracle: sum_p h_p by the alternating composition sum
+    (-1)^(n-r)(n-r) + (-1)^n sum_l (-1)^(l+1) C(n,l+1)
+    sum_(compositions of l into r positive parts) prod d_i^(i_j)."""
+    r = len(d)
+    if not 1 <= r < n:
+        raise HypothesisViolation(f"needs 1 <= r < n (got r={r}, n={n})")
+    total = (n - r) if (n - r) % 2 == 0 else -(n - r)
+    acc = 0
+    for l in range(r, n):
+        inner = 0
+        for weak in monomials_of_degree(r, l - r):
+            comp = tuple(w + 1 for w in weak)
+            inner += prod(di ** ci for di, ci in zip(d, comp))
+        acc += (comb(n, l + 1) * inner) if (l + 1) % 2 == 0 else -(comb(n, l + 1) * inner)
+    total += acc if n % 2 == 0 else -acc
+    return total
+
+
+def product_hilbert_series(n: int, d, upto: int) -> list[int]:
+    """Oracle: coefficients 0..upto of prod_j (1 - t^(d_j)) / (1-t)^n, the
+    Hilbert series of the quotient by a length-r regular sequence of the
+    given degrees."""
+    if upto < 0:
+        raise InputError("upto must be nonnegative")
+    num = Poly.one()
+    for dj in d:
+        num = num * Poly({0: 1, dj: -1})
+    coeffs = [int(num.coefficient(k)) for k in range(upto + 1)]
+    for _ in range(n):
+        # dividing by (1-t) = prefix sums
+        for k in range(1, upto + 1):
+            coeffs[k] += coeffs[k - 1]
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# independent rank oracle (deliberately naive)
+# ---------------------------------------------------------------------------
+
+
+def rank_reference(mat: SparseMatrix) -> int:
+    """Textbook Gaussian elimination on dense rows. Kept independent of the
+    production engines so the two can cross-check each other."""
+    if mat.field.kind == "Q":
+        rows = [[Fraction(v) for v in row] for row in mat.to_dense_rows()]
+        return _rank_dense_gauss(rows, lambda a: a == 0, lambda a: 1 / a,
+                                 lambda a, b: a * b, lambda a, b: a - b)
+    p = mat.field.p
+    rows = [[int(v) % p for v in row] for row in mat.to_dense_rows()]
+    return _rank_dense_gauss(rows, lambda a: a % p == 0,
+                             lambda a: pow(a, -1, p),
+                             lambda a, b: a * b % p,
+                             lambda a, b: (a - b) % p)
+
+
+def _rank_dense_gauss(rows, is_zero, inv, mul, sub) -> int:
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rk = 0
+    for col in range(ncols):
+        sel = None
+        for i in range(rk, len(rows)):
+            if not is_zero(rows[i][col]):
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[rk], rows[sel] = rows[sel], rows[rk]
+        piv_inv = inv(rows[rk][col])
+        rows[rk] = [mul(v, piv_inv) for v in rows[rk]]
+        for i in range(rk + 1, len(rows)):
+            fac = rows[i][col]
+            if not is_zero(fac):
+                rows[i] = [sub(v, mul(fac, w)) for v, w in zip(rows[i], rows[rk])]
+        rk += 1
+        if rk == len(rows):
+            break
+    return rk

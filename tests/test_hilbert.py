@@ -11,10 +11,11 @@ import pytest
 
 from jacring.errors import HypothesisViolation, InputError
 from jacring.fields import PrimeField, Rationals
-from jacring.hilbert import (H_at_one, Poly, closed_form_H, coeff_a,
-                             euler_series, eulerian_p, g_poly, hodge_table,
-                             omega_slice_dim, product_hilbert_series,
-                             symmetry_check)
+from jacring.hilbert import (Poly, closed_form_H, euler_series, eulerian_p,
+                             hodge_table, omega_slice_dim, symmetry_check)
+
+from helpers import (H_at_one, closed_form_H_per_vector, coeff_a, g_poly,
+                     product_hilbert_series)
 
 Q = Rationals()
 
@@ -67,23 +68,16 @@ def test_eulerian_p_against_series_oracle():
         prod_series = factor * _power_sum_series(e, 0, terms)
         truncated = Poly({k: c for k, c in prod_series.coeffs.items()
                           if k <= e + 1})
-        assert truncated == eulerian_p(e, "plain"), e
-        # the tilde variant starts the sum at b = 1
-        prod_series = factor * _power_sum_series(e, 1, terms)
-        truncated = Poly({k: c for k, c in prod_series.coeffs.items()
-                          if k <= e + 1})
-        assert truncated == eulerian_p(e, "tilde"), e
+        assert truncated == eulerian_p(e), e
 
 
 def test_eulerian_p_fixed_facts():
     assert eulerian_p(0) == Poly.one()
-    assert eulerian_p(0, "tilde") == Poly.t()
     assert eulerian_p(1) == Poly.t()
     assert eulerian_p(2) == Poly({1: 1, 2: 1})
     assert eulerian_p(3) == Poly({1: 1, 2: 4, 3: 1})
     for e in range(1, 9):
         pe = eulerian_p(e)
-        assert pe == eulerian_p(e, "tilde")
         assert pe(1) == factorial(e)
         assert pe.coefficient(0) == 0
         # palindromic over degrees 1..e
@@ -91,12 +85,10 @@ def test_eulerian_p_fixed_facts():
                    for k in range(1, e + 1))
     with pytest.raises(InputError):
         eulerian_p(-1)
-    with pytest.raises(InputError):
-        eulerian_p(2, "fancy")
 
 
 # ---------------------------------------------------------------------------
-# the a-coefficients and g-polynomials
+# the per-vector oracle: the a-coefficients and g-polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -188,6 +180,31 @@ def test_closed_form_hypothesis_errors():
         closed_form_H(3, (0,))
 
 
+def test_closed_form_matches_per_vector_oracle():
+    """The closed form grouped by E equals the paper's sum with one term per
+    exponent vector, on every sweep shape with n <= 6 and on a seeded
+    sample of the n = 7 shapes."""
+    cases = list(_sweep_cases())
+    small = [(n, d) for n, d in cases if n <= 6]
+    assert len(small) == 456
+    sample = random.Random(55).sample([(n, d) for n, d in cases if n == 7], 24)
+    for n, d in small + sample:
+        assert closed_form_H(n, d) == closed_form_H_per_vector(n, d), (n, d)
+
+
+def test_closed_form_at_large_n():
+    """n = 25, d = (3, 3), far past what the per-vector sum runs in a test:
+    palindromic, positive on its support r..n-1, the right value at 1,
+    and shifted by t when a linear form is appended."""
+    n, d = 25, (3, 3)
+    H = closed_form_H(n, d)
+    assert symmetry_check(H, n, len(d))
+    for k, c in H.coeffs.items():
+        assert c > 0 and len(d) <= k <= n - 1, k
+    assert H(1) == H_at_one(n, d)
+    assert closed_form_H(n + 1, d + (1,)) == H * Poly.t()
+
+
 # ---------------------------------------------------------------------------
 # the full sweep (memoized: run once per session, timed by acceptance
 # criterion 09 as well)
@@ -204,8 +221,9 @@ def _sweep_cases():
 @cache
 def series_sweep() -> tuple[int, float]:
     """Every degree multiset with n <= 7, r < n, d_i <= 5: palindromy, the
-    alternating-composition value at 1, the series identity, nonnegativity,
-    and the support window. Returns the case count and the elapsed time."""
+    alternating-composition value at 1, the series value at 1,
+    nonnegativity, and the support window. Returns the case count and the
+    elapsed time."""
     t0 = time.perf_counter()
     count = 0
     for n, d in _sweep_cases():
@@ -213,7 +231,7 @@ def series_sweep() -> tuple[int, float]:
         H = closed_form_H(n, d)
         assert symmetry_check(H, n, r), (n, d)
         assert H(1) == H_at_one(n, d), (n, d)
-        chi = euler_series(n, d)              # raises on identity failure
+        chi = euler_series(n, d)
         assert chi(1) == (-1) ** (n - r)
         for k, c in H.coeffs.items():
             assert c >= 0, (n, d, k)

@@ -11,9 +11,10 @@ from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.homology import boundary_matrix
 from jacring.linalg import (SparseMatrix, in_column_span, kernel_basis, rank,
-                            rank_reference, rref_rows, solve)
+                            rref_rows, solve)
 
-from helpers import fermat_cubic, square_pair, two_conics, two_quadrics
+from helpers import (fermat_cubic, rank_reference, square_pair, two_conics,
+                     two_quadrics)
 
 Q = Rationals()
 FIELDS = [Q, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003),
