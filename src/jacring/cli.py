@@ -9,9 +9,9 @@ one at a time in one process: the worker-count flag of `cohomology` and
 and nothing reads it.
 
 Exit codes: 0 success; 1 certificate NONE or verification failure; 2 parse
-error, or a modulus too large for row reduction (p >= 3037000500, where the
-int64 kernel stops being exact); 3 hypothesis violation (e.g. a mode that
-needs r < n).
+error, a negative verify bound (--p or --m-max), or a modulus too large for
+row reduction (p >= 3037000500, where the int64 kernel stops being exact);
+3 hypothesis violation (e.g. a mode that needs r < n).
 """
 from __future__ import annotations
 

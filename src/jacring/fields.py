@@ -2,7 +2,9 @@
 
 A field object carries the arithmetic; scalars themselves are plain Python
 values (`fractions.Fraction` over Q, ints in [0, p) over F_p), so hot loops
-pay no wrapper overhead.
+pay no wrapper overhead. `add_term` is the one sparse-sum rule: every
+field-generic sparse sum (polynomial terms, form terms, matrix entries)
+accumulates through it.
 """
 from __future__ import annotations
 
@@ -191,3 +193,14 @@ class PrimeField:
 
     def __repr__(self):
         return f"F_{self.p}"
+
+
+def add_term(terms: dict, key, c, field) -> None:
+    """Add c to terms[key] in place; the key is removed when the sum is zero,
+    so a dict of terms never stores a zero coefficient."""
+    cur = terms.get(key)
+    s = c if cur is None else field.add(cur, c)
+    if field.is_zero(s):
+        terms.pop(key, None)
+    else:
+        terms[key] = s

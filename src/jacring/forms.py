@@ -2,11 +2,11 @@
 
 A form is a sum of terms  c * x^a y^b dx_I dy_J  with I, J ascending index
 tuples; the wedge factors are kept in the canonical order "all dx before all
-dy". The three operators of interest: the boundary (left wedge with dF,
-where F = sum_j y_j f_j), its horizontal/vertical parts, and the degree-
-preserving contraction theta that sends dx_i to x_i and dy_j to -d_j y_j
-with alternating signs. Slice bases live here too, and so does the one
-term-level assembler that builds every operator matrix from a term rule.
+dy". The two operators of interest: the boundary (left wedge with dF,
+where F = sum_j y_j f_j) and the degree-preserving contraction theta that
+sends dx_i to x_i and dy_j to -d_j y_j with alternating signs. Slice bases
+live here too, and so does the one term-level assembler that builds every
+operator matrix from a term rule.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from itertools import combinations
 from operator import add
 
 from .errors import InputError, SliceMismatch
+from .fields import add_term
 from .linalg import SparseMatrix, solve
 from .polynomials import MultiPoly, monomials_of_degree
 from .problem import ProblemInput
@@ -55,15 +56,7 @@ class DiffForm:
                 xexp, yexp, dxs, dys = key
                 if len(dxs) + len(dys) != k:
                     raise InputError(f"term word length {len(dxs)+len(dys)} != {k}")
-                c = f.of(c)
-                if f.is_zero(c):
-                    continue
-                cur = clean.get(key)
-                s = c if cur is None else f.add(cur, c)
-                if f.is_zero(s):
-                    clean.pop(key, None)
-                else:
-                    clean[key] = s
+                add_term(clean, key, f.of(c), f)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -107,12 +100,7 @@ class DiffForm:
         f = self.problem.field
         out = dict(self.terms)
         for key, c in other.terms.items():
-            cur = out.get(key)
-            s = c if cur is None else f.add(cur, c)
-            if f.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, key, c, f)
         res = DiffForm(self.problem, self.k)
         res.terms = out
         return res
@@ -158,12 +146,7 @@ class DiffForm:
                     c = f.neg(c)
                 key = (tuple(a + b for a, b in zip(xa, xb)),
                        tuple(a + b for a, b in zip(ya, yb)), dxs, dys)
-                cur = out.get(key)
-                s = c if cur is None else f.add(cur, c)
-                if f.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                add_term(out, key, c, f)
         res = DiffForm(prob, self.k + other.k)
         res.terms = out
         return res
@@ -226,37 +209,33 @@ def df_form(problem: ProblemInput, j: int) -> DiffForm:
     return form
 
 
-def dF_of(problem: ProblemInput, part: str = "full") -> DiffForm:
-    """dF for F = sum_j y_j f_j, or its horizontal (y_j df_j) / vertical
-    (f_j dy_j) part. Every term has bidegree (0, 1)."""
-    if part not in ("full", "h", "v"):
-        raise InputError(f"unknown part {part!r}")
-    key = ("dF", part)
+def dF_of(problem: ProblemInput) -> DiffForm:
+    """dF for F = sum_j y_j f_j: the terms y_j df_j, then f_j dy_j. Every
+    term has bidegree (0, 1)."""
+    key = ("dF",)
     cached = problem._cache.get(key)
     if cached is not None:
         return cached
     n, r = problem.n, problem.r
     terms = []
-    if part in ("full", "h"):
-        for j in range(r):
-            yexp = tuple(1 if t == j else 0 for t in range(r))
-            for i in range(n):
-                for exp, c in problem.partials[j][i].terms.items():
-                    terms.append(((exp, yexp, (i,), ()), c))
-    if part in ("full", "v"):
-        zy = (0,) * r
-        for j in range(r):
-            for exp, c in problem.polys[j].terms.items():
-                terms.append(((exp, zy, (), (j,)), c))
+    for j in range(r):
+        yexp = tuple(1 if t == j else 0 for t in range(r))
+        for i in range(n):
+            for exp, c in problem.partials[j][i].terms.items():
+                terms.append(((exp, yexp, (i,), ()), c))
+    zy = (0,) * r
+    for j in range(r):
+        for exp, c in problem.polys[j].terms.items():
+            terms.append(((exp, zy, (), (j,)), c))
     form = DiffForm(problem, 1, terms)
     problem._cache[key] = form
     return form
 
 
-def boundary(omega: DiffForm, part: str = "full") -> DiffForm:
-    """Left wedge with dF (or one of its parts); raises the word length and
-    the second grading by one, preserving the first."""
-    return dF_of(omega.problem, part).wedge(omega)
+def boundary(omega: DiffForm) -> DiffForm:
+    """Left wedge with dF; raises the word length and the second grading by
+    one, preserving the first."""
+    return dF_of(omega.problem).wedge(omega)
 
 
 def theta_rule(problem: ProblemInput):
@@ -293,13 +272,7 @@ def theta(omega: DiffForm) -> DiffForm:
     out = {}
     for key, c in omega.terms.items():
         for ikey, w in rule(key):
-            v = f.mul(c, w)
-            cur = out.get(ikey)
-            s = v if cur is None else f.add(cur, v)
-            if f.is_zero(s):
-                out.pop(ikey, None)
-            else:
-                out[ikey] = s
+            add_term(out, ikey, f.mul(c, w), f)
     res = DiffForm(prob, omega.k - 1 if omega.k else 0)
     if omega.k == 0 and out:
         raise SliceMismatch("contraction of a 0-form produced terms")
@@ -494,13 +467,7 @@ def assemble(mat: SparseMatrix, rule, source: BasisSlice, target: BasisSlice,
     for col, key in enumerate(source.keys, col0):
         for ikey, c in rule(key):
             for row, v in target.coords(ikey, c):
-                at = (row0 + row, col)
-                cur = entries.get(at)
-                s = v if cur is None else f.add(cur, v)
-                if f.is_zero(s):
-                    entries.pop(at, None)
-                else:
-                    entries[at] = s
+                add_term(entries, (row0 + row, col), v, f)
     return mat
 
 

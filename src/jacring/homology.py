@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .errors import CertificateRequired, HypothesisViolation, InputError
 from .forms import (BasisSlice, DiffForm, assemble, basis, boundary, dF_of,
-                    df_form, quotient_basis, wedge_rule)
+                    df_form, quotient_basis, wedge_rule, xi)
 from .hilbert import hodge_table
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank, solve
 from .polynomials import MultiPoly, monomials_of_degree
@@ -21,13 +21,13 @@ from .problem import ProblemInput
 from .quotients import check_generators
 
 
-def boundary_matrix(problem: ProblemInput, k: int, q: int, p: int,
-                    part: str = "full") -> SparseMatrix:
+def boundary_matrix(problem: ProblemInput, k: int, q: int,
+                    p: int) -> SparseMatrix:
     """Matrix of the boundary out of the (k, q, p) slice into
     (k+1, q, p+1)."""
     src = basis(problem, k, q, p)
     tgt = basis(problem, k + 1, q, p + 1)
-    rule = wedge_rule(dF_of(problem, part).terms, problem.n, problem.field)
+    rule = wedge_rule(dF_of(problem).terms, problem.n, problem.field)
     return assemble(SparseMatrix(tgt.dim, src.dim, problem.field), rule,
                     src, tgt)
 
@@ -157,7 +157,7 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
     over "polynomial-ring" solves with coefficients in K[x]; over
     "quotient-by-f" with coefficients in K[x]/(f), f the problem's
     polynomials. With saturation=(g, m_max), tries g^m * omega for
-    m = 0..m_max and returns the least solvable m. Returns a
+    m = 0..m_max (m_max >= 0) and returns the least solvable m. Returns a
     WedgeDivisionSolution or None.
     """
     prob = omega.problem
@@ -199,6 +199,8 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
         g, m_max = saturation
         if g.is_zero() or g.homogeneous_degree() is None:
             raise InputError("saturation multiplier must be nonzero homogeneous")
+        if m_max < 0:
+            raise InputError(f"saturation bound {m_max} is negative")
 
     for m in range(m_max + 1):
         if m == 0 or omega.is_zero():
@@ -321,14 +323,10 @@ class VerificationReport:
 
 
 def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
-    """Whether df_1 /\\ ... /\\ df_r /\\ dy_1 /\\ ... /\\ dy_r is closed and
-    not a boundary in its slice."""
+    """Whether xi_r = df_1 /\\ ... /\\ df_r /\\ dy_1 /\\ ... /\\ dy_r is
+    closed and not a boundary in its slice."""
     r = problem.r
-    zx = (0,) * problem.n
-    zy = (0,) * problem.r
-    w = DiffForm.term(problem, zx, zy, (), tuple(range(r)))
-    for j in range(r - 1, -1, -1):
-        w = df_form(problem, j).wedge(w)
+    w = xi(problem, r)
     if not boundary(w).is_zero():
         return False
     tgt = basis(problem, 2 * r, 0, r)
@@ -344,7 +342,8 @@ def verify_predictions(problem: ProblemInput, mode: str, certificate,
                        division_m_max: int | None = None) -> VerificationReport:
     """Brute-force the q = 0 cohomology dimensions over a (k, p) window and
     compare them with the predicted patterns for the chosen mode. Refuses to
-    run without a successful certificate of the matching kind.
+    run without a successful certificate of the matching kind, and raises
+    InputError for a negative p_max or division_m_max.
 
     With division_m_max set (complete-intersection mode only), also checks
     the wedge-division property: every form in the joint kernel of all the
@@ -373,6 +372,10 @@ def verify_predictions(problem: ProblemInput, mode: str, certificate,
 
     if p_max is None:
         p_max = n + 1
+    if p_max < 0:
+        raise InputError(f"second-grading bound {p_max} is negative")
+    if division_m_max is not None and division_m_max < 0:
+        raise InputError(f"saturation bound {division_m_max} is negative")
     top = n + r
     slices = [(k, 0, p) for k in range(top + 1) for p in range(p_max + 1)]
     dims = cohomology_report(problem, slices)

@@ -19,6 +19,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .errors import InputError
+from .fields import add_term
 
 # the int64 kernel is exact for p below this bound: p*p < 2^63
 _NUMPY_P_LIMIT = isqrt(2**63 - 1) + 1
@@ -46,14 +47,7 @@ class SparseMatrix:
     def add_at(self, i: int, j: int, v):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise InputError(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
-        f = self.field
-        v = f.of(v)
-        cur = self.entries.get((i, j))
-        s = v if cur is None else f.add(cur, v)
-        if f.is_zero(s):
-            self.entries.pop((i, j), None)
-        else:
-            self.entries[(i, j)] = s
+        add_term(self.entries, (i, j), self.field.of(v), self.field)
 
     def nnz(self) -> int:
         return len(self.entries)

@@ -10,6 +10,7 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
+from .fields import add_term
 
 
 def grlex_key(exp: tuple) -> tuple:
@@ -51,18 +52,7 @@ class MultiPoly:
                 exp = tuple(exp)
                 if len(exp) != nvars or any(e < 0 for e in exp):
                     raise InputError(f"bad exponent tuple {exp} for {nvars} variables")
-                c = field.of(c)
-                if field.is_zero(c):
-                    continue
-                cur = clean.get(exp)
-                if cur is None:
-                    clean[exp] = c
-                else:
-                    s = field.add(cur, c)
-                    if field.is_zero(s):
-                        del clean[exp]
-                    else:
-                        clean[exp] = s
+                add_term(clean, exp, field.of(c), field)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -117,12 +107,7 @@ class MultiPoly:
         f = self.field
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            cur = out.get(exp)
-            s = c if cur is None else f.add(cur, c)
-            if f.is_zero(s):
-                out.pop(exp, None)
-            else:
-                out[exp] = s
+            add_term(out, exp, c, f)
         res = MultiPoly(f, self.nvars)
         res.terms = out
         return res
@@ -142,14 +127,8 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = f.mul(c1, c2)
-                cur = out.get(exp)
-                s = c if cur is None else f.add(cur, c)
-                if f.is_zero(s):
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
+                add_term(out, tuple(a + b for a, b in zip(e1, e2)),
+                         f.mul(c1, c2), f)
         res = MultiPoly(f, self.nvars)
         res.terms = out
         return res
@@ -177,16 +156,8 @@ class MultiPoly:
             e = exp[i]
             if e == 0:
                 continue
-            nexp = exp[:i] + (e - 1,) + exp[i + 1:]
-            c2 = f.mul(c, f.of(e))
-            if f.is_zero(c2):
-                continue
-            cur = out.get(nexp)
-            s = c2 if cur is None else f.add(cur, c2)
-            if f.is_zero(s):
-                out.pop(nexp, None)
-            else:
-                out[nexp] = s
+            add_term(out, exp[:i] + (e - 1,) + exp[i + 1:],
+                     f.mul(c, f.of(e)), f)
         res = MultiPoly(f, self.nvars)
         res.terms = out
         return res

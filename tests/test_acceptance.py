@@ -161,8 +161,8 @@ def test_criterion_08_contraction_exactness_suite():
 
 def test_criterion_09_series_pipeline_sweep():
     """Every degree multiset with n <= 7, r < n, d_i <= 5: palindromy, the
-    value at 1, the series value at 1, support and nonnegativity; plus the
-    coefficientwise match against direct alternating slice counts for
+    value at 1, support and nonnegativity; plus the coefficientwise match of
+    the Euler series against direct alternating slice counts for
     n + r <= 6."""
     t0 = time.perf_counter()
     count, sweep_s = test_hilbert.series_sweep()

@@ -254,6 +254,18 @@ def test_verify_division_rows_opt_in(tmp_path, capsys):
     assert all(row["got"] == "m=0" for row in division)
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--p", "-2"], "second-grading bound -2 is negative"),
+    (["--p", "0..-1"], "second-grading bound -1 is negative"),
+    (["--m-max", "-1", "--p", "0..1"], "saturation bound -1 is negative"),
+], ids=["p", "p-range", "m-max"])
+def test_verify_negative_bounds_exit_two(tmp_path, capsys, flags, needle):
+    rc = main(["verify", write(tmp_path, CUBIC)] + flags)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and needle in err
+
+
 # ---------------------------------------------------------------------------
 # input grammar errors (exit 2)
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacring.fields import PrimeField, Rationals, is_prime
+from jacring.fields import PrimeField, Rationals, add_term, is_prime
 
 Q = Rationals()
 F7 = PrimeField(7)
@@ -110,3 +110,25 @@ def test_equality_and_hash():
     assert PrimeField(7) == F7 and hash(PrimeField(7)) == hash(F7)
     assert Rationals() == Q
     assert F7 != PrimeField(11) and F7 != Q
+
+
+@pytest.mark.parametrize("f, half, other_half, a, b", [
+    (Q, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(5, 4)),
+    (F7, 3, 4, 5, 6),
+], ids=["Q", "F7"])
+def test_add_term_drops_cancelled_terms(f, half, other_half, a, b):
+    """The one sparse-sum rule: a sum that cancels removes its key, a zero
+    addend at an absent key stores nothing, and any other sum stores the
+    field sum."""
+    terms = {}
+    add_term(terms, "k", f.zero, f)
+    assert terms == {}
+    add_term(terms, "k", half, f)
+    assert terms == {"k": half}
+    add_term(terms, "k", other_half, f)         # 1/2 - 1/2, 3 + 4 mod 7
+    assert terms == {}
+    add_term(terms, "k", a, f)
+    add_term(terms, "k", b, f)
+    assert terms == {"k": f.add(a, b)}
+    assert not f.is_zero(terms["k"])
+

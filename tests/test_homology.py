@@ -5,14 +5,15 @@ from math import prod
 
 import pytest
 
+from jacring.certify import smooth_ci_certificate
 from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.forms import (assemble, basis, boundary, dF_of, df_form,
                            quotient_basis, theta, theta_matrix,
                            theta_preimage, wedge_rule, xi)
-from jacring.homology import (boundary_matrix, cohomology_dim,
+from jacring.homology import (MODE_CI, boundary_matrix, cohomology_dim,
                               cohomology_report, koszul_cohomology_dim,
-                              _witness_class_is_nonzero)
+                              verify_predictions, _witness_class_is_nonzero)
 from jacring.linalg import SparseMatrix, in_column_span, rank
 from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
@@ -52,9 +53,9 @@ def _same_matrix(got, want, where):
 
 def test_assembler_matches_per_column_oracle():
     """Every operator matrix from the term-level assembler equals the
-    per-column oracle entry for entry: the boundary and its parts, the
-    contraction, and the wedge blocks of the division solver into the
-    polynomial and the quotient form spaces."""
+    per-column oracle entry for entry: the boundary, the contraction, and
+    the wedge blocks of the division solver into the polynomial and the
+    quotient form spaces."""
     for prob in (fermat_cubic(), two_conics(), square_pair(), two_quadrics(),
                  conic_char2()):
         n, r, f = prob.n, prob.r, prob.field
@@ -63,12 +64,10 @@ def test_assembler_matches_per_column_oracle():
                 for p in range(4):
                     src = basis(prob, k, q, p)
                     where = (prob.degrees, f, k, q, p)
-                    for part in ("full", "h", "v"):
-                        _same_matrix(
-                            boundary_matrix(prob, k, q, p, part),
-                            matrix_of(lambda w: boundary(w, part), src,
-                                      basis(prob, k + 1, q, p + 1)),
-                            where + (part,))
+                    _same_matrix(boundary_matrix(prob, k, q, p),
+                                 matrix_of(boundary, src,
+                                           basis(prob, k + 1, q, p + 1)),
+                                 where + ("boundary",))
                     _same_matrix(theta_matrix(prob, k, q, p),
                                  matrix_of(theta, src,
                                            basis(prob, k - 1, q, p)),
@@ -223,6 +222,20 @@ def test_koszul_rejects_bad_generators():
 
 def test_witness_class_on_two_quadrics():
     assert _witness_class_is_nonzero(two_quadrics())
+
+
+def test_verify_predictions_refuses_negative_bounds():
+    """A negative second-grading bound would check no slice and a negative
+    saturation bound would try no exponent; both are input errors."""
+    prob = fermat_cubic()
+    cert = smooth_ci_certificate(prob)
+    with pytest.raises(InputError, match="second-grading bound -2"):
+        verify_predictions(prob, MODE_CI, cert, p_max=-2)
+    with pytest.raises(InputError, match="saturation bound -1"):
+        verify_predictions(prob, MODE_CI, cert, p_max=1, division_m_max=-1)
+    report = verify_predictions(prob, MODE_CI, cert, p_max=0,
+                                division_m_max=0)
+    assert report.passed
 
 
 def test_theta_xi_matrix_identity():

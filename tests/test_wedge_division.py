@@ -238,3 +238,7 @@ def test_error_cases():
     with pytest.raises(InputError):
         wedge_division_solve(omega, dfs, "saito",
                              saturation=(MultiPoly(Q, 3, {}), 1))
+    with pytest.raises(InputError, match="saturation bound -1"):
+        # m_max < 0 would try no exponent and report omega unsolvable
+        wedge_division_solve(omega, dfs, "full-product",
+                             saturation=(_first_minor(prob), -1))
