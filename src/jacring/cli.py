@@ -2,30 +2,36 @@
 
 Subcommands: certify, hilbert, hodge, cohomology, verify. Input files are
 line-oriented: `field Q` or `field F <p>`, `vars <name>+`, one `poly <expr>`
-per line; `#` starts a comment; whitespace is insignificant. All output is
-assembled deterministically and printed in one piece. Slices are computed
-one at a time in one process: the worker-count flag of `cohomology` and
-`verify` still parses an integer, so existing command lines keep working,
-and nothing reads it.
+per line; `#` starts a comment; whitespace is insignificant. Every command
+that reads an input takes one path: load the problem (with the --field
+override), certify its hypothesis (smooth complete intersection when r < n,
+no common zero otherwise), and print one report, text or --json, whose JSON
+header (input_hash, field, n, r, degrees) `_emit` builds. `verify` takes its
+mode from the same r < n split, and its --p window always starts at p = 0.
+Slices are computed one at a time in one process: the worker-count flag of
+`cohomology` and `verify` still parses an integer, so existing command lines
+keep working, and nothing reads it.
 
 Exit codes: 0 success; 1 certificate NONE or verification failure; 2 parse
-error, a negative verify bound (--p or --m-max), or a modulus too large for
-row reduction (p >= 3037000500, where the int64 kernel stops being exact);
-3 hypothesis violation (e.g. a mode that needs r < n).
+error, a negative verify bound (--p or --m-max), a verify --p range a..b
+with a != 0, or a modulus too large for row reduction (p >= 3037000500,
+where the int64 kernel stops being exact); 3 hypothesis violation (e.g.
+hodge needs r < n).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from itertools import product
 
 from .certify import (Certificate, no_common_zero_certificate,
                       smooth_ci_certificate)
 from .errors import CertificateRequired, HypothesisViolation, InputError
 from .fields import PrimeField, Rationals
-from .hilbert import Poly, closed_form_H, hodge_table, symmetry_check
-from .homology import (MODE_CI, MODE_NCZ, cohomology_report,
-                       verify_predictions)
+from .hilbert import closed_form_H, hodge_table, symmetry_check
+from .homology import MODE_OF_KIND, cohomology_report, verify_predictions
 from .polynomials import parse_poly
 from .problem import ProblemInput
 
@@ -112,16 +118,6 @@ def parse_input(text: str, field_override=None):
     return problem, names
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-
-
 def _parse_range(text: str, lo_default: int, hi_default: int) -> tuple[int, int]:
     if text is None:
         return lo_default, hi_default
@@ -135,53 +131,6 @@ def _parse_range(text: str, lo_default: int, hi_default: int) -> tuple[int, int]
         raise InputError(f"bad range {text!r} (expected 'a' or 'a..b')")
 
 
-def _cert_json(cert: Certificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "field": cert.field,
-        "num_generators": cert.num_generators,
-        "bound": cert.bound,
-        "vanishing_degree": cert.vanishing_degree,
-        "success": cert.success,
-    }
-
-
-def _base_json(problem: ProblemInput) -> dict:
-    return {
-        "input_hash": problem.input_hash,
-        "field": repr(problem.field),
-        "n": problem.n,
-        "r": problem.r,
-        "degrees": list(problem.degrees),
-    }
-
-
-def _emit(out: dict | str) -> None:
-    if isinstance(out, str):
-        sys.stdout.write(out if out.endswith("\n") else out + "\n")
-    else:
-        sys.stdout.write(json.dumps(out, indent=2) + "\n")
-
-
-def _auto_certificate(problem: ProblemInput, bound):
-    if problem.r < problem.n:
-        return smooth_ci_certificate(problem, bound)
-    return no_common_zero_certificate(problem, bound)
-
-
-def _cmd_certify(args) -> int:
-    problem, _ = parse_input(_read_source(args.input),
-                             parse_field_flag(args.field) if args.field else None)
-    cert = _auto_certificate(problem, args.bound)
-    if args.json:
-        out = _base_json(problem)
-        out["certificates"] = [_cert_json(cert)]
-        _emit(out)
-    else:
-        _emit(cert.describe())
-    return 0 if cert.success else 1
-
-
 def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
         parts = [int(tok) for tok in text.replace(",", " ").split()]
@@ -192,136 +141,139 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _hilbert_line(n: int, degrees) -> tuple[str, Poly]:
-    H = closed_form_H(n, degrees)
-    line = (f"H(t) = {H.to_string()}; H(1) = {H(1)}; "
-            f"palindromic: {'yes' if symmetry_check(H, n, len(degrees)) else 'no'}")
-    return line, H
+def _load(args) -> ProblemInput:
+    """The input file's problem, over the --field override if one is given."""
+    field = parse_field_flag(args.field) if args.field else None
+    if args.input == "-":
+        return parse_input(sys.stdin.read(), field)[0]
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {args.input}: {exc}")
+    return parse_input(text, field)[0]
 
 
-def _hilbert_json_coeffs(H: Poly, n: int) -> list[str]:
-    ic = H.int_coefficients()
-    return [str(ic.get(p, 0)) for p in range(n)]
+def _certified(args) -> tuple[ProblemInput, Certificate]:
+    """The problem and the certificate of its hypothesis: a smooth complete
+    intersection when r < n, no common zero otherwise."""
+    problem = _load(args)
+    if problem.r < problem.n:
+        return problem, smooth_ci_certificate(problem, args.bound)
+    return problem, no_common_zero_certificate(problem, args.bound)
+
+
+def _cert_json(cert: Certificate) -> dict:
+    return {**asdict(cert), "success": cert.success}
+
+
+def _slices_json(dims: dict) -> list:
+    return [{"k": k, "q": q, "p": p, "dim": dim}
+            for (k, q, p), dim in dims.items()]
+
+
+def _emit(args, text: str, problem: ProblemInput | None = None, *,
+          n: int = 0, degrees=(), **results) -> None:
+    """Print the text report, or with --json the JSON report: the header
+    input_hash, field, n, r, degrees, then the results in order. hilbert has
+    no input; it passes n and degrees, and its header has field null and no
+    hash."""
+    if not args.json:
+        sys.stdout.write(text + "\n")
+        return
+    head = {"field": None}
+    if problem is not None:
+        head = {"input_hash": problem.input_hash, "field": repr(problem.field)}
+        n, degrees = problem.n, problem.degrees
+    out = {**head, "n": n, "r": len(degrees), "degrees": list(degrees),
+           **results}
+    sys.stdout.write(json.dumps(out, indent=2) + "\n")
+
+
+def _cmd_certify(args) -> int:
+    problem, cert = _certified(args)
+    _emit(args, cert.describe(), problem, certificates=[_cert_json(cert)])
+    return 0 if cert.success else 1
 
 
 def _cmd_hilbert(args) -> int:
-    degrees = _parse_degrees(args.degrees)
-    if args.n is None:
-        raise InputError("hilbert needs --n")
-    line, H = _hilbert_line(args.n, degrees)
-    if args.json:
-        out = {
-            "field": None,
-            "n": args.n,
-            "r": len(degrees),
-            "degrees": list(degrees),
-            "hilbert": {"coefficients": _hilbert_json_coeffs(H, args.n)},
-        }
-        _emit(out)
-    else:
-        _emit(line)
+    n, degrees = args.n, _parse_degrees(args.degrees)
+    H = closed_form_H(n, degrees)
+    ic = H.int_coefficients()
+    palindromic = "yes" if symmetry_check(H, n, len(degrees)) else "no"
+    _emit(args, f"H(t) = {H.to_string()}; H(1) = {H(1)}; "
+                f"palindromic: {palindromic}", n=n, degrees=degrees,
+          hilbert={"coefficients": [str(ic.get(p, 0)) for p in range(n)]})
     return 0
 
 
 def _cmd_hodge(args) -> int:
-    problem, _ = parse_input(_read_source(args.input),
-                             parse_field_flag(args.field) if args.field else None)
-    cert = _auto_certificate(problem, args.bound)
+    problem, cert = _certified(args)
     table = hodge_table(problem.n, problem.degrees, problem.field)
-    if args.json:
-        out = _base_json(problem)
-        out["certificates"] = [_cert_json(cert)]
-        out["hilbert"] = {"coefficients":
-                          [str(table.h.get(p, 0)) for p in range(problem.n)]}
-        out["hodge"] = {
-            "h": {str(p): table.h[p] for p in sorted(table.h)},
-            "exceptional": table.exceptional,
-            "dim_top": {str(p): table.dim_top[p] for p in sorted(table.dim_top)},
-            "dim_next": {str(p): table.dim_next[p] for p in sorted(table.dim_next)},
-        }
-        _emit(out)
-    else:
-        lines = [cert.describe(), table.describe()]
-        top = problem.n + problem.r
-        labels = ["p:", f"dim H^{top}(0,p):", f"dim H^{top - 1}(0,p):"]
-        width = max(len(s) for s in labels)
-        rows = [[str(p) for p in sorted(table.dim_top)],
-                [str(table.dim_top[p]) for p in sorted(table.dim_top)],
-                [str(table.dim_next[p]) for p in sorted(table.dim_next)]]
-        for label, row in zip(labels, rows):
-            lines.append(f"{label:<{width}} " + " ".join(row))
-        _emit("\n".join(lines))
+    lines = [cert.describe(), table.describe()]
+    top = problem.n + problem.r
+    labels = ["p:", f"dim H^{top}(0,p):", f"dim H^{top - 1}(0,p):"]
+    width = max(len(s) for s in labels)
+    rows = [[str(p) for p in sorted(table.dim_top)],
+            [str(table.dim_top[p]) for p in sorted(table.dim_top)],
+            [str(table.dim_next[p]) for p in sorted(table.dim_next)]]
+    for label, row in zip(labels, rows):
+        lines.append(f"{label:<{width}} " + " ".join(row))
+    def by_p(dims):
+        return {str(p): dims[p] for p in sorted(dims)}
+
+    _emit(args, "\n".join(lines), problem,
+          certificates=[_cert_json(cert)],
+          hilbert={"coefficients":
+                   [str(table.h.get(p, 0)) for p in range(problem.n)]},
+          hodge={"h": by_p(table.h), "exceptional": table.exceptional,
+                 "dim_top": by_p(table.dim_top),
+                 "dim_next": by_p(table.dim_next)})
     return 0 if cert.success else 1
 
 
 def _cmd_cohomology(args) -> int:
-    problem, _ = parse_input(_read_source(args.input),
-                             parse_field_flag(args.field) if args.field else None)
+    problem = _load(args)
     n, r = problem.n, problem.r
-    if args.all:
-        k_lo, k_hi = 0, n + r
-        q_lo, q_hi = 0, 0
-        p_lo, p_hi = 0, n + 1
-    else:
-        k_lo, k_hi = _parse_range(args.k, 0, n + r)
-        q_lo, q_hi = _parse_range(args.q, 0, 0)
-        p_lo, p_hi = _parse_range(args.p, 0, n + 1)
-    slices = [(k, q, p)
-              for k in range(k_lo, k_hi + 1)
-              for q in range(q_lo, q_hi + 1)
-              for p in range(p_lo, p_hi + 1)]
+    k, q, p = (None, None, None) if args.all else (args.k, args.q, args.p)
+    windows = (_parse_range(k, 0, n + r), _parse_range(q, 0, 0),
+               _parse_range(p, 0, n + 1))
+    slices = list(product(*(range(lo, hi + 1) for lo, hi in windows)))
     if not slices:
         raise InputError("empty slice window")
     dims = cohomology_report(problem, slices)
-    if args.json:
-        out = _base_json(problem)
-        out["slices"] = [{"k": k, "q": q, "p": p, "dim": dim}
-                         for (k, q, p), dim in dims.items()]
-        _emit(out)
-    else:
-        lines = [f"dim H^{k}(q={q},p={p}) = {dim}"
-                 for (k, q, p), dim in dims.items()]
-        _emit("\n".join(lines))
+    _emit(args, "\n".join(f"dim H^{k}(q={q},p={p}) = {dim}"
+                          for (k, q, p), dim in dims.items()),
+          problem, slices=_slices_json(dims))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    problem, _ = parse_input(_read_source(args.input),
-                             parse_field_flag(args.field) if args.field else None)
-    mode = MODE_CI if problem.r < problem.n else MODE_NCZ
-    cert = _auto_certificate(problem, args.bound)
+    # the window is p = 0..b; a single number b is its top
+    lo, p_max = _parse_range(args.p or None, 0, None)
+    if lo != 0 and ".." in args.p:
+        raise InputError(f"verify --p {args.p}: the window starts at p = 0 "
+                         f"(give 'b' or '0..b')")
+    problem, cert = _certified(args)
+    mode = MODE_OF_KIND[cert.kind]
     lines = [f"mode: {mode}", cert.describe()]
+    results = {"mode": mode, "certificates": [_cert_json(cert)], "checks": []}
     if not cert.success:
-        if args.json:
-            out = _base_json(problem)
-            out["mode"] = mode
-            out["certificates"] = [_cert_json(cert)]
-            out["checks"] = []
-            _emit(out)
-        else:
-            _emit("\n".join(lines))
+        _emit(args, "\n".join(lines), problem, **results)
         return 1
-    p_hi = _parse_range(args.p, 0, problem.n + 1)[1] if args.p else None
-    report = verify_predictions(problem, mode, cert, p_max=p_hi,
+    report = verify_predictions(problem, cert, p_max=p_max,
                                 division_m_max=args.m_max)
-    if args.json:
-        out = _base_json(problem)
-        out["mode"] = mode
-        out["certificates"] = [_cert_json(cert)]
-        out["checks"] = [{"name": c.name, "expected": str(c.expected),
+    for c in report.checks:
+        lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: "
+                     f"expected {c.expected}, got {c.got}")
+    nfail = sum(1 for c in report.checks if not c.passed)
+    lines.append(f"result: {'PASS' if nfail == 0 else 'FAIL'} "
+                 f"({len(report.checks)} checks, {nfail} failed)")
+    results["checks"] = [{"name": c.name, "expected": str(c.expected),
                           "got": str(c.got), "pass": c.passed}
                          for c in report.checks]
-        out["slices"] = [{"k": k, "q": q, "p": p, "dim": dim}
-                         for (k, q, p), dim in sorted(report.dims.items())]
-        _emit(out)
-    else:
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{status} {c.name}: expected {c.expected}, got {c.got}")
-        nfail = sum(1 for c in report.checks if not c.passed)
-        lines.append(f"result: {'PASS' if nfail == 0 else 'FAIL'} "
-                     f"({len(report.checks)} checks, {nfail} failed)")
-        _emit("\n".join(lines))
+    _emit(args, "\n".join(lines), problem, **results,
+          slices=_slices_json(report.dims))
     return 0 if report.passed else 1
 
 
@@ -381,27 +333,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m-max", type=int, default=None, dest="m_max",
                        help="also run wedge-division checks with this "
                             "saturation bound (complete-intersection mode)")
-    p_ver.add_argument("--p", help="second-grading range a..b for the window")
+    p_ver.add_argument("--p", help="top b of the second-grading window "
+                                   "0..b, given as b or 0..b (default n+1)")
     p_ver.add_argument("--threads", type=int, default=None, help=_IGNORED)
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser
 
 
+# exit code of each error a command reports on stderr
+_EXIT_CODES = {InputError: 2, HypothesisViolation: 3, CertificateRequired: 1}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CertificateRequired as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import HypothesisViolation, InputError
 from .polynomials import monomials_of_degree
@@ -307,10 +307,7 @@ def hodge_table(n: int, d, field) -> HodgeTable:
     H = closed_form_H(n, d)
     hc = H.int_coefficients()
     h = {p: hc.get(p, 0) for p in range(r, n)}
-    prod_d = field.one
-    for di in d:
-        prod_d = field.mul(prod_d, field.of(di))
-    exceptional = field.is_zero(prod_d) and (n + r) % 2 == 0
+    exceptional = field.is_zero(field.of(prod(d))) and (n + r) % 2 == 0
     mid = (n + r) // 2
     p_lo, p_hi = 0, n + r - 1
     dim_top = {}

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
-from .errors import CertificateRequired, HypothesisViolation, InputError
+from .errors import CertificateRequired, InputError
 from .forms import (BasisSlice, DiffForm, assemble, basis, boundary, dF_of,
                     df_form, quotient_basis, wedge_rule, xi)
 from .hilbert import hodge_table
@@ -173,17 +174,18 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
     base_weight = _dx_only_weight(omega, "omega") if not omega.is_zero() else None
     k = omega.k
 
-    if isinstance(shape, tuple) and shape and shape[0] == "generalized":
+    # "saito" is ("generalized", r) and "full-product" is ("generalized", 1)
+    if shape == "saito":
+        s = r
+    elif shape == "full-product":
+        s = 1
+    elif isinstance(shape, tuple) and shape and shape[0] == "generalized":
         s = shape[1]
         if not 1 <= s <= r:
             raise InputError(f"generalized shape needs 1 <= s <= {r}")
-        subsets = list(combinations(range(r), r - s + 1))
-    elif shape == "saito":
-        subsets = [(i,) for i in range(r)]
-    elif shape == "full-product":
-        subsets = [tuple(range(r))]
     else:
         raise InputError(f"unknown shape {shape!r}")
+    subsets = list(combinations(range(r), r - s + 1))
 
     space = _form_spaces(prob, over)
     rules = {}
@@ -202,6 +204,12 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
         if m_max < 0:
             raise InputError(f"saturation bound {m_max} is negative")
 
+    def zero_solution(m):
+        # alpha_J of word length k - |J|, or 0 where that is negative
+        return WedgeDivisionSolution(
+            shape=shape, m=m, labels=list(subsets),
+            alphas=[DiffForm.zero(prob, max(k - len(J), 0)) for J in subsets])
+
     for m in range(m_max + 1):
         if m == 0 or omega.is_zero():
             target = omega
@@ -209,12 +217,7 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
             target = omega.times_poly(g.pow(m))
         if target.is_zero():
             # the zero form is divisible in every shape
-            labels = list(subsets)
-            alphas = []
-            for J in labels:
-                kk = k - len(J)
-                alphas.append(DiffForm.zero(prob, max(kk, 0)))
-            return WedgeDivisionSolution(shape=shape, m=m, labels=labels, alphas=alphas)
+            return zero_solution(m)
         weight = base_weight + (m * g.homogeneous_degree() if m else 0)
         tgt = space(k, weight)
         rhs = tgt.vector_of_form(target)
@@ -229,10 +232,7 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
         ncols = offsets[-1]
         if ncols == 0:
             if all(f.is_zero(v) for v in rhs):
-                return WedgeDivisionSolution(shape=shape, m=m,
-                                             labels=list(subsets),
-                                             alphas=[DiffForm.zero(prob, 0)
-                                                     for _ in subsets])
+                return zero_solution(m)
             continue
         mat = SparseMatrix(tgt.dim, ncols, f)
         for (J, src), col0 in zip(blocks, offsets):
@@ -298,6 +298,8 @@ def reduce_form_mod_ideal(form: DiffForm, gens) -> DiffForm:
 
 MODE_CI = "complete-intersection"
 MODE_NCZ = "no-common-zero"
+# the verification mode that each hypothesis certificate opens
+MODE_OF_KIND = {"smooth-ci": MODE_CI, "no-common-zero": MODE_NCZ}
 
 
 @dataclass
@@ -337,13 +339,15 @@ def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
     return not in_column_span(bmat, vec)
 
 
-def verify_predictions(problem: ProblemInput, mode: str, certificate,
+def verify_predictions(problem: ProblemInput, certificate,
                        p_max: int | None = None,
                        division_m_max: int | None = None) -> VerificationReport:
-    """Brute-force the q = 0 cohomology dimensions over a (k, p) window and
-    compare them with the predicted patterns for the chosen mode. Refuses to
-    run without a successful certificate of the matching kind, and raises
-    InputError for a negative p_max or division_m_max.
+    """Brute-force the q = 0 cohomology dimensions over the window
+    p = 0..p_max (default n+1) and compare them with the predicted patterns.
+    The input fixes the mode: complete-intersection when r < n, which needs
+    a successful smooth-ci certificate, else no-common-zero, which needs a
+    successful no-common-zero certificate; without it CertificateRequired is
+    raised. A negative p_max or division_m_max raises InputError.
 
     With division_m_max set (complete-intersection mode only), also checks
     the wedge-division property: every form in the joint kernel of all the
@@ -351,17 +355,9 @@ def verify_predictions(problem: ProblemInput, mode: str, certificate,
     polynomials, factors through the full product df_1∧...∧df_r at
     saturation exponent 0."""
     n, r = problem.n, problem.r
-    if mode == MODE_CI:
-        if not r < n:
-            raise HypothesisViolation(f"mode {mode} needs r < n (got r={r}, n={n})")
-        want_kind = "smooth-ci"
-    elif mode == MODE_NCZ:
-        if not r >= n:
-            raise HypothesisViolation(f"mode {mode} needs r >= n (got r={r}, n={n})")
-        want_kind = "no-common-zero"
-    else:
-        raise InputError(f"unknown verification mode {mode!r}")
-    if certificate is None or not getattr(certificate, "success", False):
+    want_kind = "smooth-ci" if r < n else "no-common-zero"
+    mode = MODE_OF_KIND[want_kind]
+    if certificate is None or not certificate.success:
         raise CertificateRequired(
             f"verification in mode {mode} requires a successful {want_kind} "
             f"certificate")
@@ -409,7 +405,8 @@ def verify_predictions(problem: ProblemInput, mode: str, certificate,
         for p in range(p_max + 1):
             checks.append(Check(f"top-slice[p={p}]",
                                 1 if p == n else 0, dims[(2 * n, 0, p)]))
-        if r == n and not problem.field.is_zero(problem.degree_product_in_field()):
+        if r == n and not problem.field.is_zero(
+                problem.field.of(prod(problem.degrees))):
             from .certify import ideal_membership, jacobian_determinant
             det = jacobian_determinant(problem)
             member = ideal_membership(det, list(problem.polys))

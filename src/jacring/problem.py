@@ -57,12 +57,6 @@ class ProblemInput:
         p = sum(yexp) + len(dys)
         return Bidegree(q, p)
 
-    def degree_product_in_field(self):
-        c = self.field.one
-        for d in self.degrees:
-            c = self.field.mul(c, self.field.of(d))
-        return c
-
     def canonical_text(self) -> str:
         lines = [f"field {self.field!r}", f"n {self.n}", f"r {self.r}",
                  "degrees " + " ".join(map(str, self.degrees))]

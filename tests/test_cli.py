@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,12 +259,58 @@ def test_verify_division_rows_opt_in(tmp_path, capsys):
     (["--p", "-2"], "second-grading bound -2 is negative"),
     (["--p", "0..-1"], "second-grading bound -1 is negative"),
     (["--m-max", "-1", "--p", "0..1"], "saturation bound -1 is negative"),
-], ids=["p", "p-range", "m-max"])
+    (["--p", "2..3"], "the window starts at p = 0"),
+    (["--p", "1..1"], "the window starts at p = 0"),
+    (["--p=-1..3"], "the window starts at p = 0"),
+], ids=["p", "p-range", "m-max", "p-from-2", "p-from-1", "p-from-minus-1"])
 def test_verify_negative_bounds_exit_two(tmp_path, capsys, flags, needle):
+    """Negative bounds, and a --p range that does not start at 0, are
+    refused before anything is printed."""
     rc = main(["verify", write(tmp_path, CUBIC)] + flags)
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and needle in err
+
+
+def test_verify_window_top_alone_or_from_zero(tmp_path, capsys):
+    path = write(tmp_path, CUBIC)
+    runs = []
+    for window in ("2", "0..2"):
+        rc = main(["verify", path, "--p", window, "--json"])
+        runs.append((rc, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+    assert max(row["p"] for row in json.loads(runs[0][1])["slices"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: every command's exact stdout and exit code
+# ---------------------------------------------------------------------------
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = [  # name, input text or None, argv after the input, exit code
+    ("certify-cubic", CUBIC, ["certify"], 0),
+    ("certify-squares", SQUARES, ["certify"], 0),
+    ("hilbert-3-3", None, ["hilbert", "--n", "3", "--degrees", "3"], 0),
+    ("hodge-cubic", CUBIC, ["hodge"], 0),
+    ("cohomology-cubic-all", CUBIC, ["cohomology", "--all"], 0),
+    ("verify-cubic", CUBIC, ["verify"], 0),
+    ("verify-squares", SQUARES, ["verify"], 0),
+    ("verify-cubic-F3", CUBIC, ["verify", "--field", "F3"], 1),
+]
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name, text, argv, code", GOLDEN_CASES,
+                         ids=[case[0] for case in GOLDEN_CASES])
+def test_outputs_are_byte_stable(tmp_path, capsys, name, text, argv, code,
+                                 fmt):
+    if text is not None:
+        argv = [argv[0], write(tmp_path, text), *argv[1:]]
+    rc = main(argv + (["--json"] if fmt == "json" else []))
+    assert rc == code
+    expected = (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ from math import prod
 
 import pytest
 
-from jacring.certify import smooth_ci_certificate
-from jacring.errors import InputError
+from jacring.certify import no_common_zero_certificate, smooth_ci_certificate
+from jacring.errors import CertificateRequired, InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.forms import (assemble, basis, boundary, dF_of, df_form,
                            quotient_basis, theta, theta_matrix,
                            theta_preimage, wedge_rule, xi)
-from jacring.homology import (MODE_CI, boundary_matrix, cohomology_dim,
+from jacring.homology import (boundary_matrix, cohomology_dim,
                               cohomology_report, koszul_cohomology_dim,
                               verify_predictions, _witness_class_is_nonzero)
 from jacring.linalg import SparseMatrix, in_column_span, rank
@@ -230,12 +230,25 @@ def test_verify_predictions_refuses_negative_bounds():
     prob = fermat_cubic()
     cert = smooth_ci_certificate(prob)
     with pytest.raises(InputError, match="second-grading bound -2"):
-        verify_predictions(prob, MODE_CI, cert, p_max=-2)
+        verify_predictions(prob, cert, p_max=-2)
     with pytest.raises(InputError, match="saturation bound -1"):
-        verify_predictions(prob, MODE_CI, cert, p_max=1, division_m_max=-1)
-    report = verify_predictions(prob, MODE_CI, cert, p_max=0,
+        verify_predictions(prob, cert, p_max=1, division_m_max=-1)
+    report = verify_predictions(prob, cert, p_max=0,
                                 division_m_max=0)
     assert report.passed
+
+
+def test_verify_predictions_requires_a_matching_certificate():
+    """No certificate, an unsuccessful one, or one of the other kind: the
+    mode the input fixes cannot be verified."""
+    cubic, squares = fermat_cubic(), square_pair()
+    failed = smooth_ci_certificate(cubic, bound=2)
+    assert not failed.success
+    for prob, cert in ((cubic, None), (cubic, failed),
+                       (cubic, no_common_zero_certificate(squares)),
+                       (squares, smooth_ci_certificate(cubic))):
+        with pytest.raises(CertificateRequired):
+            verify_predictions(prob, cert, p_max=0)
 
 
 def test_theta_xi_matrix_identity():

@@ -165,6 +165,21 @@ def test_zero_form_is_divisible_in_every_shape():
         assert all(a.is_zero() for a in sol.alphas)
 
 
+def test_zero_solutions_have_word_length_k_minus_J():
+    """f dx1 dx2 is zero over the quotient by f, and x1^5 dx1 leaves no
+    1-form of weight -1 to divide by; the zero solution still has
+    alpha of word length 2 - 1 = 1, so the identity can be checked."""
+    prob = fermat_cubic()
+    f = prob.polys[0]
+    omega = DiffForm.term(prob, (0, 0, 0), (0,), (0, 1), ()).times_poly(f)
+    mult = DiffForm.term(prob, (5, 0, 0), (0,), (0,), ())
+    sol = wedge_division_solve(omega, [mult], "saito", over="quotient-by-f")
+    assert sol is not None and sol.m == 0 and sol.shape == "saito"
+    assert [a.k for a in sol.alphas] == [1]
+    residual = mult.wedge(sol.alphas[0]) - omega
+    assert reduce_form_mod_ideal(residual, list(prob.polys)).is_zero()
+
+
 def test_unsolvable_form_returns_none():
     prob = fermat_cubic()
     dfs = _dfs(prob)
