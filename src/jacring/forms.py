@@ -158,11 +158,6 @@ class DiffForm:
     def bidegrees(self) -> set:
         return {self.problem.bidegree_of(*key) for key in self.terms}
 
-    def bidegree(self):
-        """The common bidegree of all terms, or None (zero or mixed)."""
-        degs = self.bidegrees()
-        return degs.pop() if len(degs) == 1 else None
-
     def to_string(self) -> str:
         if not self.terms:
             return "0"
@@ -195,27 +190,17 @@ class DiffForm:
 
 def df_form(problem: ProblemInput, j: int) -> DiffForm:
     """The 1-form sum_i (d f_j / d x_i) dx_i."""
-    key = ("df", j)
-    cached = problem._cache.get(key)
-    if cached is not None:
-        return cached
     zy = (0,) * problem.r
     terms = {}
     for i in range(problem.n):
         for exp, c in problem.partials[j][i].terms.items():
             terms[(exp, zy, (i,), ())] = c
-    form = DiffForm(problem, 1, terms)
-    problem._cache[key] = form
-    return form
+    return DiffForm(problem, 1, terms)
 
 
 def dF_of(problem: ProblemInput) -> DiffForm:
     """dF for F = sum_j y_j f_j: the terms y_j df_j, then f_j dy_j. Every
     term has bidegree (0, 1)."""
-    key = ("dF",)
-    cached = problem._cache.get(key)
-    if cached is not None:
-        return cached
     n, r = problem.n, problem.r
     terms = []
     for j in range(r):
@@ -227,9 +212,7 @@ def dF_of(problem: ProblemInput) -> DiffForm:
     for j in range(r):
         for exp, c in problem.polys[j].terms.items():
             terms.append(((exp, zy, (), (j,)), c))
-    form = DiffForm(problem, 1, terms)
-    problem._cache[key] = form
-    return form
+    return DiffForm(problem, 1, terms)
 
 
 def boundary(omega: DiffForm) -> DiffForm:
@@ -274,8 +257,6 @@ def theta(omega: DiffForm) -> DiffForm:
         for ikey, w in rule(key):
             add_term(out, ikey, f.mul(c, w), f)
     res = DiffForm(prob, omega.k - 1 if omega.k else 0)
-    if omega.k == 0 and out:
-        raise SliceMismatch("contraction of a 0-form produced terms")
     res.terms = out
     return res
 
@@ -341,12 +322,14 @@ class BasisSlice:
     """Ordered monomial-form basis of the (k, q, p) slice. With a quotient
     slice attached, the coefficients live in K[x]/(gens) and the basis holds
     the complement monomials only; a pivot monomial's term maps to its
-    normal form. `problem` is None for a bare coordinate space (Koszul)."""
+    normal form. It holds its field, not a problem, so a problem's cache of
+    slices never points back at the problem; a vector of coordinates becomes
+    a form by DiffForm(problem, k, zip(keys, vec))."""
 
-    __slots__ = ("problem", "k", "q", "p", "keys", "index", "quotient")
+    __slots__ = ("field", "k", "q", "p", "keys", "index", "quotient")
 
-    def __init__(self, problem, k, q, p, keys, quotient=None):
-        self.problem = problem
+    def __init__(self, field, k, q, p, keys, quotient=None):
+        self.field = field
         self.k = k
         self.q = q
         self.p = p
@@ -373,26 +356,16 @@ class BasisSlice:
             raise SliceMismatch(
                 f"term {key} is not in the (k={self.k}, q={self.q}, "
                 f"p={self.p}) slice")
-        f = self.problem.field
+        f = self.field
         return [(self.index[(m, yexp, dxs, dys)], f.mul(c, w)) for m, w in nf]
 
     def vector_of_form(self, form: DiffForm) -> list:
-        f = self.problem.field
+        f = self.field
         v = [f.zero] * len(self.keys)
         for key, c in form.terms.items():
             for pos, w in self.coords(key, c):
                 v[pos] = f.add(v[pos], w)
         return v
-
-    def form_of_vector(self, vec) -> DiffForm:
-        f = self.problem.field
-        terms = {}
-        for key, c in zip(self.keys, vec):
-            if not f.is_zero(f.of(c)):
-                terms[key] = f.of(c)
-        res = DiffForm(self.problem, self.k)
-        res.terms = terms
-        return res
 
     def __repr__(self):
         return f"BasisSlice(k={self.k}, q={self.q}, p={self.p}, dim={self.dim})"
@@ -423,7 +396,7 @@ def basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
                     for dxs in combinations(range(n), l):
                         for xexp in monomials_of_degree(n, xdeg):
                             keys.append((xexp, yexp, dxs, dys))
-    slice_ = BasisSlice(problem, k, q, p, keys)
+    slice_ = BasisSlice(problem.field, k, q, p, keys)
     problem._cache[key] = slice_
     return slice_
 
@@ -450,7 +423,7 @@ def quotient_basis(problem: ProblemInput, k: int, weight: int,
         zy = (0,) * problem.r
         keys = [(m, zy, word, ()) for word in combinations(range(problem.n), k)
                 for m in qs.complement]
-    space = BasisSlice(problem, k, weight, 0, keys, qs)
+    space = BasisSlice(problem.field, k, weight, 0, keys, qs)
     problem._cache[key] = space
     return space
 
@@ -490,4 +463,4 @@ def theta_preimage(eta: DiffForm, k: int, q: int, p: int):
                 basis(prob, k - 1, q, p).vector_of_form(eta))
     if sol is None:
         return None
-    return src.form_of_vector(sol)
+    return DiffForm(prob, src.k, zip(src.keys, sol))

@@ -85,7 +85,7 @@ def koszul_cohomology_dim(gens: list[MultiPoly], k: int, internal_degree: int) -
         keys = [(mono, (), S, ()) for S in combinations(range(r), kk)
                 for mono in monomials_of_degree(
                     n, internal_degree + sum(degs[j] for j in S))]
-        return BasisSlice(None, kk, internal_degree, 0, keys)
+        return BasisSlice(field, kk, internal_degree, 0, keys)
 
     # the differential is the left wedge with sum_j g_j e_j, where the
     # exterior generator e_j is the word (j,) over an alphabet of r letters
@@ -210,14 +210,12 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
             shape=shape, m=m, labels=list(subsets),
             alphas=[DiffForm.zero(prob, max(k - len(J), 0)) for J in subsets])
 
+    if omega.is_zero():
+        # the zero form is divisible in every shape
+        return zero_solution(0)
     for m in range(m_max + 1):
-        if m == 0 or omega.is_zero():
-            target = omega
-        else:
-            target = omega.times_poly(g.pow(m))
-        if target.is_zero():
-            # the zero form is divisible in every shape
-            return zero_solution(m)
+        # g^m * omega stays nonzero: K[x] is a domain
+        target = omega.times_poly(g.pow(m)) if m else omega
         weight = base_weight + (m * g.homogeneous_degree() if m else 0)
         tgt = space(k, weight)
         rhs = tgt.vector_of_form(target)
@@ -248,8 +246,8 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
             if src is None:
                 alphas.append(DiffForm.zero(prob, 0))
             else:
-                alphas.append(src.form_of_vector(
-                    sol[offsets[bi]:offsets[bi + 1]]))
+                vec = sol[offsets[bi]:offsets[bi + 1]]
+                alphas.append(DiffForm(prob, src.k, zip(src.keys, vec)))
         return WedgeDivisionSolution(shape=shape, m=m, labels=labels, alphas=alphas)
     return None
 
@@ -272,7 +270,8 @@ def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
     for w, tgt in tgts:
         assemble(mat, wedge_rule(w.terms, problem.n, f), src, tgt, row0=row0)
         row0 += tgt.dim
-    return [src.form_of_vector(vec) for vec in kernel_basis(mat)]
+    return [DiffForm(problem, src.k, zip(src.keys, vec))
+            for vec in kernel_basis(mat)]
 
 
 def reduce_form_mod_ideal(form: DiffForm, gens) -> DiffForm:

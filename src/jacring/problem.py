@@ -67,11 +67,7 @@ class ProblemInput:
 
     @property
     def input_hash(self) -> str:
-        h = self._cache.get("hash")
-        if h is None:
-            h = hashlib.sha256(self.canonical_text().encode()).hexdigest()
-            self._cache["hash"] = h
-        return h
+        return hashlib.sha256(self.canonical_text().encode()).hexdigest()
 
     def __eq__(self, other):
         return (isinstance(other, ProblemInput)

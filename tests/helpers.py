@@ -180,12 +180,12 @@ def random_form(rng: random.Random, problem: ProblemInput, k: int,
     return form
 
 
-def matrix_of(op, source: BasisSlice, target: BasisSlice) -> SparseMatrix:
+def matrix_of(prob: ProblemInput, op, source: BasisSlice,
+              target: BasisSlice) -> SparseMatrix:
     """Reference oracle for the term-level assembler: the matrix of a
-    form-level operator between two slice bases, one DiffForm per column.
-    Column j is the image of the j-th source basis form; a term landing
-    outside the target slice raises SliceMismatch."""
-    prob = source.problem
+    form-level operator between two slice bases of prob, one DiffForm per
+    column. Column j is the image of the j-th source basis form; a term
+    landing outside the target slice raises SliceMismatch."""
     mat = SparseMatrix(target.dim, source.dim, prob.field)
     for col, key in enumerate(source.keys):
         img = op(DiffForm(prob, source.k, {key: prob.field.one}))
@@ -204,7 +204,7 @@ def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
     """Reference oracle for a wedge block into a quotient form space: wedge
     each source basis form with mult by DiffForm.wedge, then reduce each
     word's coefficient with normal_form_vector."""
-    prob = source.problem
+    prob = mult.problem
     f = prob.field
     qs = target.quotient
     zy = (0,) * prob.r

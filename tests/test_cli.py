@@ -295,6 +295,7 @@ GOLDEN_CASES = [  # name, input text or None, argv after the input, exit code
     ("hodge-cubic", CUBIC, ["hodge"], 0),
     ("cohomology-cubic-all", CUBIC, ["cohomology", "--all"], 0),
     ("verify-cubic", CUBIC, ["verify"], 0),
+    ("verify-cubic-mmax", CUBIC, ["verify", "--m-max", "1"], 0),
     ("verify-squares", SQUARES, ["verify"], 0),
     ("verify-cubic-F3", CUBIC, ["verify", "--field", "F3"], 1),
 ]

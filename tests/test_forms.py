@@ -152,9 +152,10 @@ def test_vector_form_round_trip():
             if sl.dim == 0:
                 continue
             vec = [f.of(rng.randint(-4, 4)) for _ in range(sl.dim)]
-            form = sl.form_of_vector(vec)
+            form = DiffForm(prob, sl.k, zip(sl.keys, vec))
             assert sl.vector_of_form(form) == [f.of(v) for v in vec]
-            assert sl.form_of_vector(sl.vector_of_form(form)) == form
+            back = sl.vector_of_form(form)
+            assert DiffForm(prob, sl.k, zip(sl.keys, back)) == form
 
 
 def test_wedge_graded_commutativity_and_associativity():
@@ -184,7 +185,7 @@ def test_operator_bidegrees():
             if sl.dim == 0:
                 continue
             vec = [f.of(rng.randint(-3, 3)) for _ in range(sl.dim)]
-            w = sl.form_of_vector(vec)
+            w = DiffForm(prob, sl.k, zip(sl.keys, vec))
             bw = boundary(w)
             assert bw.bidegrees() <= {(q, p + 1)}
             assert bw.is_zero() or bw.k == k + 1
@@ -228,7 +229,7 @@ def test_theta_preimage_round_trip():
             if sl.dim == 0:
                 continue
             vec = [prob.field.of(rng.randint(-3, 3)) for _ in range(sl.dim)]
-            eta = theta(sl.form_of_vector(vec))
+            eta = theta(DiffForm(prob, sl.k, zip(sl.keys, vec)))
             zeta = theta_preimage(eta, k, q, p)
             assert zeta is not None
             assert theta(zeta) == eta

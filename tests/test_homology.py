@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 from math import prod
 
@@ -42,7 +43,7 @@ def test_theta_matrix_one_by_one():
     src = basis(prob, 1, 1, 0)
     tgt = basis(prob, 0, 1, 0)
     assert src.dim == 1 and tgt.dim == 1
-    m = matrix_of(theta, src, tgt)
+    m = matrix_of(prob, theta, src, tgt)
     assert m.entries == {(0, 0): Q.one}
 
 
@@ -65,11 +66,11 @@ def test_assembler_matches_per_column_oracle():
                     src = basis(prob, k, q, p)
                     where = (prob.degrees, f, k, q, p)
                     _same_matrix(boundary_matrix(prob, k, q, p),
-                                 matrix_of(boundary, src,
+                                 matrix_of(prob, boundary, src,
                                            basis(prob, k + 1, q, p + 1)),
                                  where + ("boundary",))
                     _same_matrix(theta_matrix(prob, k, q, p),
-                                 matrix_of(theta, src,
+                                 matrix_of(prob, theta, src,
                                            basis(prob, k - 1, q, p)),
                                  where + ("theta",))
         mults = [(df_form(prob, j), prob.degrees[j]) for j in range(r)]
@@ -88,7 +89,7 @@ def test_assembler_matches_per_column_oracle():
                     _same_matrix(
                         assemble(SparseMatrix(tgt.dim, src.dim, f), rule,
                                  src, tgt),
-                        matrix_of(mult.wedge, src, tgt), where)
+                        matrix_of(prob, mult.wedge, src, tgt), where)
                     src = quotient_basis(prob, k, weight, prob.polys)
                     tgt = quotient_basis(prob, k + mult.k, weight + d,
                                          prob.polys)
@@ -175,12 +176,30 @@ def test_euler_characteristic_diagonal():
             assert chi_slices == chi_cohom, (prob.degrees, p_top)
 
 
-def test_report_is_thread_count_independent():
+def test_report_caches_slices_and_leaves_no_cycles():
     prob = fermat_cubic()
     slices = [(k, 0, p) for k in range(5) for p in range(3)]
     dims = cohomology_report(prob, slices)
     assert set(dims) == set(slices)
     assert all(v >= 0 for v in dims.values())
+    # perfbench computes basis.hit_ratio and brank.hit_ratio from these keys
+    for k, q, p in slices:
+        assert ("basis", k, q, p) in prob._cache
+        if basis(prob, k, q, p).dim:
+            assert ("brank", k, q, p) in prob._cache
+    # nothing a problem caches points back at it, so a finished problem is
+    # freed by reference counting alone
+    for field in (Q, PrimeField(32003)):
+        gc.disable()
+        try:
+            gc.collect()
+            prob = fermat_cubic(field)
+            cert = smooth_ci_certificate(prob)
+            verify_predictions(prob, cert, p_max=3, division_m_max=1)
+            del prob, cert
+            assert gc.collect() == 0, field
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +289,7 @@ def test_theta_xi_matrix_identity():
         def composite(w):
             return boundary(theta(w))
 
-        m = matrix_of(composite, src, tgt)
+        m = matrix_of(prob, composite, src, tgt)
         assert in_column_span(m, tgt.vector_of_form(residual)), prob.degrees
 
 
@@ -284,5 +303,5 @@ def test_theta_xi_in_image_when_degrees_vanish():
     target_form = theta(xi(prob, r))
     src = basis(prob, 2 * r - 1, 0, r - 1)
     tgt = basis(prob, 2 * r - 1, 0, r)
-    m = matrix_of(lambda w: boundary(theta(w)), src, tgt)
+    m = matrix_of(prob, lambda w: boundary(theta(w)), src, tgt)
     assert in_column_span(m, tgt.vector_of_form(target_form))
