@@ -17,7 +17,6 @@ from .hilbert import (HodgeTable, Poly, closed_form_H, euler_series,
 from .homology import (MODE_CI, MODE_NCZ, Check, VerificationReport,
                        WedgeDivisionSolution, boundary_matrix, cohomology_dim,
                        cohomology_report, joint_wedge_kernel,
-                       koszul_cohomology_dim, reduce_form_mod_ideal,
                        verify_predictions, wedge_division_solve)
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank, solve
 from .polynomials import MultiPoly, monomials_of_degree, parse_poly
@@ -37,11 +36,11 @@ __all__ = [
     "dF_of", "df_form", "euler_series", "eulerian_p",
     "hodge_table", "ideal_membership", "in_column_span",
     "jacobian_determinant", "jacobian_minors",
-    "joint_wedge_kernel", "kernel_basis", "koszul_cohomology_dim",
+    "joint_wedge_kernel", "kernel_basis",
     "m_primary_certificate", "monomials_of_degree",
     "no_common_zero_certificate", "omega_slice_dim", "parse_poly",
     "problem_from_strings", "quotient_dim",
-    "quotient_slice", "rank", "reduce_form_mod_ideal",
+    "quotient_slice", "rank",
     "smooth_ci_certificate", "solve", "symmetry_check", "theta",
     "theta_matrix", "theta_preimage", "verify_predictions",
     "wedge_division_solve", "xi",

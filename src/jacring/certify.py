@@ -55,7 +55,7 @@ def m_primary_certificate(gens: list[MultiPoly], bound: int,
     if bound < 1:
         raise InputError("bound must be at least 1")
     # The ranks are exact at every p; this refusal goes with the benchmark
-    # change that moves perfbench's jobs.KNOWN_DEFECTS back (ROADMAP D6).
+    # change that moves perfbench's jobs.KNOWN_DEFECTS back (ROADMAP B1).
     check_row_reduction_modulus(gens[0].field)
     found = None
     for N in range(1, bound + 1):

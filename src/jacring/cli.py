@@ -21,6 +21,7 @@ hodge needs r < n).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -345,8 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = {InputError: 2, HypothesisViolation: 3, CertificateRequired: 1}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of main: parse_args leaves it
+    unchanged, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:

@@ -393,8 +393,9 @@ def basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
                             + dy_weight - l)
                     if xdeg < 0:
                         continue
+                    xexps = monomials_of_degree(n, xdeg)
                     for dxs in combinations(range(n), l):
-                        for xexp in monomials_of_degree(n, xdeg):
+                        for xexp in xexps:
                             keys.append((xexp, yexp, dxs, dys))
     slice_ = BasisSlice(problem.field, k, q, p, keys)
     problem._cache[key] = slice_

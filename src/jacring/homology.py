@@ -1,10 +1,17 @@
-"""Exact cohomology of the boundary complex, Koszul slices, wedge-division
-solvers, and the verification driver that compares brute-force dimensions
-against the predicted patterns.
+"""Exact cohomology of the boundary complex, wedge-division solvers, and
+the verification driver that compares brute-force dimensions against the
+predicted patterns.
 
 Everything here is slice-local: a cohomology dimension at (k, q, p) touches
 only the three graded slices the boundary connects, so no global complex is
-ever materialized.
+ever materialized. A dimension is the slice dimension minus the ranks of
+the two boundaries at the slice. Over Q a boundary rank comes first from a
+copy of the problem reduced mod the prime _MODULAR_PRIME = 2^31 - 1:
+reduction never raises a rank, and d∘d = 0 bounds the two ranks at a slice
+by its dimension, so where the mod-P cohomology of the copy vanishes at
+either end of a boundary, its mod-P rank is its Q rank. Every other
+boundary, and every boundary of a problem with no reduction (P divides a
+denominator, or a polynomial vanishes mod P), is ranked exactly over Q.
 """
 from __future__ import annotations
 
@@ -13,13 +20,13 @@ from itertools import combinations
 from math import prod
 
 from .errors import CertificateRequired, InputError
-from .forms import (BasisSlice, DiffForm, assemble, basis, boundary, dF_of,
-                    df_form, quotient_basis, wedge_rule, xi)
+from .fields import PrimeField
+from .forms import (DiffForm, assemble, basis, boundary, dF_of, df_form,
+                    quotient_basis, wedge_rule, xi)
 from .hilbert import hodge_table
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank, solve
-from .polynomials import MultiPoly, monomials_of_degree
+from .polynomials import MultiPoly
 from .problem import ProblemInput
-from .quotients import check_generators
 
 
 def boundary_matrix(problem: ProblemInput, k: int, q: int,
@@ -33,14 +40,53 @@ def boundary_matrix(problem: ProblemInput, k: int, q: int,
                     src, tgt)
 
 
+# the prime of the modular copy of a problem over Q; the int64 kernel ranks
+# mod it (2^31 - 1 < linalg._NUMPY_P_LIMIT)
+_MODULAR_PRIME = 2**31 - 1
+
+
+def _reduction(problem: ProblemInput) -> ProblemInput | None:
+    """The problem over F_P, P = _MODULAR_PRIME, with the polynomials
+    reduced mod P; None over F_p, or when P divides a denominator or a
+    polynomial vanishes mod P (a nonzero homogeneous reduction keeps its
+    degree, so the slices match). Built once, cached on the problem; it
+    shares nothing with it."""
+    if problem.field.kind != "Q":
+        return None
+    key = ("reduction",)
+    if key not in problem._cache:
+        field = PrimeField(_MODULAR_PRIME)
+        try:
+            reduced = ProblemInput(field, [MultiPoly(field, f.nvars, f.terms)
+                                           for f in problem.polys])
+        except (ZeroDivisionError, InputError):
+            reduced = None
+        problem._cache[key] = reduced
+    return problem._cache[key]
+
+
+def _proves_rank(reduced: ProblemInput, k: int, q: int, p: int) -> bool:
+    """Whether the mod-P cohomology of the reduced problem vanishes at the
+    source or the target of the boundary out of (k, q, p), which proves that
+    boundary's Q rank equal to its mod-P rank (see the module docstring)."""
+    return (cohomology_dim(reduced, k, q, p) == 0
+            or cohomology_dim(reduced, k + 1, q, p + 1) == 0)
+
+
 def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int) -> int:
+    """Rank of the boundary out of (k, q, p), cached on the problem. Over Q
+    it is the rank of the modular copy where a vanishing mod-P slice proves
+    it, else an exact rank over Q."""
     if k < 0 or p < 0 or k > problem.n + problem.r:
         return 0
     key = ("brank", k, q, p)
     cached = problem._cache.get(key)
     if cached is None:
+        reduced = _reduction(problem)
         if basis(problem, k, q, p).dim == 0:
             cached = 0
+        elif reduced is not None and _proves_rank(reduced, k, q, p):
+            cached = _boundary_rank(reduced, k, q, p)
         else:
             cached = rank(boundary_matrix(problem, k, q, p))
         problem._cache[key] = cached
@@ -64,45 +110,6 @@ def cohomology_report(problem: ProblemInput, slices) -> dict:
     """{(k, q, p): dim} for an iterable of (k, q, p) slices, in sorted
     order."""
     return {kqp: cohomology_dim(problem, *kqp) for kqp in sorted(set(slices))}
-
-
-# ---------------------------------------------------------------------------
-# Koszul complex of a polynomial family, graded by internal degree
-# ---------------------------------------------------------------------------
-
-
-def koszul_cohomology_dim(gens: list[MultiPoly], k: int, internal_degree: int) -> int:
-    """Cohomology dimension of the Koszul complex of (gens) at cochain
-    position k and the given internal degree."""
-    check_generators(gens)
-    r = len(gens)
-    if k < 0 or k > r:
-        return 0
-    field, n = gens[0].field, gens[0].nvars
-    degs = [g.homogeneous_degree() for g in gens]
-
-    def space(kk):
-        keys = [(mono, (), S, ()) for S in combinations(range(r), kk)
-                for mono in monomials_of_degree(
-                    n, internal_degree + sum(degs[j] for j in S))]
-        return BasisSlice(field, kk, internal_degree, 0, keys)
-
-    # the differential is the left wedge with sum_j g_j e_j, where the
-    # exterior generator e_j is the word (j,) over an alphabet of r letters
-    rule = wedge_rule({(exp, (), (j,), ()): c for j, g in enumerate(gens)
-                       for exp, c in g.terms.items()}, r, field)
-
-    def diff_rank(kk):
-        src, tgt = space(kk), space(kk + 1)
-        return rank(assemble(SparseMatrix(tgt.dim, src.dim, field), rule,
-                             src, tgt))
-
-    dim = space(k).dim
-    if dim == 0:
-        return 0
-    out_rank = diff_rank(k) if k < r else 0
-    in_rank = diff_rank(k - 1) if k > 0 else 0
-    return dim - out_rank - in_rank
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +279,6 @@ def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
         row0 += tgt.dim
     return [DiffForm(problem, src.k, zip(src.keys, vec))
             for vec in kernel_basis(mat)]
-
-
-def reduce_form_mod_ideal(form: DiffForm, gens) -> DiffForm:
-    """Reduce every coefficient of a dx-only form to its normal form modulo
-    the degree slices of (gens)."""
-    if form.is_zero():
-        return form
-    prob = form.problem
-    terms = []
-    for key, c in form.terms.items():
-        xexp, yexp, dxs, dys = key
-        if any(yexp) or dys:
-            raise InputError("only dx-only forms can be reduced")
-        space = quotient_basis(prob, form.k, sum(xexp) + form.k, gens)
-        terms.extend((space.keys[pos], v) for pos, v in space.coords(key, c))
-    return DiffForm(prob, form.k, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ divides each updated row by the gcd of its entries. Mod p it is an int64
 kernel with deferred reduction, exact for p < _NUMPY_P_LIMIT: row reduction
 runs it on the whole matrix, while rank first runs structured Gaussian
 elimination (Markowitz pivots on sparse rows of Python ints, exact for every
-p) and hands the kernel only the dense Schur block. The independent
-textbook rank that the tests cross-check these engines against lives in the
-test suite, and shares no code with them.
+p) and hands the kernel only the dense Schur block. Boundary ranks over Q
+mostly come from this mod-p rank at a prime below _NUMPY_P_LIMIT, where a
+vanishing mod-p slice proves them equal (see jacring.homology). The
+independent textbook rank that the tests cross-check these engines against
+lives in the test suite, and shares no code with them.
 """
 from __future__ import annotations
 

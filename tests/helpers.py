@@ -9,11 +9,13 @@ from math import comb, factorial, prod
 
 from jacring.errors import HypothesisViolation, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals
-from jacring.forms import BasisSlice, DiffForm
+from jacring.forms import (BasisSlice, DiffForm, assemble, quotient_basis,
+                           wedge_rule)
 from jacring.hilbert import Poly, eulerian_p
-from jacring.linalg import SparseMatrix
+from jacring.linalg import SparseMatrix, rank
 from jacring.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from jacring.problem import ProblemInput, problem_from_strings
+from jacring.quotients import check_generators
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -377,3 +379,59 @@ def _rank_dense_gauss(rows, is_zero, inv, mul, sub) -> int:
         if rk == len(rows):
             break
     return rk
+
+
+# ---------------------------------------------------------------------------
+# Koszul complexes and normal forms of forms
+# ---------------------------------------------------------------------------
+
+
+def koszul_cohomology_dim(gens: list[MultiPoly], k: int,
+                          internal_degree: int) -> int:
+    """Cohomology dimension of the Koszul complex of (gens) at cochain
+    position k and the given internal degree."""
+    check_generators(gens)
+    r = len(gens)
+    if k < 0 or k > r:
+        return 0
+    field, n = gens[0].field, gens[0].nvars
+    degs = [g.homogeneous_degree() for g in gens]
+
+    def space(kk):
+        keys = [(mono, (), S, ()) for S in combinations(range(r), kk)
+                for mono in monomials_of_degree(
+                    n, internal_degree + sum(degs[j] for j in S))]
+        return BasisSlice(field, kk, internal_degree, 0, keys)
+
+    # the differential is the left wedge with sum_j g_j e_j, where the
+    # exterior generator e_j is the word (j,) over an alphabet of r letters
+    rule = wedge_rule({(exp, (), (j,), ()): c for j, g in enumerate(gens)
+                       for exp, c in g.terms.items()}, r, field)
+
+    def diff_rank(kk):
+        src, tgt = space(kk), space(kk + 1)
+        return rank(assemble(SparseMatrix(tgt.dim, src.dim, field), rule,
+                             src, tgt))
+
+    dim = space(k).dim
+    if dim == 0:
+        return 0
+    out_rank = diff_rank(k) if k < r else 0
+    in_rank = diff_rank(k - 1) if k > 0 else 0
+    return dim - out_rank - in_rank
+
+
+def reduce_form_mod_ideal(form: DiffForm, gens) -> DiffForm:
+    """Reduce every coefficient of a dx-only form to its normal form modulo
+    the degree slices of (gens)."""
+    if form.is_zero():
+        return form
+    prob = form.problem
+    terms = []
+    for key, c in form.terms.items():
+        xexp, yexp, dxs, dys = key
+        if any(yexp) or dys:
+            raise InputError("only dx-only forms can be reduced")
+        space = quotient_basis(prob, form.k, sum(xexp) + form.k, gens)
+        terms.extend((space.keys[pos], v) for pos, v in space.coords(key, c))
+    return DiffForm(prob, form.k, terms)

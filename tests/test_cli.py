@@ -196,6 +196,25 @@ def test_cohomology_json(tmp_path, capsys):
     assert out["slices"] == [{"k": 2, "q": 0, "p": 1, "dim": 1}]
 
 
+def test_main_calls_share_the_parser_and_no_state(tmp_path, capsys,
+                                                  monkeypatch):
+    """main builds its parser once; a --json call with explicit windows
+    leaves nothing behind for the plain call that follows."""
+    import jacring.cli as cli
+    path = write(tmp_path, CUBIC)
+    assert main(["cohomology", path, "--k", "2..2", "--p", "1..1",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["slices"] == [
+        {"k": 2, "q": 0, "p": 1, "dim": 1}]
+
+    def rebuilt():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert main(["cohomology", path, "--k", "4", "--p", "2"]) == 0
+    assert capsys.readouterr().out == "dim H^4(q=0,p=2) = 1\n"
+
+
 def test_cohomology_empty_window(tmp_path, capsys):
     rc = main(["cohomology", write(tmp_path, CUBIC), "--k", "5..4"])
     assert rc == 2

@@ -12,16 +12,18 @@ from jacring.fields import PrimeField, Rationals
 from jacring.forms import (assemble, basis, boundary, dF_of, df_form,
                            quotient_basis, theta, theta_matrix,
                            theta_preimage, wedge_rule, xi)
+import jacring.homology as homology
 from jacring.homology import (boundary_matrix, cohomology_dim,
-                              cohomology_report, koszul_cohomology_dim,
-                              verify_predictions, _witness_class_is_nonzero)
+                              cohomology_report, verify_predictions,
+                              _witness_class_is_nonzero)
 from jacring.linalg import SparseMatrix, in_column_span, rank
 from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
 
 from helpers import (Q, conic_char2, exceptional_pair_char2, fermat_cubic,
-                     matrix_of, quotient_wedge_matrix, square_pair,
-                     two_conics, two_quadrics)
+                     koszul_cohomology_dim, matrix_of, quotient_wedge_matrix,
+                     singular_cubic_curve, square_pair, two_conics,
+                     two_quadrics)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +176,84 @@ def test_euler_characteristic_diagonal():
                 chi_slices += (-1) ** k * basis(prob, k, 0, p_k).dim
                 chi_cohom += (-1) ** k * cohomology_dim(prob, k, 0, p_k)
             assert chi_slices == chi_cohom, (prob.degrees, p_top)
+
+
+# ---------------------------------------------------------------------------
+# Q boundary ranks from the modular copy
+# ---------------------------------------------------------------------------
+
+
+def _window(prob, p_max):
+    return cohomology_report(prob, [(k, 0, p) for k in range(prob.n + prob.r + 1)
+                                    for p in range(p_max + 1)])
+
+
+# the nonzero q = 0 slices of the Fermat cubic over Q, each of dimension 1
+CUBIC_LIVE = {(2, 0, 1), (3, 0, 1), (3, 0, 2), (4, 0, 1), (4, 0, 2)}
+
+
+def _is_cubic_window(dims) -> bool:
+    return {kqp: d for kqp, d in dims.items() if d} == dict.fromkeys(
+        CUBIC_LIVE, 1)
+
+
+def _rank_fields(monkeypatch) -> list:
+    """The field kind of every matrix homology ranks from now on."""
+    fields = []
+    real_rank = homology.rank
+    monkeypatch.setattr(homology, "rank", lambda mat: fields.append(
+        mat.field.kind) or real_rank(mat))
+    return fields
+
+
+def test_modular_ranks_match_the_exact_path_on_every_q_fixture(monkeypatch):
+    """Each Q fixture's window has the same dimensions whether the proven
+    mod-P ranks are used or every boundary is ranked over Q; the windows
+    include slices where the mod-P cohomology does not vanish (the
+    singular cubic curve is nonzero along whole rows)."""
+    fixtures = ((fermat_cubic, 4), (two_conics, 4), (square_pair, 3),
+                (singular_cubic_curve, 4), (two_quadrics, 2))
+    fields = _rank_fields(monkeypatch)
+    modular = {fx.__name__: _window(fx(), p_max) for fx, p_max in fixtures}
+    assert "F" in fields and "Q" in fields
+    fields.clear()
+    monkeypatch.setattr(homology, "_reduction", lambda problem: None)
+    for fx, p_max in fixtures:
+        assert modular[fx.__name__] == _window(fx(), p_max), fx.__name__
+    assert set(fields) == {"Q"}
+
+
+def test_an_unlucky_prime_still_gives_the_q_dimensions(monkeypatch):
+    """Mod 3 the Fermat cubic is (x1 + x2 + x3)^3, singular, so its mod-3
+    cohomology does not vanish everywhere the Q cohomology does; only the
+    ranks that a vanishing mod-3 slice proves are kept."""
+    monkeypatch.setattr(homology, "_MODULAR_PRIME", 3)
+    fields = _rank_fields(monkeypatch)
+    assert _is_cubic_window(_window(fermat_cubic(), 4))
+    # some boundaries are proven mod 3, the others fall back to Q
+    assert "F" in fields and "Q" in fields
+
+
+def test_trusting_unproven_mod_3_ranks_gives_wrong_dimensions(monkeypatch):
+    """The vanishing check is what makes the previous test pass: accepting
+    every mod-3 rank changes the dimensions."""
+    monkeypatch.setattr(homology, "_MODULAR_PRIME", 3)
+    monkeypatch.setattr(homology, "_proves_rank", lambda *args: True)
+    assert not _is_cubic_window(_window(fermat_cubic(), 4))
+
+
+def test_no_reduction_when_the_prime_divides_a_denominator_or_a_polynomial():
+    """A coefficient with denominator P, or a polynomial that vanishes mod
+    P, leaves the problem without a modular copy; it is ranked over Q."""
+    P = homology._MODULAR_PRIME
+    cubic = problem_from_strings(Q, 3, [f"x1^3 + x2^3 + 1/{P}*x3^3"])
+    assert homology._reduction(cubic) is None
+    assert _is_cubic_window(_window(cubic, 4))
+    conics = problem_from_strings(Q, 3, ["x1^2 + x2^2 - x3^2",
+                                         f"{P}*x1^2 - {P}*x2^2"])
+    assert homology._reduction(conics) is None
+    assert _window(conics, 2) == _window(two_conics(), 2)
+    assert homology._reduction(fermat_cubic(PrimeField(32003))) is None
 
 
 def test_report_caches_slices_and_leaves_no_cycles():

@@ -7,12 +7,12 @@ import pytest
 from jacring.certify import m_primary_certificate
 from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
-from jacring.homology import koszul_cohomology_dim
 from jacring.polynomials import MultiPoly, monomials_of_degree
 from jacring.quotients import quotient_dim, quotient_slice
 
-from helpers import (normal_form, product_hilbert_series, random_homogeneous,
-                     slice_vector, sympy_quotient_dim)
+from helpers import (koszul_cohomology_dim, normal_form,
+                     product_hilbert_series, random_homogeneous, slice_vector,
+                     sympy_quotient_dim)
 
 Q = Rationals()
 

@@ -7,12 +7,12 @@ import pytest
 from jacring.certify import jacobian_minors, smooth_ci_certificate
 from jacring.errors import InputError
 from jacring.forms import DiffForm, df_form
-from jacring.homology import (joint_wedge_kernel, reduce_form_mod_ideal,
-                              wedge_division_solve)
+from jacring.homology import joint_wedge_kernel, wedge_division_solve
 from jacring.polynomials import MultiPoly
 from jacring.problem import problem_from_strings
 
-from helpers import Q, fermat_cubic, random_form, singular_cubic_curve, two_conics
+from helpers import (Q, fermat_cubic, random_form, reduce_form_mod_ideal,
+                     singular_cubic_curve, two_conics)
 
 
 def conic_pair_of_points() -> "ProblemInput":
