@@ -1,7 +1,7 @@
 """Exact computations with the differential-form complex of a homogeneous
 polynomial system: hypothesis certificates, bigraded cohomology dimensions,
-wedge-division solvers, and the closed-form Hilbert series of the primitive
-dimension table.
+the wedge-division check of `verify --m-max`, and the closed-form Hilbert
+series of the primitive dimension table.
 """
 from .certify import (Certificate, ideal_membership, jacobian_determinant,
                       jacobian_minors, m_primary_certificate,
@@ -10,27 +10,27 @@ from .errors import (CertificateRequired, HypothesisViolation, InputError,
                      JacringError, SliceMismatch)
 from .fields import PrimeField, Rationals
 from .forms import (BasisSlice, DiffForm, assemble, basis, boundary, dF_of,
-                    df_form, theta, theta_matrix, theta_preimage, xi)
+                    df_form, xi)
 from .hilbert import (HodgeTable, Poly, closed_form_H, euler_series,
                       eulerian_p, hodge_table, omega_slice_dim,
                       symmetry_check)
 from .homology import (MODE_CI, MODE_NCZ, Check, VerificationReport,
-                       WedgeDivisionSolution, boundary_matrix, cohomology_dim,
-                       cohomology_report, joint_wedge_kernel,
-                       verify_predictions, wedge_division_solve)
-from .linalg import SparseMatrix, in_column_span, kernel_basis, rank, solve
+                       boundary_matrix, cohomology_dim, cohomology_report,
+                       joint_wedge_kernel, verify_predictions,
+                       wedge_division_solve)
+from .linalg import SparseMatrix, in_column_span, kernel_basis, rank
 from .polynomials import MultiPoly, monomials_of_degree, parse_poly
-from .problem import Bidegree, ProblemInput, problem_from_strings
+from .problem import ProblemInput, problem_from_strings
 from .quotients import QuotientSlice, quotient_dim, quotient_slice
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bidegree", "BasisSlice", "Certificate", "CertificateRequired", "Check",
+    "BasisSlice", "Certificate", "CertificateRequired", "Check",
     "DiffForm", "HodgeTable", "HypothesisViolation", "InputError",
     "JacringError", "MODE_CI", "MODE_NCZ", "MultiPoly", "Poly", "PrimeField",
     "ProblemInput", "QuotientSlice", "Rationals", "SliceMismatch",
-    "SparseMatrix", "VerificationReport", "WedgeDivisionSolution",
+    "SparseMatrix", "VerificationReport",
     "assemble", "basis", "boundary", "boundary_matrix",
     "closed_form_H", "cohomology_dim", "cohomology_report",
     "dF_of", "df_form", "euler_series", "eulerian_p",
@@ -41,7 +41,6 @@ __all__ = [
     "no_common_zero_certificate", "omega_slice_dim", "parse_poly",
     "problem_from_strings", "quotient_dim",
     "quotient_slice", "rank",
-    "smooth_ci_certificate", "solve", "symmetry_check", "theta",
-    "theta_matrix", "theta_preimage", "verify_predictions",
+    "smooth_ci_certificate", "symmetry_check", "verify_predictions",
     "wedge_division_solve", "xi",
 ]

@@ -14,9 +14,10 @@ keep working, and nothing reads it.
 
 Exit codes: 0 success; 1 certificate NONE or verification failure; 2 parse
 error, a negative verify bound (--p or --m-max), a verify --p range a..b
-with a != 0, or a modulus too large for row reduction (p >= 3037000500,
-where the int64 kernel stops being exact); 3 hypothesis violation (e.g.
-hodge needs r < n).
+with a != 0, verify --m-max on an input with r >= n (the wedge-division
+checks belong to complete intersections), or a modulus too large for row
+reduction (p >= 3037000500, where the int64 kernel stops being exact);
+3 hypothesis violation (e.g. hodge needs r < n).
 """
 from __future__ import annotations
 
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--bound", type=int, default=None)
     p_ver.add_argument("--m-max", type=int, default=None, dest="m_max",
                        help="also run wedge-division checks with this "
-                            "saturation bound (complete-intersection mode)")
+                            "saturation bound (needs r < n)")
     p_ver.add_argument("--p", help="top b of the second-grading window "
                                    "0..b, given as b or 0..b (default n+1)")
     p_ver.add_argument("--threads", type=int, default=None, help=_IGNORED)

@@ -2,11 +2,9 @@
 
 A form is a sum of terms  c * x^a y^b dx_I dy_J  with I, J ascending index
 tuples; the wedge factors are kept in the canonical order "all dx before all
-dy". The two operators of interest: the boundary (left wedge with dF,
-where F = sum_j y_j f_j) and the degree-preserving contraction theta that
-sends dx_i to x_i and dy_j to -d_j y_j with alternating signs. Slice bases
-live here too, and so does the one term-level assembler that builds every
-operator matrix from a term rule.
+dy". The operator of interest is the boundary, the left wedge with dF where
+F = sum_j y_j f_j. Slice bases live here too, and so does the one
+term-level assembler that builds every operator matrix from a term rule.
 """
 from __future__ import annotations
 
@@ -16,7 +14,7 @@ from operator import add
 
 from .errors import InputError, SliceMismatch
 from .fields import add_term
-from .linalg import SparseMatrix, solve
+from .linalg import SparseMatrix
 from .polynomials import MultiPoly, monomials_of_degree
 from .problem import ProblemInput
 from .quotients import quotient_slice
@@ -155,9 +153,6 @@ class DiffForm:
         """Multiply by a polynomial in the x-variables."""
         return DiffForm.of_poly(self.problem, poly).wedge(self)
 
-    def bidegrees(self) -> set:
-        return {self.problem.bidegree_of(*key) for key in self.terms}
-
     def to_string(self) -> str:
         if not self.terms:
             return "0"
@@ -219,46 +214,6 @@ def boundary(omega: DiffForm) -> DiffForm:
     """Left wedge with dF; raises the word length and the second grading by
     one, preserving the first."""
     return dF_of(omega.problem).wedge(omega)
-
-
-def theta_rule(problem: ProblemInput):
-    """Term rule of the contraction: maps a term key to the (key,
-    coefficient) pairs of its image. dx_i goes to x_i and dy_j to -d_j y_j,
-    with signs alternating through the word."""
-    f = problem.field
-    one, minus_one = f.one, f.neg(f.one)
-    minus_d = [f.of(-dj) for dj in problem.degrees]
-
-    def rule(key):
-        xexp, yexp, dxs, dys = key
-        l = len(dxs)
-        for s, i in enumerate(dxs):
-            nx = xexp[:i] + (xexp[i] + 1,) + xexp[i + 1:]
-            yield ((nx, yexp, dxs[:s] + dxs[s + 1:], dys),
-                   one if s % 2 == 0 else minus_one)
-        for t, j in enumerate(dys):
-            c = minus_d[j]
-            if f.is_zero(c):
-                continue
-            ny = yexp[:j] + (yexp[j] + 1,) + yexp[j + 1:]
-            yield ((xexp, ny, dxs, dys[:t] + dys[t + 1:]),
-                   c if (l + t) % 2 == 0 else f.neg(c))
-    return rule
-
-
-def theta(omega: DiffForm) -> DiffForm:
-    """The contraction: dx_i goes to x_i, dy_j goes to -d_j y_j, with signs
-    alternating through the word; bidegree is preserved."""
-    prob = omega.problem
-    f = prob.field
-    rule = theta_rule(prob)
-    out = {}
-    for key, c in omega.terms.items():
-        for ikey, w in rule(key):
-            add_term(out, ikey, f.mul(c, w), f)
-    res = DiffForm(prob, omega.k - 1 if omega.k else 0)
-    res.terms = out
-    return res
 
 
 def wedge_rule(mu_terms: dict, n: int, field):
@@ -443,25 +398,3 @@ def assemble(mat: SparseMatrix, rule, source: BasisSlice, target: BasisSlice,
             for row, v in target.coords(ikey, c):
                 add_term(entries, (row0 + row, col), v, f)
     return mat
-
-
-def theta_matrix(problem: ProblemInput, k: int, q: int, p: int) -> SparseMatrix:
-    """Matrix of the contraction out of the (k, q, p) slice into
-    (k-1, q, p)."""
-    src = basis(problem, k, q, p)
-    tgt = basis(problem, k - 1, q, p)
-    return assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
-                    theta_rule(problem), src, tgt)
-
-
-def theta_preimage(eta: DiffForm, k: int, q: int, p: int):
-    """A form zeta in the (k, q, p) slice with theta(zeta) = eta, or None.
-    The solver's free coordinates are set to zero, so the result is
-    deterministic but not canonical."""
-    prob = eta.problem
-    src = basis(prob, k, q, p)
-    sol = solve(theta_matrix(prob, k, q, p),
-                basis(prob, k - 1, q, p).vector_of_form(eta))
-    if sol is None:
-        return None
-    return DiffForm(prob, src.k, zip(src.keys, sol))

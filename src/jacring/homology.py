@@ -1,6 +1,6 @@
-"""Exact cohomology of the boundary complex, wedge-division solvers, and
-the verification driver that compares brute-force dimensions against the
-predicted patterns.
+"""Exact cohomology of the boundary complex, the wedge-division question of
+`verify --m-max`, and `verify_predictions`, which compares brute-force
+dimensions against the predicted patterns.
 
 Everything here is slice-local: a cohomology dimension at (k, q, p) touches
 only the three graded slices the boundary connects, so no global complex is
@@ -16,7 +16,6 @@ denominator, or a polynomial vanishes mod P), is ranked exactly over Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import prod
 
 from .errors import CertificateRequired, InputError
@@ -24,7 +23,7 @@ from .fields import PrimeField
 from .forms import (DiffForm, assemble, basis, boundary, dF_of, df_form,
                     quotient_basis, wedge_rule, xi)
 from .hilbert import hodge_table
-from .linalg import SparseMatrix, in_column_span, kernel_basis, rank, solve
+from .linalg import SparseMatrix, in_column_span, kernel_basis, rank
 from .polynomials import MultiPoly
 from .problem import ProblemInput
 
@@ -113,7 +112,7 @@ def cohomology_report(problem: ProblemInput, slices) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# wedge-division solvers on dx-only forms
+# wedge division on dx-only forms over K[x]/(f)
 # ---------------------------------------------------------------------------
 
 
@@ -131,146 +130,63 @@ def _dx_only_weight(form: DiffForm, what: str) -> int:
     return weights.pop()
 
 
-def _form_spaces(problem, over: str):
-    """space(k, weight): the dx-only k-forms of that weight with
-    coefficients in K[x] ("polynomial-ring") or in K[x]/(f), f the
-    problem's polynomials ("quotient-by-f")."""
-    if over == "polynomial-ring":
-        return lambda k, weight: basis(problem, k, weight, 0)
-    if over == "quotient-by-f":
-        return lambda k, weight: quotient_basis(problem, k, weight,
-                                                problem.polys)
-    raise InputError(f"unknown coefficient ring mode {over!r}")
-
-
-@dataclass
-class WedgeDivisionSolution:
-    shape: object
-    m: int
-    labels: list
-    alphas: list  # DiffForms, parallel to labels
-
-
 def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
-                         shape, over: str = "polynomial-ring",
-                         saturation=None):
-    """Solve one of the wedge-division shapes for omega in the forced graded
-    slice:
-
-    - "saito":            omega = sum_i  w_i /\\ alpha_i
-    - "full-product":     omega = w_1 /\\ ... /\\ w_r /\\ alpha
-    - ("generalized", s): omega = sum over (r-s+1)-subsets J of
-                          (/\\_{j in J} w_j) /\\ alpha_J
-
-    over "polynomial-ring" solves with coefficients in K[x]; over
-    "quotient-by-f" with coefficients in K[x]/(f), f the problem's
-    polynomials. With saturation=(g, m_max), tries g^m * omega for
-    m = 0..m_max (m_max >= 0) and returns the least solvable m. Returns a
-    WedgeDivisionSolution or None.
-    """
+                         g: MultiPoly | None, m_max: int) -> int | None:
+    """The least m <= m_max such that g^m * omega lies in the image of
+    w_1 /\\ ... /\\ w_r /\\ . on the dx-only forms with coefficients in
+    K[x]/(f), f the problem's polynomials, or None when no m does. Each m is
+    decided by one rank comparison (in_column_span); with g None only m = 0
+    is tried."""
     prob = omega.problem
     f = prob.field
+    if m_max < 0:
+        raise InputError(f"saturation bound {m_max} is negative")
     if not multipliers:
         raise InputError("need at least one multiplier")
-    r = len(multipliers)
-    mult_weights = []
+    product = None
+    product_weight = 0
     for i, w in enumerate(multipliers):
         if w.k != 1:
             raise InputError("multipliers must be 1-forms")
-        mult_weights.append(_dx_only_weight(w, f"multiplier {i}"))
-    base_weight = _dx_only_weight(omega, "omega") if not omega.is_zero() else None
-    k = omega.k
-
-    # "saito" is ("generalized", r) and "full-product" is ("generalized", 1)
-    if shape == "saito":
-        s = r
-    elif shape == "full-product":
-        s = 1
-    elif isinstance(shape, tuple) and shape and shape[0] == "generalized":
-        s = shape[1]
-        if not 1 <= s <= r:
-            raise InputError(f"generalized shape needs 1 <= s <= {r}")
+        product_weight += _dx_only_weight(w, f"multiplier {i}")
+        product = w if product is None else product.wedge(w)
+    if g is None:
+        m_max, g_degree = 0, 0
     else:
-        raise InputError(f"unknown shape {shape!r}")
-    subsets = list(combinations(range(r), r - s + 1))
-
-    space = _form_spaces(prob, over)
-    rules = {}
-    for J in subsets:
-        acc = multipliers[J[0]]
-        for j in J[1:]:
-            acc = acc.wedge(multipliers[j])
-        rules[J] = wedge_rule(acc.terms, prob.n, f)
-
-    if saturation is None:
-        g, m_max = None, 0
-    else:
-        g, m_max = saturation
-        if g.is_zero() or g.homogeneous_degree() is None:
-            raise InputError("saturation multiplier must be nonzero homogeneous")
-        if m_max < 0:
-            raise InputError(f"saturation bound {m_max} is negative")
-
-    def zero_solution(m):
-        # alpha_J of word length k - |J|, or 0 where that is negative
-        return WedgeDivisionSolution(
-            shape=shape, m=m, labels=list(subsets),
-            alphas=[DiffForm.zero(prob, max(k - len(J), 0)) for J in subsets])
-
+        g_degree = g.homogeneous_degree()
+        if g.is_zero() or g_degree is None:
+            raise InputError(
+                "saturation multiplier must be nonzero homogeneous")
     if omega.is_zero():
-        # the zero form is divisible in every shape
-        return zero_solution(0)
+        return 0
+    weight = _dx_only_weight(omega, "omega")
+    rule = wedge_rule(product.terms, prob.n, f)
+    k = omega.k
     for m in range(m_max + 1):
         # g^m * omega stays nonzero: K[x] is a domain
         target = omega.times_poly(g.pow(m)) if m else omega
-        weight = base_weight + (m * g.homogeneous_degree() if m else 0)
-        tgt = space(k, weight)
-        rhs = tgt.vector_of_form(target)
-        blocks = []
-        offsets = [0]
-        for J in subsets:
-            kk = k - len(J)
-            ww = weight - sum(mult_weights[j] for j in J)
-            src = space(kk, ww) if kk >= 0 else None
-            blocks.append((J, src))
-            offsets.append(offsets[-1] + (src.dim if src is not None else 0))
-        ncols = offsets[-1]
-        if ncols == 0:
-            if all(f.is_zero(v) for v in rhs):
-                return zero_solution(m)
-            continue
-        mat = SparseMatrix(tgt.dim, ncols, f)
-        for (J, src), col0 in zip(blocks, offsets):
-            if src is not None:
-                assemble(mat, rules[J], src, tgt, col0=col0)
-        sol = solve(mat, rhs)
-        if sol is None:
-            continue
-        labels = []
-        alphas = []
-        for bi, (J, src) in enumerate(blocks):
-            labels.append(J)
-            if src is None:
-                alphas.append(DiffForm.zero(prob, 0))
-            else:
-                vec = sol[offsets[bi]:offsets[bi + 1]]
-                alphas.append(DiffForm(prob, src.k, zip(src.keys, vec)))
-        return WedgeDivisionSolution(shape=shape, m=m, labels=labels, alphas=alphas)
+        target_weight = weight + m * g_degree
+        tgt = quotient_basis(prob, k, target_weight, prob.polys)
+        src = quotient_basis(prob, k - len(multipliers),
+                             target_weight - product_weight, prob.polys)
+        mat = assemble(SparseMatrix(tgt.dim, src.dim, f), rule, src, tgt)
+        if in_column_span(mat, tgt.vector_of_form(target)):
+            return m
     return None
 
 
 def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
-                       k: int, weight: int, over: str = "polynomial-ring"
-                       ) -> list[DiffForm]:
+                       k: int, weight: int) -> list[DiffForm]:
     """Basis of { omega of word length k and the given weight :
-    w_i /\\ omega = 0 for every multiplier }, in the chosen coefficient
-    ring."""
-    space = _form_spaces(problem, over)
-    src = space(k, weight)
+    w_i /\\ omega = 0 for every multiplier } over K[x]/(f), f the
+    problem's polynomials."""
+    src = quotient_basis(problem, k, weight, problem.polys)
     if src.dim == 0:
         return []
     f = problem.field
-    tgts = [(w, space(k + 1, weight + _dx_only_weight(w, "multiplier")))
+    tgts = [(w, quotient_basis(problem, k + 1,
+                               weight + _dx_only_weight(w, "multiplier"),
+                               problem.polys))
             for w in multipliers]
     mat = SparseMatrix(sum(t.dim for _, t in tgts), src.dim, f)
     row0 = 0
@@ -337,10 +253,11 @@ def verify_predictions(problem: ProblemInput, certificate,
     The input fixes the mode: complete-intersection when r < n, which needs
     a successful smooth-ci certificate, else no-common-zero, which needs a
     successful no-common-zero certificate; without it CertificateRequired is
-    raised. A negative p_max or division_m_max raises InputError.
+    raised. A negative p_max or division_m_max raises InputError, and so
+    does division_m_max with r >= n.
 
-    With division_m_max set (complete-intersection mode only), also checks
-    the wedge-division property: every form in the joint kernel of all the
+    With division_m_max set (complete-intersection mode), also checks the
+    wedge-division property: every form in the joint kernel of all the
     df_i∧ maps with word length k < n-1, over the quotient by the
     polynomials, factors through the full product df_1∧...∧df_r at
     saturation exponent 0."""
@@ -362,6 +279,9 @@ def verify_predictions(problem: ProblemInput, certificate,
         raise InputError(f"second-grading bound {p_max} is negative")
     if division_m_max is not None and division_m_max < 0:
         raise InputError(f"saturation bound {division_m_max} is negative")
+    if division_m_max is not None and mode != MODE_CI:
+        raise InputError(f"wedge-division checks need r < n (mode {MODE_CI}),"
+                         f" got r = {r}, n = {n}")
     top = n + r
     slices = [(k, 0, p) for k in range(top + 1) for p in range(p_max + 1)]
     dims = cohomology_report(problem, slices)
@@ -402,7 +322,7 @@ def verify_predictions(problem: ProblemInput, certificate,
             member = ideal_membership(det, list(problem.polys))
             checks.append(Check("jacobian-det-outside-ideal", False, member))
 
-    if division_m_max is not None and mode == MODE_CI:
+    if division_m_max is not None:
         checks.extend(_division_checks(problem, division_m_max))
 
     return VerificationReport(mode=mode, checks=checks, dims=dims)
@@ -421,15 +341,10 @@ def _division_checks(problem: ProblemInput, m_max: int) -> list:
     checks = []
     for k in range(n - 1):
         for w in range(k, k + max(problem.degrees) + 1):
-            kern = joint_wedge_kernel(problem, dfs, k, w,
-                                      over="quotient-by-f")
+            kern = joint_wedge_kernel(problem, dfs, k, w)
             for i, omega in enumerate(kern):
-                if omega.is_zero():
-                    continue
-                sol = wedge_division_solve(
-                    omega, dfs, "full-product", over="quotient-by-f",
-                    saturation=(g, m_max) if g is not None else None)
-                got = "NONE" if sol is None else f"m={sol.m}"
+                m = wedge_division_solve(omega, dfs, g, m_max)
+                got = "NONE" if m is None else f"m={m}"
                 checks.append(Check(f"division[k={k},w={w},i={i}]",
                                     "m=0", got))
     return checks

@@ -331,6 +331,8 @@ def rref_rows(rows: list[list], field) -> tuple[list[int], list[list]]:
     return pivots, R.tolist()
 
 
+# no command calls solve: the test oracles do, and the benchmark's tracer
+# wraps it by name until ROADMAP B1 drops it from the traced layers
 def solve(mat: SparseMatrix, rhs: list):
     """One solution x of mat @ x = rhs with free coordinates set to zero,
     or None when the system is inconsistent."""

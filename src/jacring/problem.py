@@ -7,15 +7,9 @@ j-th polynomial and its differential have weight (-d_j, 1).
 from __future__ import annotations
 
 import hashlib
-from typing import NamedTuple
 
 from .errors import InputError
 from .polynomials import MultiPoly, grlex_key
-
-
-class Bidegree(NamedTuple):
-    q: int
-    p: int
 
 
 class ProblemInput:
@@ -49,13 +43,6 @@ class ProblemInput:
             tuple(f.partial_derivative(i) for i in range(n)) for f in polys
         )
         self._cache = {}
-
-    def bidegree_of(self, xexp, yexp, dxs, dys) -> Bidegree:
-        d = self.degrees
-        q = (sum(xexp) - sum(b * d[j] for j, b in enumerate(yexp))
-             + len(dxs) - sum(d[j] for j in dys))
-        p = sum(yexp) + len(dys)
-        return Bidegree(q, p)
 
     def canonical_text(self) -> str:
         lines = [f"field {self.field!r}", f"n {self.n}", f"r {self.r}",

@@ -1,18 +1,22 @@
-"""Shared fixtures: the fixed input systems used across the suite and
-seeded random generators for forms and polynomial systems."""
+"""Shared fixtures: the fixed input systems used across the suite, seeded
+random generators for forms and polynomial systems, and the reference
+oracles that the production paths are cross-checked against."""
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from jacring.errors import HypothesisViolation, InputError, SliceMismatch
-from jacring.fields import PrimeField, Rationals
-from jacring.forms import (BasisSlice, DiffForm, assemble, quotient_basis,
-                           wedge_rule)
+from jacring.fields import PrimeField, Rationals, add_term
+from jacring.forms import (BasisSlice, DiffForm, assemble, basis,
+                           quotient_basis, wedge_rule)
 from jacring.hilbert import Poly, eulerian_p
-from jacring.linalg import SparseMatrix, rank
+from jacring.homology import _dx_only_weight
+from jacring.linalg import SparseMatrix, rank, solve
 from jacring.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from jacring.problem import ProblemInput, problem_from_strings
 from jacring.quotients import check_generators
@@ -435,3 +439,224 @@ def reduce_form_mod_ideal(form: DiffForm, gens) -> DiffForm:
         space = quotient_basis(prob, form.k, sum(xexp) + form.k, gens)
         terms.extend((space.keys[pos], v) for pos, v in space.coords(key, c))
     return DiffForm(prob, form.k, terms)
+
+
+# ---------------------------------------------------------------------------
+# the contraction theta and the bigrading of terms
+# ---------------------------------------------------------------------------
+
+
+class Bidegree(NamedTuple):
+    q: int
+    p: int
+
+
+def bidegree_of(problem: ProblemInput, xexp, yexp, dxs, dys) -> Bidegree:
+    """(q, p) of the term x^a y^b dx_I dy_J: x and dx weigh (1, 0), y_j and
+    dy_j weigh (-d_j, 1)."""
+    d = problem.degrees
+    q = (sum(xexp) - sum(b * d[j] for j, b in enumerate(yexp))
+         + len(dxs) - sum(d[j] for j in dys))
+    p = sum(yexp) + len(dys)
+    return Bidegree(q, p)
+
+
+def bidegrees(form: DiffForm) -> set:
+    """The bidegrees of the terms of a form."""
+    return {bidegree_of(form.problem, *key) for key in form.terms}
+
+
+def theta_rule(problem: ProblemInput):
+    """Term rule of the contraction: maps a term key to the (key,
+    coefficient) pairs of its image. dx_i goes to x_i and dy_j to -d_j y_j,
+    with signs alternating through the word."""
+    f = problem.field
+    one, minus_one = f.one, f.neg(f.one)
+    minus_d = [f.of(-dj) for dj in problem.degrees]
+
+    def rule(key):
+        xexp, yexp, dxs, dys = key
+        l = len(dxs)
+        for s, i in enumerate(dxs):
+            nx = xexp[:i] + (xexp[i] + 1,) + xexp[i + 1:]
+            yield ((nx, yexp, dxs[:s] + dxs[s + 1:], dys),
+                   one if s % 2 == 0 else minus_one)
+        for t, j in enumerate(dys):
+            c = minus_d[j]
+            if f.is_zero(c):
+                continue
+            ny = yexp[:j] + (yexp[j] + 1,) + yexp[j + 1:]
+            yield ((xexp, ny, dxs, dys[:t] + dys[t + 1:]),
+                   c if (l + t) % 2 == 0 else f.neg(c))
+    return rule
+
+
+def theta(omega: DiffForm) -> DiffForm:
+    """The contraction: dx_i goes to x_i, dy_j goes to -d_j y_j, with signs
+    alternating through the word; bidegree is preserved."""
+    prob = omega.problem
+    f = prob.field
+    rule = theta_rule(prob)
+    out = {}
+    for key, c in omega.terms.items():
+        for ikey, w in rule(key):
+            add_term(out, ikey, f.mul(c, w), f)
+    res = DiffForm(prob, omega.k - 1 if omega.k else 0)
+    res.terms = out
+    return res
+
+
+def theta_matrix(problem: ProblemInput, k: int, q: int, p: int) -> SparseMatrix:
+    """Matrix of the contraction out of the (k, q, p) slice into
+    (k-1, q, p)."""
+    src = basis(problem, k, q, p)
+    tgt = basis(problem, k - 1, q, p)
+    return assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
+                    theta_rule(problem), src, tgt)
+
+
+def theta_preimage(eta: DiffForm, k: int, q: int, p: int):
+    """A form zeta in the (k, q, p) slice with theta(zeta) = eta, or None.
+    The solver's free coordinates are set to zero, so the result is
+    deterministic but not canonical."""
+    prob = eta.problem
+    src = basis(prob, k, q, p)
+    sol = solve(theta_matrix(prob, k, q, p),
+                basis(prob, k - 1, q, p).vector_of_form(eta))
+    if sol is None:
+        return None
+    return DiffForm(prob, src.k, zip(src.keys, sol))
+
+
+# ---------------------------------------------------------------------------
+# wedge division in every shape, with witnesses
+# ---------------------------------------------------------------------------
+
+
+def _form_spaces(problem, over: str):
+    """space(k, weight): the dx-only k-forms of that weight with
+    coefficients in K[x] ("polynomial-ring") or in K[x]/(f), f the
+    problem's polynomials ("quotient-by-f")."""
+    if over == "polynomial-ring":
+        return lambda k, weight: basis(problem, k, weight, 0)
+    if over == "quotient-by-f":
+        return lambda k, weight: quotient_basis(problem, k, weight,
+                                                problem.polys)
+    raise InputError(f"unknown coefficient ring mode {over!r}")
+
+
+@dataclass
+class WedgeDivisionSolution:
+    shape: object
+    m: int
+    labels: list
+    alphas: list  # DiffForms, parallel to labels
+
+
+def wedge_division_oracle(omega: DiffForm, multipliers: list[DiffForm],
+                          shape, over: str = "polynomial-ring",
+                          saturation=None):
+    """Reference solver for the wedge-division shapes of omega in the
+    forced graded slice, with witnesses:
+
+    - "saito":            omega = sum_i  w_i /\\ alpha_i
+    - "full-product":     omega = w_1 /\\ ... /\\ w_r /\\ alpha
+    - ("generalized", s): omega = sum over (r-s+1)-subsets J of
+                          (/\\_{j in J} w_j) /\\ alpha_J
+
+    over "polynomial-ring" solves with coefficients in K[x]; over
+    "quotient-by-f" with coefficients in K[x]/(f), f the problem's
+    polynomials. With saturation=(g, m_max), tries g^m * omega for
+    m = 0..m_max (m_max >= 0) and returns the least solvable m. Each m is
+    one linalg.solve, so the witnesses alpha_J come with it. Returns a
+    WedgeDivisionSolution or None.
+    """
+    prob = omega.problem
+    f = prob.field
+    if not multipliers:
+        raise InputError("need at least one multiplier")
+    r = len(multipliers)
+    mult_weights = []
+    for i, w in enumerate(multipliers):
+        if w.k != 1:
+            raise InputError("multipliers must be 1-forms")
+        mult_weights.append(_dx_only_weight(w, f"multiplier {i}"))
+    base_weight = _dx_only_weight(omega, "omega") if not omega.is_zero() else None
+    k = omega.k
+
+    # "saito" is ("generalized", r) and "full-product" is ("generalized", 1)
+    if shape == "saito":
+        s = r
+    elif shape == "full-product":
+        s = 1
+    elif isinstance(shape, tuple) and shape and shape[0] == "generalized":
+        s = shape[1]
+        if not 1 <= s <= r:
+            raise InputError(f"generalized shape needs 1 <= s <= {r}")
+    else:
+        raise InputError(f"unknown shape {shape!r}")
+    subsets = list(combinations(range(r), r - s + 1))
+
+    space = _form_spaces(prob, over)
+    rules = {}
+    for J in subsets:
+        acc = multipliers[J[0]]
+        for j in J[1:]:
+            acc = acc.wedge(multipliers[j])
+        rules[J] = wedge_rule(acc.terms, prob.n, f)
+
+    if saturation is None:
+        g, m_max = None, 0
+    else:
+        g, m_max = saturation
+        if g.is_zero() or g.homogeneous_degree() is None:
+            raise InputError("saturation multiplier must be nonzero homogeneous")
+        if m_max < 0:
+            raise InputError(f"saturation bound {m_max} is negative")
+
+    def zero_solution(m):
+        # alpha_J of word length k - |J|, or 0 where that is negative
+        return WedgeDivisionSolution(
+            shape=shape, m=m, labels=list(subsets),
+            alphas=[DiffForm.zero(prob, max(k - len(J), 0)) for J in subsets])
+
+    if omega.is_zero():
+        # the zero form is divisible in every shape
+        return zero_solution(0)
+    for m in range(m_max + 1):
+        # g^m * omega stays nonzero: K[x] is a domain
+        target = omega.times_poly(g.pow(m)) if m else omega
+        weight = base_weight + (m * g.homogeneous_degree() if m else 0)
+        tgt = space(k, weight)
+        rhs = tgt.vector_of_form(target)
+        blocks = []
+        offsets = [0]
+        for J in subsets:
+            kk = k - len(J)
+            ww = weight - sum(mult_weights[j] for j in J)
+            src = space(kk, ww) if kk >= 0 else None
+            blocks.append((J, src))
+            offsets.append(offsets[-1] + (src.dim if src is not None else 0))
+        ncols = offsets[-1]
+        if ncols == 0:
+            if all(f.is_zero(v) for v in rhs):
+                return zero_solution(m)
+            continue
+        mat = SparseMatrix(tgt.dim, ncols, f)
+        for (J, src), col0 in zip(blocks, offsets):
+            if src is not None:
+                assemble(mat, rules[J], src, tgt, col0=col0)
+        sol = solve(mat, rhs)
+        if sol is None:
+            continue
+        labels = []
+        alphas = []
+        for bi, (J, src) in enumerate(blocks):
+            labels.append(J)
+            if src is None:
+                alphas.append(DiffForm.zero(prob, 0))
+            else:
+                vec = sol[offsets[bi]:offsets[bi + 1]]
+                alphas.append(DiffForm(prob, src.k, zip(src.keys, vec)))
+        return WedgeDivisionSolution(shape=shape, m=m, labels=labels, alphas=alphas)
+    return None

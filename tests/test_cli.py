@@ -274,18 +274,23 @@ def test_verify_division_rows_opt_in(tmp_path, capsys):
     assert all(row["got"] == "m=0" for row in division)
 
 
-@pytest.mark.parametrize("flags, needle", [
-    (["--p", "-2"], "second-grading bound -2 is negative"),
-    (["--p", "0..-1"], "second-grading bound -1 is negative"),
-    (["--m-max", "-1", "--p", "0..1"], "saturation bound -1 is negative"),
-    (["--p", "2..3"], "the window starts at p = 0"),
-    (["--p", "1..1"], "the window starts at p = 0"),
-    (["--p=-1..3"], "the window starts at p = 0"),
-], ids=["p", "p-range", "m-max", "p-from-2", "p-from-1", "p-from-minus-1"])
-def test_verify_negative_bounds_exit_two(tmp_path, capsys, flags, needle):
-    """Negative bounds, and a --p range that does not start at 0, are
-    refused before anything is printed."""
-    rc = main(["verify", write(tmp_path, CUBIC)] + flags)
+@pytest.mark.parametrize("text, flags, needle", [
+    (CUBIC, ["--p", "-2"], "second-grading bound -2 is negative"),
+    (CUBIC, ["--p", "0..-1"], "second-grading bound -1 is negative"),
+    (CUBIC, ["--m-max", "-1", "--p", "0..1"],
+     "saturation bound -1 is negative"),
+    (CUBIC, ["--p", "2..3"], "the window starts at p = 0"),
+    (CUBIC, ["--p", "1..1"], "the window starts at p = 0"),
+    (CUBIC, ["--p=-1..3"], "the window starts at p = 0"),
+    (SQUARES, ["--p", "0..2", "--m-max", "1"],
+     "wedge-division checks need r < n"),
+], ids=["p", "p-range", "m-max", "p-from-2", "p-from-1", "p-from-minus-1",
+        "m-max-without-ci"])
+def test_verify_negative_bounds_exit_two(tmp_path, capsys, text, flags,
+                                         needle):
+    """Negative bounds, a --p range that does not start at 0, and --m-max
+    on an input with r >= n are refused before anything is printed."""
+    rc = main(["verify", write(tmp_path, text)] + flags)
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and needle in err

@@ -10,8 +10,7 @@ from jacring.certify import no_common_zero_certificate, smooth_ci_certificate
 from jacring.errors import CertificateRequired, InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.forms import (assemble, basis, boundary, dF_of, df_form,
-                           quotient_basis, theta, theta_matrix,
-                           theta_preimage, wedge_rule, xi)
+                           quotient_basis, wedge_rule, xi)
 import jacring.homology as homology
 from jacring.homology import (boundary_matrix, cohomology_dim,
                               cohomology_report, verify_predictions,
@@ -22,8 +21,8 @@ from jacring.problem import problem_from_strings
 
 from helpers import (Q, conic_char2, exceptional_pair_char2, fermat_cubic,
                      koszul_cohomology_dim, matrix_of, quotient_wedge_matrix,
-                     singular_cubic_curve, square_pair, two_conics,
-                     two_quadrics)
+                     singular_cubic_curve, square_pair, theta, theta_matrix,
+                     theta_preimage, two_conics, two_quadrics)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +334,15 @@ def test_verify_predictions_refuses_negative_bounds():
     report = verify_predictions(prob, cert, p_max=0,
                                 division_m_max=0)
     assert report.passed
+
+
+def test_division_checks_need_a_complete_intersection():
+    """With r >= n there are no wedge-division checks to run, so asking for
+    them is an input error, not a report without them."""
+    prob = square_pair()
+    cert = no_common_zero_certificate(prob)
+    with pytest.raises(InputError, match="wedge-division checks need r < n"):
+        verify_predictions(prob, cert, p_max=2, division_m_max=1)
 
 
 def test_verify_predictions_requires_a_matching_certificate():

@@ -14,9 +14,11 @@ from functools import cache
 import pytest
 
 from jacring.fields import PrimeField, Rationals
-from jacring.forms import basis, theta_matrix
+from jacring.forms import basis
 from jacring.linalg import rank
 from jacring.problem import problem_from_strings
+
+from helpers import theta_matrix
 
 Q = Rationals()
 
