@@ -132,19 +132,11 @@ class DiffForm:
             raise InputError("forms over different problems")
         prob = self.problem
         f = prob.field
+        rule = wedge_rule(self.terms, prob.n, f)
         out = {}
-        for (xa, ya, dxa, dya), ca in self.terms.items():
-            for (xb, yb, dxb, dyb), cb in other.terms.items():
-                merged = _merge_words(prob.n, dxa, dya, dxb, dyb)
-                if merged is None:
-                    continue
-                sign, dxs, dys = merged
-                c = f.mul(ca, cb)
-                if sign < 0:
-                    c = f.neg(c)
-                key = (tuple(a + b for a, b in zip(xa, xb)),
-                       tuple(a + b for a, b in zip(ya, yb)), dxs, dys)
-                add_term(out, key, c, f)
+        for key, cb in other.terms.items():
+            for ikey, c in rule(key):
+                add_term(out, ikey, f.mul(c, cb), f)
         res = DiffForm(prob, self.k + other.k)
         res.terms = out
         return res
@@ -385,16 +377,16 @@ def quotient_basis(problem: ProblemInput, k: int, weight: int,
 
 
 def assemble(mat: SparseMatrix, rule, source: BasisSlice, target: BasisSlice,
-             row0: int = 0, col0: int = 0) -> SparseMatrix:
-    """Add into mat, at block offset (row0, col0), the matrix of the linear
-    map with the given term rule: column j holds the image of the j-th
-    source key, rule(key) yields (image key, coefficient) pairs, and the
-    target maps each image term to its coordinates. An image term outside
-    the target raises SliceMismatch. Every operator matrix is built here."""
+             row0: int = 0) -> SparseMatrix:
+    """Add into the rows of mat from row0 on the matrix of the linear map
+    with the given term rule: column j holds the image of the j-th source
+    key, rule(key) yields (image key, coefficient) pairs, and the target
+    maps each image term to its coordinates. An image term outside the
+    target raises SliceMismatch. Every operator matrix is built here."""
     f = mat.field
-    entries = mat.entries
-    for col, key in enumerate(source.keys, col0):
+    rows = mat.rows[row0:row0 + target.dim]
+    for col, key in enumerate(source.keys):
         for ikey, c in rule(key):
             for row, v in target.coords(ikey, c):
-                add_term(entries, (row0 + row, col), v, f)
+                add_term(rows[row], col, v, f)
     return mat

@@ -39,8 +39,8 @@ def boundary_matrix(problem: ProblemInput, k: int, q: int,
                     src, tgt)
 
 
-# the prime of the modular copy of a problem over Q; the int64 kernel ranks
-# mod it (2^31 - 1 < linalg._NUMPY_P_LIMIT)
+# the prime of the modular copy of a problem over Q; rank's int64 dense tail
+# runs mod it (2^31 - 1 < linalg._NUMPY_P_LIMIT)
 _MODULAR_PRIME = 2**31 - 1
 
 
@@ -260,7 +260,8 @@ def verify_predictions(problem: ProblemInput, certificate,
     wedge-division property: every form in the joint kernel of all the
     df_i∧ maps with word length k < n-1, over the quotient by the
     polynomials, factors through the full product df_1∧...∧df_r at
-    saturation exponent 0."""
+    saturation exponent 0. At r = n-1 every such k is below r, where the
+    division property makes the joint kernel zero, so no row is added."""
     n, r = problem.n, problem.r
     want_kind = "smooth-ci" if r < n else "no-common-zero"
     mode = MODE_OF_KIND[want_kind]

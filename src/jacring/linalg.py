@@ -1,12 +1,14 @@
 """Exact rank, solve, kernel, and row reduction over Q and prime fields.
 
-One echelon core per field family: rank counts its pivots, row reduction
-back-substitutes. Over Q the core eliminates on sparse integer rows and
-divides each updated row by the gcd of its entries. Mod p it is an int64
-kernel with deferred reduction, exact for p < _NUMPY_P_LIMIT: row reduction
-runs it on the whole matrix, while rank first runs structured Gaussian
-elimination (Markowitz pivots on sparse rows of Python ints, exact for every
-p) and hands the kernel only the dense Schur block. Boundary ranks over Q
+A `SparseMatrix` is a list of sparse rows, each a dict col -> nonzero
+scalar. One column-order echelon serves every field, with one elimination
+step per field family: over Q it works fraction-free on integer rows and
+divides each updated row by the gcd of its entries; mod p it works on
+Python ints reduced mod p, exact for every p. Rank over Q counts its
+pivots, and row reduction back-substitutes. Rank mod p runs structured
+Gaussian elimination instead (Markowitz pivots on a copy of the rows,
+exact for every p) and, for p below _NUMPY_P_LIMIT, hands the dense Schur
+block to an int64 kernel with deferred reduction. Boundary ranks over Q
 mostly come from this mod-p rank at a prime below _NUMPY_P_LIMIT, where a
 vanishing mod-p slice proves them equal (see jacring.homology). The
 independent textbook rank that the tests cross-check these engines against
@@ -15,6 +17,7 @@ lives in the test suite, and shares no code with them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
@@ -32,43 +35,43 @@ _DENSE_HANDOFF = 0.1
 
 
 class SparseMatrix:
-    """Entries as a dict (row, col) -> nonzero scalar."""
+    """Sparse rows: rows[i] is a dict col -> nonzero scalar, and no zero is
+    ever stored."""
 
-    __slots__ = ("nrows", "ncols", "field", "entries")
+    __slots__ = ("nrows", "ncols", "field", "rows")
 
     def __init__(self, nrows: int, ncols: int, field, entries=None):
         self.nrows = nrows
         self.ncols = ncols
         self.field = field
-        self.entries = {}
+        self.rows: list[dict] = [{} for _ in range(nrows)]
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (i, j), v in items:
                 self.add_at(i, j, v)
 
+    @property
+    def entries(self) -> dict:
+        """The rows as one dict (row, col) -> value, built on each access,
+        so writing to it changes nothing. The package never reads it; the
+        benchmark's tracer does until ROADMAP B1."""
+        return {(i, j): v for i, row in enumerate(self.rows)
+                for j, v in row.items()}
+
     def add_at(self, i: int, j: int, v):
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise InputError(f"entry ({i},{j}) outside {self.nrows}x{self.ncols}")
-        add_term(self.entries, (i, j), self.field.of(v), self.field)
+        add_term(self.rows[i], j, self.field.of(v), self.field)
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.rows))
 
     def to_dense_rows(self) -> list[list]:
-        z = self.field.zero
-        rows = [[z] * self.ncols for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def augmented_with_column(self, vec) -> "SparseMatrix":
-        if len(vec) != self.nrows:
-            raise InputError("column length mismatch")
-        m = SparseMatrix(self.nrows, self.ncols + 1, self.field, dict(self.entries))
-        for i, v in enumerate(vec):
-            if not self.field.is_zero(v):
-                m.entries[(i, self.ncols)] = v
-        return m
+        out = [[self.field.zero] * self.ncols for _ in self.rows]
+        for dense, row in zip(out, self.rows):
+            for j, v in row.items():
+                dense[j] = v
+        return out
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
@@ -80,14 +83,11 @@ class SparseMatrix:
 
 
 def rank(mat: SparseMatrix) -> int:
-    if mat.nrows == 0 or mat.ncols == 0 or not mat.entries:
-        return 0
+    """Rank of the matrix; mat.rows is left as it was."""
     if mat.field.kind == "Q":
-        rows: list[dict] = [{} for _ in range(mat.nrows)]
-        for (i, j), v in mat.entries.items():
-            rows[i][j] = v
-        return len(_echelon_q(_int_dict_rows(rows), mat.ncols)[0])
-    return _rank_modp(mat, mat.field.p)
+        return len(_echelon(_int_dict_rows(mat.rows), mat.ncols,
+                            _eliminate_q)[0])
+    return _rank_modp(mat.rows, mat.field.p)
 
 
 def _int_dict_rows(rows) -> list[dict[int, int]]:
@@ -105,7 +105,8 @@ def _int_dict_rows(rows) -> list[dict[int, int]]:
     return out
 
 
-def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+def _eliminate_q(row: dict[int, int], prow: dict[int, int],
+                 col: int) -> dict[int, int]:
     """a*row - b*prow with a/b = prow[col]/row[col] in lowest terms, so the
     entry at col cancels, divided by the gcd of its entries."""
     g = gcd(prow[col], row[col])
@@ -123,12 +124,26 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
     return new
 
 
-def _echelon_q(rows: list[dict[int, int]],
-               ncols: int) -> tuple[list[int], list[dict[int, int]]]:
-    """Forward elimination on sparse integer rows, column by column. The
-    pivot is the shortest row holding the column, then the one of least
-    |entry|; only the rows holding the column change, by `_eliminate`, so
-    no rationals appear. Returns the pivot columns and the pivot rows."""
+def _eliminate_modp(row: dict[int, int], prow: dict[int, int], col: int,
+                    p: int) -> dict[int, int]:
+    """row - (row[col]/prow[col])*prow mod p, so the entry at col cancels;
+    updates row in place and returns it."""
+    fac = row[col] * pow(prow[col], -1, p) % p
+    for j, w in prow.items():
+        v = (row.get(j, 0) - fac * w) % p
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    return row
+
+
+def _echelon(rows: list[dict[int, int]], ncols: int,
+             eliminate) -> tuple[list[int], list[dict[int, int]]]:
+    """Forward elimination on sparse rows, column by column. The pivot is
+    the shortest row holding the column, then the one of least |entry|;
+    only the rows holding the column change, by the field family's
+    `eliminate`. Returns the pivot columns and the pivot rows."""
     pivots: list[int] = []
     prows: list[dict[int, int]] = []
     for col in range(ncols):
@@ -145,7 +160,7 @@ def _echelon_q(rows: list[dict[int, int]],
         if best < 0:
             continue
         prow = rows.pop(best)
-        rows = [_eliminate(row, prow, col) if col in row else row
+        rows = [eliminate(row, prow, col) if col in row else row
                 for row in rows]
         rows = [row for row in rows if row]
         pivots.append(col)
@@ -153,18 +168,17 @@ def _echelon_q(rows: list[dict[int, int]],
     return pivots, prows
 
 
-def _rank_modp(mat: SparseMatrix, p: int) -> int:
-    """Structured Gaussian elimination mod p. Each step pivots on a column
-    of fewest nonzeros, in its shortest row, so column singletons go first
-    and fill stays low. Rows are dicts of Python ints, exact for every p.
-    Once the active block is denser than _DENSE_HANDOFF, and p is below
-    _NUMPY_P_LIMIT, the block is finished by the dense kernel."""
-    rows: dict[int, dict[int, int]] = {}
+def _rank_modp(sparse_rows: list[dict[int, int]], p: int) -> int:
+    """Structured Gaussian elimination mod p on a copy of the rows. Each
+    step pivots on a column of fewest nonzeros, in its shortest row, so
+    column singletons go first and fill stays low. Rows are dicts of Python
+    ints, exact for every p. Once the active block is denser than
+    _DENSE_HANDOFF, and p is below _NUMPY_P_LIMIT, the block is finished by
+    the dense kernel."""
+    rows = {i: dict(row) for i, row in enumerate(sparse_rows) if row}
     cols: dict[int, set[int]] = {}
-    for (i, j), v in mat.entries.items():
-        v = int(v) % p
-        if v:
-            rows.setdefault(i, {})[j] = v
+    for i, row in rows.items():
+        for j in row:
             cols.setdefault(j, set()).add(i)
     nnz = sum(map(len, rows.values()))
     dense_ok = p < _NUMPY_P_LIMIT
@@ -239,13 +253,10 @@ def _rank_dense_tail(rows: dict[int, dict[int, int]], cols: dict[int, set[int]],
 def _echelon_modp(A: np.ndarray, p: int) -> list[int]:
     """In-place forward elimination mod p on an int64 matrix with entries
     in [0, p), p < _NUMPY_P_LIMIT. Row updates defer the mod reduction as
-    long as the int64 growth budget allows. Returns the pivot columns; the
-    first len(pivots) rows of A are then the echelon rows, reduced mod p,
-    with unit pivots."""
+    long as the int64 growth budget allows. Returns the pivot columns,
+    which rank's dense tail counts."""
     m, n = A.shape
     pivots: list[int] = []
-    if m == 0 or n == 0:
-        return pivots
     step = (p - 1) ** 2
     budget = max(1, (2**61) // step)
     dirty = 0
@@ -287,48 +298,37 @@ def _echelon_modp(A: np.ndarray, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def check_row_reduction_modulus(field) -> None:
-    """Raise InputError for a prime at or above _NUMPY_P_LIMIT, where the
-    int64 kernel that row reduction runs on stops being exact."""
-    if field.kind != "Q" and field.p >= _NUMPY_P_LIMIT:
-        raise InputError(f"modulus {field.p} is too large for row reduction "
-                         f"(needs p < {_NUMPY_P_LIMIT})")
-
-
 def rref_rows(rows: list[list], field) -> tuple[list[int], list[list]]:
-    """Reduced row echelon form. Returns (pivot columns, nonzero rows with
-    unit pivots and zeros above and below each pivot): the echelon core of
-    the field, then back-substitution. Raises InputError for a prime at or
-    above _NUMPY_P_LIMIT."""
+    """Reduced row echelon form of dense rows. Returns (pivot columns,
+    nonzero rows with unit pivots and zeros above and below each pivot):
+    the column-order echelon on sparse rows, then back-substitution by the
+    same elimination step. Exact over Q and at every prime."""
     if not rows:
         return [], []
     ncols = len(rows[0])
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
     if field.kind == "Q":
-        pivots, prows = _echelon_q(
-            _int_dict_rows({j: v for j, v in enumerate(r) if v} for r in rows),
-            ncols)
-        for i in reversed(range(len(prows))):
-            for j in range(i + 1, len(prows)):
-                if pivots[j] in prows[i]:
-                    prows[i] = _eliminate(prows[i], prows[j], pivots[j])
-        out = []
-        for pc, row in zip(pivots, prows):
-            dense = [field.zero] * ncols
+        eliminate = _eliminate_q
+        sparse = _int_dict_rows(sparse)
+    else:
+        eliminate = partial(_eliminate_modp, p=field.p)
+    pivots, prows = _echelon(sparse, ncols, eliminate)
+    for i in reversed(range(len(prows))):
+        for j in range(i + 1, len(prows)):
+            if pivots[j] in prows[i]:
+                prows[i] = eliminate(prows[i], prows[j], pivots[j])
+    out = []
+    for pc, row in zip(pivots, prows):
+        dense = [field.zero] * ncols
+        if field.kind == "Q":
             for j, v in row.items():
                 dense[j] = Fraction(v, row[pc])
-            out.append(dense)
-        return pivots, out
-    check_row_reduction_modulus(field)
-    p = field.p
-    A = np.array([[int(v) % p for v in r] for r in rows], dtype=np.int64)
-    pivots = _echelon_modp(A, p)
-    R = A[:len(pivots)]
-    for i in reversed(range(len(pivots))):
-        f = R[:i, pivots[i]]
-        hot = np.nonzero(f)[0]
-        if hot.size:
-            R[hot] = (R[hot] - np.outer(f[hot], R[i])) % p
-    return pivots, R.tolist()
+        else:
+            inv = pow(row[pc], -1, field.p)
+            for j, v in row.items():
+                dense[j] = v * inv % field.p
+        out.append(dense)
+    return pivots, out
 
 
 # no command calls solve: the test oracles do, and the benchmark's tracer
@@ -355,15 +355,6 @@ def kernel_basis(mat: SparseMatrix) -> list[list]:
     """Basis of the right kernel, one vector per free column, in column
     order."""
     f = mat.field
-    if mat.ncols == 0:
-        return []
-    if mat.nrows == 0 or not mat.entries:
-        basis = []
-        for j in range(mat.ncols):
-            v = [f.zero] * mat.ncols
-            v[j] = f.one
-            basis.append(v)
-        return basis
     pivots, R = rref_rows(mat.to_dense_rows(), f)
     pivset = set(pivots)
     basis = []
@@ -380,7 +371,13 @@ def kernel_basis(mat: SparseMatrix) -> list[list]:
 
 def in_column_span(mat: SparseMatrix, vec) -> bool:
     """Whether vec lies in the span of the matrix columns, decided by a rank
-    comparison with the augmented matrix."""
-    if all(mat.field.is_zero(v) for v in vec):
+    comparison with the matrix that has vec as one more column."""
+    f = mat.field
+    if all(f.is_zero(v) for v in vec):
         return True
-    return rank(mat.augmented_with_column(vec)) == rank(mat)
+    if len(vec) != mat.nrows:
+        raise InputError("column length mismatch")
+    aug = SparseMatrix(mat.nrows, mat.ncols + 1, f)
+    aug.rows = [row if f.is_zero(v) else {**row, mat.ncols: v}
+                for row, v in zip(mat.rows, vec)]
+    return rank(aug) == rank(mat)

@@ -4,9 +4,10 @@ In a fixed degree N the ideal is spanned by the rows m*g of the Macaulay
 matrix, one for each generator g and monomial m with deg(m*g) = N. The
 dimension of the quotient slice is the number of degree-N monomials minus
 the rank of that matrix, taken by the sparse rank engines of `linalg` with
-no row reduction. `quotient_slice` row reduces the same rows once: the
-non-pivot monomials form a basis of the slice, and the reduced pivot rows
-give each pivot monomial's normal form, which wedge division needs.
+no row reduction. `quotient_slice` row reduces the same rows once, exactly
+at every prime: the non-pivot monomials form a basis of the slice, and the
+reduced pivot rows give each pivot monomial's normal form, which wedge
+division needs.
 """
 from __future__ import annotations
 
@@ -75,9 +76,8 @@ def _macaulay_matrix(gens: list[MultiPoly],
     products = [(m, g) for g in gens for m in
                 monomials_of_degree(nvars, degree - g.homogeneous_degree())]
     mat = SparseMatrix(len(products), len(index), gens[0].field)
-    mat.entries = {(i, index[tuple(a + b for a, b in zip(m, exp))]): c
-                   for i, (m, g) in enumerate(products)
-                   for exp, c in g.terms.items()}
+    mat.rows = [{index[tuple(a + b for a, b in zip(m, exp))]: c
+                 for exp, c in g.terms.items()} for m, g in products]
     return monomials, mat
 
 

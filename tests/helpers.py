@@ -645,7 +645,10 @@ def wedge_division_oracle(omega: DiffForm, multipliers: list[DiffForm],
         mat = SparseMatrix(tgt.dim, ncols, f)
         for (J, src), col0 in zip(blocks, offsets):
             if src is not None:
-                assemble(mat, rules[J], src, tgt, col0=col0)
+                block = assemble(SparseMatrix(tgt.dim, src.dim, f), rules[J],
+                                 src, tgt)
+                for row, brow in zip(mat.rows, block.rows):
+                    row.update((col0 + j, v) for j, v in brow.items())
         sol = solve(mat, rhs)
         if sol is None:
             continue

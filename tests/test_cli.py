@@ -274,6 +274,18 @@ def test_verify_division_rows_opt_in(tmp_path, capsys):
     assert all(row["got"] == "m=0" for row in division)
 
 
+def test_verify_m_max_adds_nothing_when_r_is_n_minus_1(tmp_path, capsys):
+    """At r = n - 1 every division check has word length k < r, where the
+    joint kernel of the df_i maps is zero, so --m-max adds no rows: two
+    conics in P^2 print the same bytes with and without it."""
+    path = write(tmp_path, CONICS)
+    runs = []
+    for flags in ([], ["--m-max", "2"]):
+        rc = main(["verify", path] + flags)
+        runs.append((rc, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 @pytest.mark.parametrize("text, flags, needle", [
     (CUBIC, ["--p", "-2"], "second-grading bound -2 is negative"),
     (CUBIC, ["--p", "0..-1"], "second-grading bound -1 is negative"),

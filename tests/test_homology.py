@@ -45,12 +45,12 @@ def test_theta_matrix_one_by_one():
     tgt = basis(prob, 0, 1, 0)
     assert src.dim == 1 and tgt.dim == 1
     m = matrix_of(prob, theta, src, tgt)
-    assert m.entries == {(0, 0): Q.one}
+    assert m.rows == [{0: Q.one}]
 
 
 def _same_matrix(got, want, where):
     assert (got.nrows, got.ncols) == (want.nrows, want.ncols), where
-    assert got.entries == want.entries, where
+    assert got.rows == want.rows, where
 
 
 def test_assembler_matches_per_column_oracle():
@@ -111,17 +111,13 @@ def test_boundary_matrices_compose_to_zero():
                 for p in range(3):
                     a = boundary_matrix(prob, k, q, p)
                     b = boundary_matrix(prob, k + 1, q, p + 1)
-                    # multiply b @ a entrywise on the sparse entries
-                    cols = {}
-                    for (i, j), v in a.entries.items():
-                        cols.setdefault(j, []).append((i, v))
-                    for j, col in cols.items():
+                    # every row of b @ a, from the sparse rows
+                    for brow in b.rows:
                         out = {}
-                        for i, v in col:
-                            for (i2, j2), w in b.entries.items():
-                                if j2 == i:
-                                    out[i2] = f.add(out.get(i2, f.zero),
-                                                    f.mul(w, v))
+                        for i, w in brow.items():
+                            for j, v in a.rows[i].items():
+                                out[j] = f.add(out.get(j, f.zero),
+                                               f.mul(w, v))
                         assert all(f.is_zero(v) for v in out.values()), (
                             prob.degrees, k, q, p)
 

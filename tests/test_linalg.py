@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -7,14 +8,13 @@ import pytest
 
 from jacring import linalg, quotients
 from jacring.certify import jacobian_minors
-from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.homology import boundary_matrix
 from jacring.linalg import (SparseMatrix, in_column_span, kernel_basis, rank,
                             rref_rows, solve)
 
-from helpers import (fermat_cubic, rank_reference, square_pair, two_conics,
-                     two_quadrics)
+from helpers import (fermat_cubic, problem_from_strings, rank_reference,
+                     square_pair, two_conics, two_quadrics)
 
 Q = Rationals()
 FIELDS = [Q, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003),
@@ -109,9 +109,9 @@ def _sympy_rank_q(mat: SparseMatrix) -> int:
     """Rank over QQ by sympy's sparse DomainMatrix."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
-    rows: dict = {}
-    for (i, j), v in mat.entries.items():
-        rows.setdefault(i, {})[j] = sympy.QQ(v.numerator, v.denominator)
+    rows = {i: {j: sympy.QQ(v.numerator, v.denominator)
+                for j, v in row.items()}
+            for i, row in enumerate(mat.rows) if row}
     return DomainMatrix(rows, (mat.nrows, mat.ncols), sympy.QQ).rank()
 
 
@@ -189,8 +189,9 @@ def test_modp_growth_stress():
 def _mat_vec(mat: SparseMatrix, x):
     f = mat.field
     out = [f.zero] * mat.nrows
-    for (i, j), v in mat.entries.items():
-        out[i] = f.add(out[i], f.mul(v, x[j]))
+    for i, row in enumerate(mat.rows):
+        for j, v in row.items():
+            out[i] = f.add(out[i], f.mul(v, x[j]))
     return out
 
 
@@ -274,7 +275,8 @@ def test_rref_idempotent_and_consistent():
 
 
 RREF_FIELDS = [Q, PrimeField(2), PrimeField(5), PrimeField(32003),
-               PrimeField(2**31 + 11), PrimeField(3037000493)]
+               PrimeField(2**31 + 11), PrimeField(3037000493),
+               PrimeField(2**61 - 1), PrimeField(2**89 - 1)]
 
 
 def _sympy_rref(rows, field):
@@ -302,8 +304,7 @@ def _sympy_rref(rows, field):
 
 def test_rref_matches_sympy_on_random_rows():
     """Rows with denominators, zero rows and repeated rows, against an
-    independent RREF. The last prime is the largest the int64 kernel
-    accepts."""
+    independent RREF, at primes below and beyond int64 products."""
     rng = random.Random(23)
     for field in RREF_FIELDS:
         for trial in range(30):
@@ -332,7 +333,7 @@ def test_rref_matches_sympy_on_macaulay_rows(monkeypatch):
         return rref_rows(rows, field)
 
     monkeypatch.setattr(quotients, "rref_rows", spy)
-    for field in RREF_FIELDS[:5]:
+    for field in RREF_FIELDS:
         for prob in (fermat_cubic(field), two_conics(field),
                      square_pair(field), two_quadrics(field)):
             minors = [g for g in jacobian_minors(prob) if not g.is_zero()]
@@ -347,15 +348,69 @@ def test_rref_matches_sympy_on_macaulay_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
-def test_row_reduction_refuses_primes_beyond_int64(p):
-    """Row reduction runs on the int64 kernel, exact only while p*p < 2^63:
-    a larger prime is refused, never answered wrongly. Rank stays exact."""
+def test_row_reduction_is_exact_at_primes_beyond_int64(p):
+    """Row reduction eliminates on Python ints, so it stays exact where
+    p*p overflows int64: on a rank-5 matrix with entries below p, rref_rows,
+    solve and kernel_basis agree with sympy's RREF, and so does
+    quotient_slice on the Macaulay rows of two hypersurfaces in P^3."""
     field = PrimeField(p)
-    mat = SparseMatrix(2, 3, field, {(0, 0): 1, (0, 2): p - 1, (1, 1): 3})
-    with pytest.raises(InputError, match="too large"):
-        rref_rows(mat.to_dense_rows(), field)
-    with pytest.raises(InputError, match="too large"):
-        solve(mat, [1, 1])
-    with pytest.raises(InputError, match="too large"):
+    rng = random.Random(p)
+    A = [[rng.randrange(p) for _ in range(5)] for _ in range(7)]
+    B = [[rng.randrange(p) for _ in range(9)] for _ in range(5)]
+    mat = SparseMatrix(7, 9, field, {
+        (i, j): sum(A[i][t] * B[t][j] for t in range(5))
+        for i in range(7) for j in range(9)})
+    rows = mat.to_dense_rows()
+    pivots, red = _sympy_rref(rows, field)
+    assert len(pivots) == rank(mat) == 5
+    assert rref_rows(rows, field) == (pivots, red)
+    kernel = []
+    for j in sorted(set(range(9)) - set(pivots)):
+        v = [0] * 9
+        v[j] = 1
+        for prow, pc in zip(red, pivots):
+            v[pc] = -prow[j] % p
+        kernel.append(v)
+    assert kernel_basis(mat) == kernel
+    for rhs in (_mat_vec(mat, [rng.randrange(p) for _ in range(9)]),
+                [rng.randrange(p) for _ in range(7)]):
+        apiv, ared = _sympy_rref([r + [c] for r, c in zip(rows, rhs)], field)
+        want = None
+        if 9 not in apiv:
+            want = [0] * 9
+            for prow, pc in zip(ared, apiv):
+                want[pc] = prow[9]
+        assert solve(mat, rhs) == want
+    gens = list(problem_from_strings(field, 4, [
+        "x1^3 + 2*x2^3 + 3*x3^3 + 4*x4^3",
+        "x1^2 + x2^2 + x3^2 + 5*x4^2 + x1*x2"]).polys)
+    for degree in range(2, 7):
+        qs = quotients.quotient_slice(gens, degree)
+        _, mac = quotients._macaulay_matrix(gens, degree)
+        assert (qs.pivots, qs.rows) == _sympy_rref(mac.to_dense_rows(),
+                                                   field), degree
+
+
+def test_rank_kernel_and_span_leave_the_rows_unchanged():
+    """Rank mod p eliminates in place, so it works on a copy: rank,
+    kernel_basis and in_column_span leave mat.rows as they were, over Q,
+    below _NUMPY_P_LIMIT (where the dense tail runs) and above it."""
+    rng = random.Random(29)
+    for field in (Q, PrimeField(32003), PrimeField(2**61 - 1)):
+        mat = random_matrix(rng, field, 12, 10, density=0.6,
+                            denominators=True)
+        before = copy.deepcopy(mat.rows)
+        rank(mat)
         kernel_basis(mat)
-    assert rank(mat) == 2
+        in_column_span(mat, [field.one] * 12)
+        assert mat.rows == before, field
+
+
+def test_add_at_cancellation_stores_no_zero():
+    for field in (Q, PrimeField(7)):
+        mat = SparseMatrix(2, 3, field)
+        mat.add_at(0, 1, 3)
+        mat.add_at(1, 2, 1)
+        mat.add_at(0, 1, -3)
+        assert mat.rows == [{}, {2: field.one}]
+        assert mat.nnz() == 1 and mat.entries == {(1, 2): field.one}
