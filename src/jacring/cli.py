@@ -34,7 +34,8 @@ from .certify import (Certificate, no_common_zero_certificate,
 from .errors import CertificateRequired, HypothesisViolation, InputError
 from .fields import PrimeField, Rationals
 from .hilbert import closed_form_H, hodge_table, symmetry_check
-from .homology import MODE_OF_KIND, cohomology_report, verify_predictions
+from .homology import (MODE_OF_KIND, check_verify_bounds, cohomology_report,
+                       verify_predictions)
 from .polynomials import parse_poly
 from .problem import ProblemInput
 
@@ -157,13 +158,12 @@ def _load(args) -> ProblemInput:
     return parse_input(text, field)[0]
 
 
-def _certified(args) -> tuple[ProblemInput, Certificate]:
-    """The problem and the certificate of its hypothesis: a smooth complete
+def _certificate(problem: ProblemInput, bound: int | None) -> Certificate:
+    """The certificate of the problem's hypothesis: a smooth complete
     intersection when r < n, no common zero otherwise."""
-    problem = _load(args)
     if problem.r < problem.n:
-        return problem, smooth_ci_certificate(problem, args.bound)
-    return problem, no_common_zero_certificate(problem, args.bound)
+        return smooth_ci_certificate(problem, bound)
+    return no_common_zero_certificate(problem, bound)
 
 
 def _cert_json(cert: Certificate) -> dict:
@@ -194,7 +194,8 @@ def _emit(args, text: str, problem: ProblemInput | None = None, *,
 
 
 def _cmd_certify(args) -> int:
-    problem, cert = _certified(args)
+    problem = _load(args)
+    cert = _certificate(problem, args.bound)
     _emit(args, cert.describe(), problem, certificates=[_cert_json(cert)])
     return 0 if cert.success else 1
 
@@ -211,7 +212,8 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_hodge(args) -> int:
-    problem, cert = _certified(args)
+    problem = _load(args)
+    cert = _certificate(problem, args.bound)
     table = hodge_table(problem.n, problem.degrees, problem.field)
     lines = [cert.describe(), table.describe()]
     top = problem.n + problem.r
@@ -257,7 +259,9 @@ def _cmd_verify(args) -> int:
     if lo != 0 and ".." in args.p:
         raise InputError(f"verify --p {args.p}: the window starts at p = 0 "
                          f"(give 'b' or '0..b')")
-    problem, cert = _certified(args)
+    problem = _load(args)
+    check_verify_bounds(problem, p_max, args.m_max)
+    cert = _certificate(problem, args.bound)
     mode = MODE_OF_KIND[cert.kind]
     lines = [f"mode: {mode}", cert.describe()]
     results = {"mode": mode, "certificates": [_cert_json(cert)], "checks": []}

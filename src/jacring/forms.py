@@ -3,8 +3,9 @@
 A form is a sum of terms  c * x^a y^b dx_I dy_J  with I, J ascending index
 tuples; the wedge factors are kept in the canonical order "all dx before all
 dy". The operator of interest is the boundary, the left wedge with dF where
-F = sum_j y_j f_j. Slice bases live here too, and so does the one
-term-level assembler that builds every operator matrix from a term rule.
+F = sum_j y_j f_j. Slice bases live here too, built block by block from
+`problem.slice_blocks`, and so does the one term-level assembler that
+builds every operator matrix from a term rule.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .errors import InputError, SliceMismatch
 from .fields import add_term
 from .linalg import SparseMatrix
 from .polynomials import MultiPoly, monomials_of_degree
-from .problem import ProblemInput
+from .problem import ProblemInput, slice_blocks
 from .quotients import quotient_slice
 
 
@@ -269,17 +270,14 @@ class BasisSlice:
     """Ordered monomial-form basis of the (k, q, p) slice. With a quotient
     slice attached, the coefficients live in K[x]/(gens) and the basis holds
     the complement monomials only; a pivot monomial's term maps to its
-    normal form. It holds its field, not a problem, so a problem's cache of
-    slices never points back at the problem; a vector of coordinates becomes
-    a form by DiffForm(problem, k, zip(keys, vec))."""
+    normal form. Its keys depend only on (n, degrees, k, q, p): it holds no
+    problem or field, so a problem's cache never points back at it. A
+    vector becomes a form by DiffForm(problem, k, zip(keys, vec))."""
 
-    __slots__ = ("field", "k", "q", "p", "keys", "index", "quotient")
+    __slots__ = ("k", "q", "p", "keys", "index", "quotient")
 
-    def __init__(self, field, k, q, p, keys, quotient=None):
-        self.field = field
-        self.k = k
-        self.q = q
-        self.p = p
+    def __init__(self, k, q, p, keys, quotient=None):
+        self.k, self.q, self.p = k, q, p
         self.keys = keys
         self.index = {key: i for i, key in enumerate(keys)}
         self.quotient = quotient
@@ -303,11 +301,11 @@ class BasisSlice:
             raise SliceMismatch(
                 f"term {key} is not in the (k={self.k}, q={self.q}, "
                 f"p={self.p}) slice")
-        f = self.field
+        f = self.quotient.field
         return [(self.index[(m, yexp, dxs, dys)], f.mul(c, w)) for m, w in nf]
 
     def vector_of_form(self, form: DiffForm) -> list:
-        f = self.field
+        f = form.problem.field
         v = [f.zero] * len(self.keys)
         for key, c in form.terms.items():
             for pos, w in self.coords(key, c):
@@ -318,62 +316,50 @@ class BasisSlice:
         return f"BasisSlice(k={self.k}, q={self.q}, p={self.p}, dim={self.dim})"
 
 
-def basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
-    """Monomial basis x^a y^b dx_I dy_J of the slice: |I| + |J| = k,
-    sum(b) + |J| = p, and sum(a) forced by the first grading. At p = 0 this
-    is the space of dx-only k-forms of weight q over K[x]."""
-    key = ("basis", k, q, p)
-    cached = problem._cache.get(key)
-    if cached is not None:
-        return cached
-    n, r, d = problem.n, problem.r, problem.degrees
+def _block_keys(n: int, blocks, monomials) -> list:
+    """The keys of the slice blocks in order, word by word, with
+    monomials(xdeg) as the x-monomials of each block."""
     keys = []
-    if 0 <= k <= n + r:
-        for m in range(max(0, k - n), min(k, r) + 1):
-            l = k - m
-            if p - m < 0:
-                continue
-            for dys in combinations(range(r), m):
-                dy_weight = sum(d[j] for j in dys)
-                for yexp in monomials_of_degree(r, p - m):
-                    xdeg = (q + sum(b * d[j] for j, b in enumerate(yexp))
-                            + dy_weight - l)
-                    if xdeg < 0:
-                        continue
-                    xexps = monomials_of_degree(n, xdeg)
-                    for dxs in combinations(range(n), l):
-                        for xexp in xexps:
-                            keys.append((xexp, yexp, dxs, dys))
-    slice_ = BasisSlice(problem.field, k, q, p, keys)
-    problem._cache[key] = slice_
+    for l, dys, yexp, xdeg in blocks:
+        xexps = monomials(xdeg)
+        keys += [(xexp, yexp, dxs, dys) for dxs in combinations(range(n), l)
+                 for xexp in xexps]
+    return keys
+
+
+def basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
+    """Monomial basis x^a y^b dx_I dy_J of the (k, q, p) slice, every
+    x-monomial of each block of `slice_blocks`. At p = 0 this is the space
+    of dx-only k-forms of weight q over K[x]."""
+    key = ("basis", k, q, p)
+    slice_ = problem._cache.get(key)
+    if slice_ is None:
+        n = problem.n
+        slice_ = problem._cache[key] = BasisSlice(k, q, p, _block_keys(
+            n, slice_blocks(n, problem.degrees, k, q, p),
+            lambda xdeg: monomials_of_degree(n, xdeg)))
     return slice_
 
 
-def quotient_basis(problem: ProblemInput, k: int, weight: int,
-                   gens) -> BasisSlice:
-    """dx-only k-forms of the given weight with coefficients in
-    K[x]/(gens): the complement monomials of the quotient slice in degree
-    weight - k, word by word. Cached on the problem, as is each quotient
-    slice."""
-    gens = tuple(gens)
-    key = ("quotient-basis", gens, k, weight)
-    cached = problem._cache.get(key)
-    if cached is not None:
-        return cached
-    degree = weight - k
-    qs = None
-    keys = []
-    if 0 <= k <= problem.n and degree >= 0:
-        qkey = ("quotient", gens, degree)
-        qs = problem._cache.get(qkey)
-        if qs is None:
-            qs = problem._cache[qkey] = quotient_slice(list(gens), degree)
-        zy = (0,) * problem.r
-        keys = [(m, zy, word, ()) for word in combinations(range(problem.n), k)
-                for m in qs.complement]
-    space = BasisSlice(problem.field, k, weight, 0, keys, qs)
-    problem._cache[key] = space
-    return space
+def quotient_basis(problem: ProblemInput, k: int, weight: int) -> BasisSlice:
+    """dx-only k-forms of the given weight with coefficients in K[x]/(f),
+    f the problem's polynomials: the p = 0 slice of `basis`, one block at
+    most (x degree weight - k), with the complement monomials of that
+    degree's quotient slice as its x-monomials. Cached on the problem, as
+    is each quotient slice."""
+    key = ("quotient-basis", k, weight)
+    if key not in problem._cache:
+        blocks = list(slice_blocks(problem.n, problem.degrees, k, weight, 0))
+        qs = None
+        if blocks:
+            qkey = ("quotient", blocks[0][3])
+            if qkey not in problem._cache:
+                problem._cache[qkey] = quotient_slice(list(problem.polys),
+                                                      qkey[1])
+            qs = problem._cache[qkey]
+        problem._cache[key] = BasisSlice(k, weight, 0, _block_keys(
+            problem.n, blocks, lambda _: qs.complement), qs)
+    return problem._cache[key]
 
 
 def assemble(mat: SparseMatrix, rule, source: BasisSlice, target: BasisSlice,

@@ -1,7 +1,7 @@
 """Closed-form Hilbert-series pipeline: the derivative-recursion polynomials
 p_e, the closed form of H(t), the alternating-sum series of the complex
-derived from it, the slice-dimension count, and the predicted dimension
-table.
+derived from it, the slice-dimension count (from the slice rule of
+`problem.slice_blocks`), and the predicted dimension table.
 
 The paper writes H(t) as a sum over exponent vectors e; its terms depend on
 e only through E = sum(e_i) and a multinomial weight, so H is built with one
@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import comb, factorial, prod
 
 from .errors import HypothesisViolation, InputError
-from .polynomials import monomials_of_degree
+from .problem import slice_blocks
 
 
 class Poly:
@@ -258,24 +257,11 @@ def symmetry_check(H: Poly, n: int, r: int) -> bool:
 
 
 def omega_slice_dim(n: int, d, k: int, q: int, p: int) -> int:
-    """Dimension of the (k, q, p) slice of the form module, counted without
-    materializing a basis."""
-    r = len(d)
-    if k < 0 or k > n + r:
-        return 0
-    total = 0
-    for m in range(max(0, k - n), min(k, r) + 1):
-        l = k - m
-        nx_words = comb(n, l)
-        if nx_words == 0:
-            continue
-        for dys in combinations(range(r), m):
-            ddy = sum(d[j] for j in dys)
-            for yexp in monomials_of_degree(r, p - m):
-                xdeg = q + sum(b * d[j] for j, b in enumerate(yexp)) + ddy - l
-                if xdeg >= 0:
-                    total += nx_words * comb(xdeg + n - 1, n - 1)
-    return total
+    """Dimension of the (k, q, p) slice of the form module, counted block
+    by block from `problem.slice_blocks` without materializing a basis:
+    C(n, l) dx words times the x-monomials of the forced degree."""
+    return sum(comb(n, l) * comb(xdeg + n - 1, n - 1)
+               for l, _, _, xdeg in slice_blocks(n, d, k, q, p))
 
 
 @dataclass

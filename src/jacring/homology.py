@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from .certify import ideal_membership, jacobian_determinant, jacobian_minors
 from .errors import CertificateRequired, InputError
 from .fields import PrimeField
 from .forms import (DiffForm, assemble, basis, boundary, dF_of, df_form,
@@ -166,9 +167,9 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
         # g^m * omega stays nonzero: K[x] is a domain
         target = omega.times_poly(g.pow(m)) if m else omega
         target_weight = weight + m * g_degree
-        tgt = quotient_basis(prob, k, target_weight, prob.polys)
+        tgt = quotient_basis(prob, k, target_weight)
         src = quotient_basis(prob, k - len(multipliers),
-                             target_weight - product_weight, prob.polys)
+                             target_weight - product_weight)
         mat = assemble(SparseMatrix(tgt.dim, src.dim, f), rule, src, tgt)
         if in_column_span(mat, tgt.vector_of_form(target)):
             return m
@@ -180,13 +181,12 @@ def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
     """Basis of { omega of word length k and the given weight :
     w_i /\\ omega = 0 for every multiplier } over K[x]/(f), f the
     problem's polynomials."""
-    src = quotient_basis(problem, k, weight, problem.polys)
+    src = quotient_basis(problem, k, weight)
     if src.dim == 0:
         return []
     f = problem.field
     tgts = [(w, quotient_basis(problem, k + 1,
-                               weight + _dx_only_weight(w, "multiplier"),
-                               problem.polys))
+                               weight + _dx_only_weight(w, "multiplier")))
             for w in multipliers]
     mat = SparseMatrix(sum(t.dim for _, t in tgts), src.dim, f)
     row0 = 0
@@ -245,6 +245,19 @@ def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
     return not in_column_span(bmat, vec)
 
 
+def check_verify_bounds(problem: ProblemInput, p_max: int | None,
+                        division_m_max: int | None) -> None:
+    """Raise InputError on a negative p_max or division_m_max (None is no
+    bound), and on division_m_max with r >= n: mode MODE_CI only."""
+    if p_max is not None and p_max < 0:
+        raise InputError(f"second-grading bound {p_max} is negative")
+    if division_m_max is not None and division_m_max < 0:
+        raise InputError(f"saturation bound {division_m_max} is negative")
+    if division_m_max is not None and problem.r >= problem.n:
+        raise InputError(f"wedge-division checks need r < n (mode {MODE_CI}),"
+                         f" got r = {problem.r}, n = {problem.n}")
+
+
 def verify_predictions(problem: ProblemInput, certificate,
                        p_max: int | None = None,
                        division_m_max: int | None = None) -> VerificationReport:
@@ -253,8 +266,7 @@ def verify_predictions(problem: ProblemInput, certificate,
     The input fixes the mode: complete-intersection when r < n, which needs
     a successful smooth-ci certificate, else no-common-zero, which needs a
     successful no-common-zero certificate; without it CertificateRequired is
-    raised. A negative p_max or division_m_max raises InputError, and so
-    does division_m_max with r >= n.
+    raised; then check_verify_bounds checks the bounds.
 
     With division_m_max set (complete-intersection mode), also checks the
     wedge-division property: every form in the joint kernel of all the
@@ -274,15 +286,9 @@ def verify_predictions(problem: ProblemInput, certificate,
             f"mode {mode} needs a {want_kind} certificate, got "
             f"{certificate.kind}")
 
+    check_verify_bounds(problem, p_max, division_m_max)
     if p_max is None:
         p_max = n + 1
-    if p_max < 0:
-        raise InputError(f"second-grading bound {p_max} is negative")
-    if division_m_max is not None and division_m_max < 0:
-        raise InputError(f"saturation bound {division_m_max} is negative")
-    if division_m_max is not None and mode != MODE_CI:
-        raise InputError(f"wedge-division checks need r < n (mode {MODE_CI}),"
-                         f" got r = {r}, n = {n}")
     top = n + r
     slices = [(k, 0, p) for k in range(top + 1) for p in range(p_max + 1)]
     dims = cohomology_report(problem, slices)
@@ -318,7 +324,6 @@ def verify_predictions(problem: ProblemInput, certificate,
                                 1 if p == n else 0, dims[(2 * n, 0, p)]))
         if r == n and not problem.field.is_zero(
                 problem.field.of(prod(problem.degrees))):
-            from .certify import ideal_membership, jacobian_determinant
             det = jacobian_determinant(problem)
             member = ideal_membership(det, list(problem.polys))
             checks.append(Check("jacobian-det-outside-ideal", False, member))
@@ -334,7 +339,6 @@ def _division_checks(problem: ProblemInput, m_max: int) -> list:
     k < n-1 (over the quotient by the polynomials, weights up to
     k + max degree) must factor through the full product of the df's with
     saturation exponent 0."""
-    from .certify import jacobian_minors
     n, r = problem.n, problem.r
     dfs = [df_form(problem, j) for j in range(r)]
     g = next((mnr for mnr in jacobian_minors(problem) if not mnr.is_zero()),

@@ -372,11 +372,11 @@ def kernel_basis(mat: SparseMatrix) -> list[list]:
 def in_column_span(mat: SparseMatrix, vec) -> bool:
     """Whether vec lies in the span of the matrix columns, decided by a rank
     comparison with the matrix that has vec as one more column."""
+    if len(vec) != mat.nrows:
+        raise InputError("column length mismatch")
     f = mat.field
     if all(f.is_zero(v) for v in vec):
         return True
-    if len(vec) != mat.nrows:
-        raise InputError("column length mismatch")
     aug = SparseMatrix(mat.nrows, mat.ncols + 1, f)
     aug.rows = [row if f.is_zero(v) else {**row, mat.ncols: v}
                 for row, v in zip(mat.rows, vec)]

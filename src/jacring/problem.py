@@ -2,14 +2,34 @@
 
 The bigrading used everywhere downstream: the x-variables and their
 differentials have weight (1, 0); the auxiliary y-variable attached to the
-j-th polynomial and its differential have weight (-d_j, 1).
+j-th polynomial and its differential have weight (-d_j, 1). `slice_blocks`
+is the one place that turns it into the terms of a (k, q, p) slice: the
+slice bases of `forms` and the count of `hilbert.omega_slice_dim` read it.
 """
 from __future__ import annotations
 
 import hashlib
+from itertools import combinations
 
 from .errors import InputError
-from .polynomials import MultiPoly, grlex_key
+from .polynomials import MultiPoly, grlex_key, monomials_of_degree, parse_poly
+
+
+def slice_blocks(n: int, degrees, k: int, q: int, p: int):
+    """The blocks of the (k, q, p) slice of the forms x^a y^b dx_I dy_J in
+    n x-variables, one y per degree: yields (l, J, b, xdeg) for each dy word
+    J and y exponent b with sum(b) + |J| = p whose first grading q forces
+    sum(a) = xdeg >= 0, l = |I| = k - |J|. Each dx word of length l and
+    x-monomial of degree xdeg complete a term. Ordered by |J|, J, b."""
+    r = len(degrees)
+    for m in range(max(0, k - n), min(k, r) + 1):
+        for dys in combinations(range(r), m):
+            dy_weight = sum(degrees[j] for j in dys)
+            for yexp in monomials_of_degree(r, p - m):
+                xdeg = (q + sum(b * d for b, d in zip(yexp, degrees))
+                        + dy_weight - (k - m))
+                if xdeg >= 0:
+                    yield k - m, dys, yexp, xdeg
 
 
 class ProblemInput:
@@ -72,7 +92,6 @@ class ProblemInput:
 def problem_from_strings(field, names, exprs) -> ProblemInput:
     """Build a problem from variable names and polynomial expression
     strings (used by tests and the CLI)."""
-    from .polynomials import parse_poly
     if isinstance(names, int):
         names = [f"x{i+1}" for i in range(names)]
     polys = [parse_poly(field, names, e) for e in exprs]

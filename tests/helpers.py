@@ -405,7 +405,7 @@ def koszul_cohomology_dim(gens: list[MultiPoly], k: int,
         keys = [(mono, (), S, ()) for S in combinations(range(r), kk)
                 for mono in monomials_of_degree(
                     n, internal_degree + sum(degs[j] for j in S))]
-        return BasisSlice(field, kk, internal_degree, 0, keys)
+        return BasisSlice(kk, internal_degree, 0, keys)
 
     # the differential is the left wedge with sum_j g_j e_j, where the
     # exterior generator e_j is the word (j,) over an alphabet of r letters
@@ -425,9 +425,9 @@ def koszul_cohomology_dim(gens: list[MultiPoly], k: int,
     return dim - out_rank - in_rank
 
 
-def reduce_form_mod_ideal(form: DiffForm, gens) -> DiffForm:
+def reduce_form_mod_ideal(form: DiffForm) -> DiffForm:
     """Reduce every coefficient of a dx-only form to its normal form modulo
-    the degree slices of (gens)."""
+    the degree slices of (f), f the problem's polynomials."""
     if form.is_zero():
         return form
     prob = form.problem
@@ -436,7 +436,7 @@ def reduce_form_mod_ideal(form: DiffForm, gens) -> DiffForm:
         xexp, yexp, dxs, dys = key
         if any(yexp) or dys:
             raise InputError("only dx-only forms can be reduced")
-        space = quotient_basis(prob, form.k, sum(xexp) + form.k, gens)
+        space = quotient_basis(prob, form.k, sum(xexp) + form.k)
         terms.extend((space.keys[pos], v) for pos, v in space.coords(key, c))
     return DiffForm(prob, form.k, terms)
 
@@ -540,8 +540,7 @@ def _form_spaces(problem, over: str):
     if over == "polynomial-ring":
         return lambda k, weight: basis(problem, k, weight, 0)
     if over == "quotient-by-f":
-        return lambda k, weight: quotient_basis(problem, k, weight,
-                                                problem.polys)
+        return lambda k, weight: quotient_basis(problem, k, weight)
     raise InputError(f"unknown coefficient ring mode {over!r}")
 
 

@@ -296,12 +296,21 @@ def test_verify_m_max_adds_nothing_when_r_is_n_minus_1(tmp_path, capsys):
     (CUBIC, ["--p=-1..3"], "the window starts at p = 0"),
     (SQUARES, ["--p", "0..2", "--m-max", "1"],
      "wedge-division checks need r < n"),
+    # refused before the certificate, which is NONE on these inputs
+    (CUBIC, ["--field", "F3", "--p", "-1"],
+     "second-grading bound -1 is negative"),
+    (CUBIC, ["--field", "F3", "--m-max", "-1"],
+     "saturation bound -1 is negative"),
+    ("field Q\nvars x1 x2\npoly x1^2\npoly x1*x2\n", ["--m-max", "1"],
+     "wedge-division checks need r < n"),
 ], ids=["p", "p-range", "m-max", "p-from-2", "p-from-1", "p-from-minus-1",
-        "m-max-without-ci"])
+        "m-max-without-ci", "p-before-none", "m-max-before-none",
+        "m-max-common-zero"])
 def test_verify_negative_bounds_exit_two(tmp_path, capsys, text, flags,
                                          needle):
     """Negative bounds, a --p range that does not start at 0, and --m-max
-    on an input with r >= n are refused before anything is printed."""
+    on an input with r >= n are refused before anything is printed, also
+    where the certificate would be NONE."""
     rc = main(["verify", write(tmp_path, text)] + flags)
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""

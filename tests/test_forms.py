@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -141,6 +142,44 @@ def test_basis_dimension_matches_combinatorial_count():
                     got = basis(prob, k, q, p).dim
                     want = omega_slice_dim(prob.n, prob.degrees, k, q, p)
                     assert got == want, (prob.degrees, k, q, p)
+
+
+def _words(m: int) -> list:
+    """Every ascending index word over m letters, the empty one included."""
+    return [tuple(i for i in range(m) if mask >> i & 1)
+            for mask in range(2 ** m)]
+
+
+def test_basis_keys_match_brute_force_enumeration():
+    """Independent of the slice rule: enumerate bounded x and y exponents
+    and every dx/dy word, sort each term into its slice by bidegree_of,
+    and compare with the basis keys. The bound is complete: (q, p) forces
+    sum(b) + |J| = p and sum(a) = q + sum(b_j d_j) + sum_(j in J) d_j - |I|
+    <= q + p max(d)."""
+    q_range, p_max = range(-2, 2), 2
+    for prob in (two_conics(), fermat_cubic()):
+        n, r = prob.n, prob.r
+        x_max = q_range[-1] + p_max * max(prob.degrees)
+        found = {}
+        for xexp in product(range(x_max + 1), repeat=n):
+            if sum(xexp) > x_max:
+                continue
+            for yexp in product(range(p_max + 1), repeat=r):
+                for dxs in _words(n):
+                    for dys in _words(r):
+                        q, p = bidegree_of(prob, xexp, yexp, dxs, dys)
+                        if q in q_range and 0 <= p <= p_max:
+                            found.setdefault((len(dxs) + len(dys), q, p),
+                                             set()).add(
+                                (xexp, yexp, dxs, dys))
+        for k in range(n + r + 1):
+            for q in q_range:
+                for p in range(p_max + 1):
+                    keys = basis(prob, k, q, p).keys
+                    assert len(set(keys)) == len(keys), (k, q, p)
+                    assert set(keys) == found.pop((k, q, p), set()), \
+                        (prob.degrees, k, q, p)
+        assert not found
 
 
 def test_vector_form_round_trip():

@@ -91,9 +91,8 @@ def test_assembler_matches_per_column_oracle():
                         assemble(SparseMatrix(tgt.dim, src.dim, f), rule,
                                  src, tgt),
                         matrix_of(prob, mult.wedge, src, tgt), where)
-                    src = quotient_basis(prob, k, weight, prob.polys)
-                    tgt = quotient_basis(prob, k + mult.k, weight + d,
-                                         prob.polys)
+                    src = quotient_basis(prob, k, weight)
+                    tgt = quotient_basis(prob, k + mult.k, weight + d)
                     if tgt.quotient is None:
                         continue
                     _same_matrix(

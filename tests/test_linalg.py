@@ -8,6 +8,7 @@ import pytest
 
 from jacring import linalg, quotients
 from jacring.certify import jacobian_minors
+from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.homology import boundary_matrix
 from jacring.linalg import (SparseMatrix, in_column_span, kernel_basis, rank,
@@ -251,6 +252,15 @@ def test_in_column_span():
         m = SparseMatrix(2, 1, field)
         m.add_at(0, 0, field.one)
         assert not in_column_span(m, [field.zero, field.one])
+
+
+def test_in_column_span_checks_the_length_first():
+    """A vector of the wrong length is refused whether it is zero or not."""
+    F7 = PrimeField(7)
+    mat = SparseMatrix(2, 2, F7, {(0, 0): 1})
+    for vec in ([0, 0, 0], [0, 1, 0], [0]):
+        with pytest.raises(InputError, match="column length mismatch"):
+            in_column_span(mat, [F7.of(v) for v in vec])
 
 
 def test_rref_idempotent_and_consistent():

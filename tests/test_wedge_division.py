@@ -91,8 +91,7 @@ def test_kernel_elements_divide_without_saturation():
                     assert sol is not None, (prob.degrees, k, weight)
                     assert sol.m == 0, (prob.degrees, k, weight)
                     lhs = _full_product(prob, sol.alphas[0])
-                    assert reduce_form_mod_ideal(lhs - omega,
-                                                 list(prob.polys)).is_zero()
+                    assert reduce_form_mod_ideal(lhs - omega).is_zero()
                     checked += 1
         assert (checked > 0) == expect_nonempty, prob.degrees
 
@@ -105,7 +104,7 @@ def test_construct_then_solve_round_trip_quotient():
             kk = rng.randint(0, prob.n - 1 - prob.r) if prob.n - 1 > prob.r else 0
             gamma = _random_dx_form(rng, prob, kk, rng.randint(0, 2))
             omega = _full_product(prob, gamma)
-            omega = reduce_form_mod_ideal(omega, list(prob.polys))
+            omega = reduce_form_mod_ideal(omega)
             if omega.is_zero():
                 continue
             sol = wedge_division_oracle(omega, dfs, "full-product",
@@ -113,7 +112,7 @@ def test_construct_then_solve_round_trip_quotient():
             assert sol is not None, (prob.degrees, trial)
             assert sol.m == 0
             lhs = _full_product(prob, sol.alphas[0])
-            assert reduce_form_mod_ideal(lhs - omega, list(prob.polys)).is_zero()
+            assert reduce_form_mod_ideal(lhs - omega).is_zero()
 
 
 def test_construct_then_solve_round_trip_polynomial():
@@ -178,7 +177,7 @@ def test_zero_solutions_have_word_length_k_minus_J():
     assert sol is not None and sol.m == 0 and sol.shape == "saito"
     assert [a.k for a in sol.alphas] == [1]
     residual = mult.wedge(sol.alphas[0]) - omega
-    assert reduce_form_mod_ideal(residual, list(prob.polys)).is_zero()
+    assert reduce_form_mod_ideal(residual).is_zero()
 
 
 def test_unsolvable_form_returns_none():
@@ -201,8 +200,7 @@ def test_saturation_finds_positive_exponent():
     omega = DiffForm.term(prob, (0, 1), (0,), (0,), ()) \
         - DiffForm.term(prob, (1, 0), (0,), (1,), ())
     # it is in the joint kernel over the quotient: df /\ omega = 0 mod (f)
-    assert reduce_form_mod_ideal(dfs[0].wedge(omega),
-                                 list(prob.polys)).is_zero()
+    assert reduce_form_mod_ideal(dfs[0].wedge(omega)).is_zero()
     assert wedge_division_oracle(omega, dfs, "saito",
                                  over="quotient-by-f") is None
     sol = wedge_division_oracle(omega, dfs, "saito", over="quotient-by-f",
@@ -210,7 +208,7 @@ def test_saturation_finds_positive_exponent():
     assert sol is not None and sol.m == 1
     lhs = dfs[0].wedge(sol.alphas[0])
     target = omega.times_poly(g)
-    assert reduce_form_mod_ideal(lhs - target, list(prob.polys)).is_zero()
+    assert reduce_form_mod_ideal(lhs - target).is_zero()
 
 
 def test_singular_input_kernel_needs_no_saturation_at_smooth_points():
@@ -228,8 +226,7 @@ def test_singular_input_kernel_needs_no_saturation_at_smooth_points():
         if sol is not None:
             lhs = dfs[0].wedge(sol.alphas[0])
             target = omega if sol.m == 0 else omega.times_poly(g.pow(sol.m))
-            assert reduce_form_mod_ideal(lhs - target,
-                                         list(prob.polys)).is_zero()
+            assert reduce_form_mod_ideal(lhs - target).is_zero()
 
 
 def test_error_cases():
@@ -305,6 +302,5 @@ def test_rank_decision_matches_the_oracle_on_every_division_check(
             # must vanish mod (f)
             lhs = (_full_product(prob, sol.alphas[0]) if omega.k >= prob.r
                    else DiffForm.zero(prob, omega.k))
-            assert reduce_form_mod_ideal(lhs - target,
-                                         list(prob.polys)).is_zero()
+            assert reduce_form_mod_ideal(lhs - target).is_zero()
     assert seen == {0, 1, None}
