@@ -88,8 +88,7 @@ def jacobian_determinant(problem: ProblemInput) -> MultiPoly:
     """Determinant of the full Jacobian matrix; requires r == n."""
     if problem.r != problem.n:
         raise HypothesisViolation("the Jacobian determinant needs r == n")
-    return _determinant([[problem.partials[j][i] for i in range(problem.n)]
-                         for j in range(problem.r)])
+    return jacobian_minors(problem)[0]
 
 
 def _determinant(rows: list[list[MultiPoly]]) -> MultiPoly:

@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Subcommands: certify, hilbert, hodge, cohomology, verify. Input files are
-line-oriented: `field Q` or `field F <p>`, `vars <name>+`, one `poly <expr>`
-per line; `#` starts a comment; whitespace is insignificant. Every command
-that reads an input takes one path: load the problem (with the --field
-override), certify its hypothesis (smooth complete intersection when r < n,
-no common zero otherwise), and print one report, text or --json, whose JSON
-header (input_hash, field, n, r, degrees) `_emit` builds. `verify` takes its
+line-oriented: `field Q` or `field F <p>` (also `F<p>` or `F_<p>`, as for
+--field), `vars <name>+`, one `poly <expr>` per line; `#` starts a
+comment; whitespace is insignificant. Every command that reads an input
+takes one path: load the problem (with the --field override), certify its
+hypothesis (smooth complete intersection when r < n, no common zero
+otherwise), and print one report, text or --json, whose JSON header
+(input_hash, field, n, r, degrees) `_emit` builds. `verify` takes its
 mode from the same r < n split, and its --p window always starts at p = 0.
 Slices are computed one at a time in one process: the worker-count flag of
 `cohomology` and `verify` still parses an integer, so existing command lines
@@ -40,7 +41,11 @@ from .polynomials import parse_poly
 from .problem import ProblemInput
 
 
-def _parse_field_token(tokens: list[str], where: str):
+def _parse_field(text: str, where: str):
+    """A field spelling: 'Q', 'F <p>', 'F<p>' or 'F_<p>'."""
+    tokens = text.split()
+    if len(tokens) == 1 and tokens[0].startswith("F"):
+        tokens = ("F " + tokens[0][1:].lstrip("_")).split()
     if not tokens:
         raise InputError(f"{where}: missing field kind")
     kind = tokens[0]
@@ -62,14 +67,6 @@ def _parse_field_token(tokens: list[str], where: str):
     raise InputError(f"{where}: unknown field kind {kind!r}")
 
 
-def parse_field_flag(text: str):
-    """--field values: 'Q', 'F <p>', 'F<p>', or 'F_<p>'."""
-    text = text.strip()
-    if text.startswith("F") and len(text) > 1 and " " not in text:
-        text = "F " + text[1:].lstrip("_")
-    return _parse_field_token(text.split(), "--field")
-
-
 def parse_input(text: str, field_override=None):
     """Parse an input file into a ProblemInput plus the variable names."""
     field = field_override
@@ -86,7 +83,7 @@ def parse_input(text: str, field_override=None):
             if field_override is None:
                 if field is not None:
                     raise InputError(f"{where}: duplicate field line")
-                field = _parse_field_token(rest, where)
+                field = _parse_field(line[len("field"):], where)
         elif head == "vars":
             if names is not None:
                 raise InputError(f"{where}: duplicate vars line")
@@ -115,11 +112,7 @@ def parse_input(text: str, field_override=None):
         raise InputError("no vars line")
     if not polys:
         raise InputError("no poly lines")
-    try:
-        problem = ProblemInput(field, polys)
-    except InputError as exc:
-        raise InputError(str(exc))
-    return problem, names
+    return ProblemInput(field, polys), names
 
 
 def _parse_range(text: str, lo_default: int, hi_default: int) -> tuple[int, int]:
@@ -147,7 +140,7 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
 
 def _load(args) -> ProblemInput:
     """The input file's problem, over the --field override if one is given."""
-    field = parse_field_flag(args.field) if args.field else None
+    field = _parse_field(args.field, "--field") if args.field else None
     if args.input == "-":
         return parse_input(sys.stdin.read(), field)[0]
     try:

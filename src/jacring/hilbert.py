@@ -1,7 +1,8 @@
 """Closed-form Hilbert-series pipeline: the derivative-recursion polynomials
 p_e, the closed form of H(t), the alternating-sum series of the complex
 derived from it, the slice-dimension count (from the slice rule of
-`problem.slice_blocks`), and the predicted dimension table.
+`problem.slice_blocks`; `homology` reads every slice size from it), and
+the predicted dimension table.
 
 The paper writes H(t) as a sum over exponent vectors e; its terms depend on
 e only through E = sum(e_i) and a multinomial weight, so H is built with one

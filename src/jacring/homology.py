@@ -4,14 +4,18 @@ dimensions against the predicted patterns.
 
 Everything here is slice-local: a cohomology dimension at (k, q, p) touches
 only the three graded slices the boundary connects, so no global complex is
-ever materialized. A dimension is the slice dimension minus the ranks of
-the two boundaries at the slice. Over Q a boundary rank comes first from a
-copy of the problem reduced mod the prime _MODULAR_PRIME = 2^31 - 1:
-reduction never raises a rank, and d∘d = 0 bounds the two ranks at a slice
-by its dimension, so where the mod-P cohomology of the copy vanishes at
-either end of a boundary, its mod-P rank is its Q rank. Every other
-boundary, and every boundary of a problem with no reduction (P divides a
-denominator, or a polynomial vanishes mod P), is ranked exactly over Q.
+ever materialized. A dimension is the slice's count
+(`hilbert.omega_slice_dim`, 0 outside the complex) minus the ranks of the
+two boundaries at the slice; a boundary with an empty source or target has
+rank 0, and a slice basis is built only where a boundary is assembled or a
+form is read (`_witness_class_is_nonzero`). Over Q a boundary rank comes
+first from a copy of the problem reduced mod the prime _MODULAR_PRIME =
+2^31 - 1: reduction never raises a rank, and d∘d = 0 bounds the two ranks
+at a slice by its dimension, so where the mod-P cohomology of the copy
+vanishes at either end of a boundary, its mod-P rank is its Q rank. Every
+other boundary, and every boundary of a problem with no reduction (P
+divides a denominator, or a polynomial vanishes mod P), is ranked exactly
+over Q: the only boundaries a problem over Q assembles to rank.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from .errors import CertificateRequired, InputError
 from .fields import PrimeField
 from .forms import (DiffForm, assemble, basis, boundary, dF_of, df_form,
                     quotient_basis, wedge_rule, xi)
-from .hilbert import hodge_table
+from .hilbert import hodge_table, omega_slice_dim
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank
 from .polynomials import MultiPoly
 from .problem import ProblemInput
@@ -74,16 +78,17 @@ def _proves_rank(reduced: ProblemInput, k: int, q: int, p: int) -> bool:
 
 
 def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int) -> int:
-    """Rank of the boundary out of (k, q, p), cached on the problem. Over Q
-    it is the rank of the modular copy where a vanishing mod-P slice proves
-    it, else an exact rank over Q."""
-    if k < 0 or p < 0 or k > problem.n + problem.r:
-        return 0
+    """Rank of the boundary out of (k, q, p), cached on the problem: 0 when
+    its source or target counts no term, else over Q the rank of the
+    modular copy where a vanishing mod-P slice proves it, else the rank of
+    the assembled boundary."""
     key = ("brank", k, q, p)
     cached = problem._cache.get(key)
     if cached is None:
+        n, degrees = problem.n, problem.degrees
         reduced = _reduction(problem)
-        if basis(problem, k, q, p).dim == 0:
+        if (omega_slice_dim(n, degrees, k, q, p) == 0
+                or omega_slice_dim(n, degrees, k + 1, q, p + 1) == 0):
             cached = 0
         elif reduced is not None and _proves_rank(reduced, k, q, p):
             cached = _boundary_rank(reduced, k, q, p)
@@ -94,11 +99,10 @@ def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int) -> int:
 
 
 def cohomology_dim(problem: ProblemInput, k: int, q: int, p: int) -> int:
-    """dim of the boundary cohomology at slice (k, q, p), computed as
-    slice dim minus the ranks of the outgoing and incoming boundaries."""
-    if k < 0 or k > problem.n + problem.r or p < 0:
-        return 0
-    d = basis(problem, k, q, p).dim
+    """dim of the boundary cohomology at slice (k, q, p), computed as the
+    slice's count minus the ranks of the outgoing and incoming boundaries;
+    the count is 0 outside the complex."""
+    d = omega_slice_dim(problem.n, problem.degrees, k, q, p)
     if d == 0:
         return 0
     out_rank = _boundary_rank(problem, k, q, p)
@@ -238,11 +242,8 @@ def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
     if not boundary(w).is_zero():
         return False
     tgt = basis(problem, 2 * r, 0, r)
-    vec = tgt.vector_of_form(w)
-    if all(problem.field.is_zero(v) for v in vec):
-        return False
     bmat = boundary_matrix(problem, 2 * r - 1, 0, r - 1)
-    return not in_column_span(bmat, vec)
+    return not in_column_span(bmat, tgt.vector_of_form(w))
 
 
 def check_verify_bounds(problem: ProblemInput, p_max: int | None,

@@ -4,7 +4,8 @@ The bigrading used everywhere downstream: the x-variables and their
 differentials have weight (1, 0); the auxiliary y-variable attached to the
 j-th polynomial and its differential have weight (-d_j, 1). `slice_blocks`
 is the one place that turns it into the terms of a (k, q, p) slice: the
-slice bases of `forms` and the count of `hilbert.omega_slice_dim` read it.
+slice bases of `forms` and the count of `hilbert.omega_slice_dim` read it,
+and cohomology takes each slice's size from that count.
 """
 from __future__ import annotations
 

@@ -14,6 +14,9 @@ SQUARES = "field Q\nvars x1 x2\npoly x1^2\npoly x2^2\n"
 CONICS = ("field Q\nvars x1 x2 x3\n"
           "poly x1^2 + x2^2 - x3^2\n"
           "poly x1^2 - x2^2\n")
+QUADRICS = ("field Q\nvars x1 x2 x3 x4\n"
+            "poly x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2\n"
+            "poly 4*x1^2 + 3*x2^2 + 5*x3^2 + x4^2\n")
 
 
 def write(tmp_path, text, name="input.txt"):
@@ -53,6 +56,22 @@ def test_certify_field_override(tmp_path, capsys):
     assert main(["certify", path, "--field", "F_7"]) == 0
     assert main(["certify", path, "--field", "F 7"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spelling", ["F 7", "F7", "F_7"])
+def test_field_spellings_in_files_and_flags(tmp_path, capsys, spelling):
+    """Each spelling of F_7, on a file's field line or through --field,
+    prints the certify bytes of `field F 7`."""
+    main(["certify", write(tmp_path, CUBIC.replace("field Q", "field F 7"),
+                           "f7.txt")])
+    expected = capsys.readouterr().out
+    runs = [["certify", write(tmp_path, CUBIC.replace("field Q",
+                                                      f"field {spelling}"))],
+            ["certify", write(tmp_path, CUBIC, "q.txt"), "--field", spelling]]
+    for argv in runs:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+    assert "F_7" in expected
 
 
 # a smooth complete intersection whose certificate needs degree 6
@@ -343,6 +362,9 @@ GOLDEN_CASES = [  # name, input text or None, argv after the input, exit code
     ("verify-cubic-mmax", CUBIC, ["verify", "--m-max", "1"], 0),
     ("verify-squares", SQUARES, ["verify"], 0),
     ("verify-cubic-F3", CUBIC, ["verify", "--field", "F3"], 1),
+    ("verify-quadrics", QUADRICS, ["verify", "--p", "2"], 0),
+    ("cohomology-conics-F32003", CONICS,
+     ["cohomology", "--all", "--field", "F32003"], 0),
 ]
 
 

@@ -11,6 +11,7 @@ from jacring.errors import CertificateRequired, InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.forms import (assemble, basis, boundary, dF_of, df_form,
                            quotient_basis, wedge_rule, xi)
+from jacring.hilbert import omega_slice_dim
 import jacring.homology as homology
 from jacring.homology import (boundary_matrix, cohomology_dim,
                               cohomology_report, verify_predictions,
@@ -250,7 +251,24 @@ def test_no_reduction_when_the_prime_divides_a_denominator_or_a_polynomial():
     assert homology._reduction(fermat_cubic(PrimeField(32003))) is None
 
 
-def test_report_caches_slices_and_leaves_no_cycles():
+def _record_boundaries(monkeypatch) -> list:
+    """Record (problem, k, q, p, matrix) for every boundary_matrix call."""
+    calls = []
+    original = homology.boundary_matrix
+
+    def recording(problem, k, q, p):
+        mat = original(problem, k, q, p)
+        calls.append((problem, k, q, p, mat))
+        return mat
+    monkeypatch.setattr(homology, "boundary_matrix", recording)
+    return calls
+
+
+def _count(problem, k, q, p) -> int:
+    return omega_slice_dim(problem.n, problem.degrees, k, q, p)
+
+
+def test_report_caches_slices_and_leaves_no_cycles(monkeypatch):
     prob = fermat_cubic()
     slices = [(k, 0, p) for k in range(5) for p in range(3)]
     dims = cohomology_report(prob, slices)
@@ -258,9 +276,16 @@ def test_report_caches_slices_and_leaves_no_cycles():
     assert all(v >= 0 for v in dims.values())
     # perfbench computes basis.hit_ratio and brank.hit_ratio from these keys
     for k, q, p in slices:
-        assert ("basis", k, q, p) in prob._cache
-        if basis(prob, k, q, p).dim:
+        if _count(prob, k, q, p):
             assert ("brank", k, q, p) in prob._cache
+    calls = _record_boundaries(monkeypatch)
+    prob = fermat_cubic(PrimeField(32003))
+    cohomology_report(prob, slices)
+    assert calls
+    for _, k, q, p, _ in calls:
+        assert ("basis", k, q, p) in prob._cache
+        assert ("basis", k + 1, q, p + 1) in prob._cache
+    monkeypatch.undo()
     # nothing a problem caches points back at it, so a finished problem is
     # freed by reference counting alone
     for field in (Q, PrimeField(32003)):
@@ -274,6 +299,43 @@ def test_report_caches_slices_and_leaves_no_cycles():
             assert gc.collect() == 0, field
         finally:
             gc.enable()
+
+
+def test_q_problem_builds_bases_only_to_rank_over_q(monkeypatch):
+    """A problem over Q builds the slice bases of the boundaries it ranks
+    over Q and of the witness's boundary, no other: its dimensions come
+    from the slice counts and the modular copy's ranks."""
+    calls = _record_boundaries(monkeypatch)
+    ranked = []
+
+    def recording_rank(mat):
+        ranked.append(mat)
+        return rank(mat)
+    monkeypatch.setattr(homology, "rank", recording_rank)
+    prob = problem_from_strings(Q, 4, ["x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2",
+                                       "4*x1^2 + 3*x2^2 + 5*x3^2 + x4^2"])
+    r = prob.r
+    assert verify_predictions(prob, smooth_ci_certificate(prob),
+                              p_max=4).passed
+    q_ranked = {id(mat) for mat in ranked if mat.field.kind == "Q"}
+    allowed = {(2 * r - 1, 0, r - 1), (2 * r, 0, r)}
+    for problem, k, q, p, mat in calls:
+        if problem is prob and id(mat) in q_ranked:
+            allowed |= {(k, q, p), (k + 1, q, p + 1)}
+    built = {key[1:] for key in prob._cache if key[0] == "basis"}
+    assert built and built <= allowed
+    assert any(problem is not prob for problem, *_ in calls)
+
+
+@pytest.mark.parametrize("make", [fermat_cubic, two_conics])
+def test_no_boundary_is_assembled_into_an_empty_slice(monkeypatch, make):
+    calls = _record_boundaries(monkeypatch)
+    prob = make()
+    assert verify_predictions(prob, smooth_ci_certificate(prob)).passed
+    assert calls
+    # the witness's boundary may have an empty source, (1, 0, 0) at r = 1
+    for problem, k, q, p, _ in calls:
+        assert _count(problem, k + 1, q, p + 1) > 0
 
 
 # ---------------------------------------------------------------------------
