@@ -9,8 +9,8 @@ from .certify import (Certificate, ideal_membership, jacobian_determinant,
 from .errors import (CertificateRequired, HypothesisViolation, InputError,
                      JacringError, SliceMismatch)
 from .fields import PrimeField, Rationals
-from .forms import (BasisSlice, DiffForm, assemble, basis, boundary, dF_of,
-                    df_form, xi)
+from .forms import (BasisSlice, DiffForm, SliceLayout, assemble, basis,
+                    boundary, dF_of, df_form, xi)
 from .hilbert import (HodgeTable, Poly, closed_form_H, euler_series,
                       eulerian_p, hodge_table, omega_slice_dim,
                       symmetry_check)
@@ -29,8 +29,8 @@ __all__ = [
     "BasisSlice", "Certificate", "CertificateRequired", "Check",
     "DiffForm", "HodgeTable", "HypothesisViolation", "InputError",
     "JacringError", "MODE_CI", "MODE_NCZ", "MultiPoly", "Poly", "PrimeField",
-    "ProblemInput", "QuotientSlice", "Rationals", "SliceMismatch",
-    "SparseMatrix", "VerificationReport",
+    "ProblemInput", "QuotientSlice", "Rationals", "SliceLayout",
+    "SliceMismatch", "SparseMatrix", "VerificationReport",
     "assemble", "basis", "boundary", "boundary_matrix",
     "closed_form_H", "cohomology_dim", "cohomology_report",
     "dF_of", "df_form", "euler_series", "eulerian_p",

@@ -3,14 +3,20 @@
 A form is a sum of terms  c * x^a y^b dx_I dy_J  with I, J ascending index
 tuples; the wedge factors are kept in the canonical order "all dx before all
 dy". The operator of interest is the boundary, the left wedge with dF where
-F = sum_j y_j f_j. Slice bases live here too, built block by block from
-`problem.slice_blocks`, and so does the one term-level assembler that
-builds every operator matrix from a term rule.
+F = sum_j y_j f_j.
+
+A slice is laid out block by block from `problem.slice_blocks`
+(`SliceLayout`), and `assemble` builds every operator matrix on layouts:
+the left wedge with a form, one block at a time, from multiplication
+tables M(g, a) cached on the problem. Since (Omega, dF /\\ .) is a Koszul
+complex, each block of a boundary is a signed dx/dy insertion tensored
+with multiplication by a partial derivative d f_j / d x_i or by f_j. Term
+keys (`basis`, `quotient_basis`) are built only where a form is read.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations
+from itertools import combinations, count
 from operator import add
 
 from .errors import InputError, SliceMismatch
@@ -266,13 +272,89 @@ def xi(problem: ProblemInput, k: int) -> DiffForm:
 # ---------------------------------------------------------------------------
 
 
+def _words(problem: ProblemInput, l: int) -> tuple:
+    """The ascending dx words of length l, in order, and the position of
+    each word. Cached on the problem."""
+    key = ("words", l)
+    got = problem._cache.get(key)
+    if got is None:
+        words = list(combinations(range(problem.n), l))
+        got = problem._cache[key] = (words,
+                                     {w: i for i, w in enumerate(words)})
+    return got
+
+
+def _quotient(problem: ProblemInput, xdeg: int):
+    """The degree-xdeg quotient slice of K[x]/(f), f the problem's
+    polynomials; cached on the problem."""
+    key = ("quotient", xdeg)
+    if key not in problem._cache:
+        problem._cache[key] = quotient_slice(list(problem.polys), xdeg)
+    return problem._cache[key]
+
+
+def _monomials(problem: ProblemInput, xdeg: int, quotient: bool) -> tuple:
+    """The x-monomials of a block of degree xdeg and the position of each:
+    every monomial of that degree, or over K[x]/(f) the complement
+    monomials of its quotient slice. Cached on the problem."""
+    key = ("monomials", xdeg, quotient)
+    got = problem._cache.get(key)
+    if got is None:
+        monos = (_quotient(problem, xdeg).complement if quotient
+                 else monomials_of_degree(problem.n, xdeg))
+        got = problem._cache[key] = (monos,
+                                     {m: i for i, m in enumerate(monos)})
+    return got
+
+
+class SliceLayout:
+    """The (k, q, p) slice as the ordered blocks of `slice_blocks`. A block
+    (l, J, b, xdeg, offset, words, monomials) holds the terms
+    x^a y^b dx_I dy_J with I in words (every dx word of length l) and a in
+    monomials (every one of degree xdeg), term (I, a) at offset +
+    pos(I) * len(monomials) + pos(a). With quotient set (p = 0, one block
+    at most) the coefficients live in K[x]/(f) and a block's monomials are
+    the complement of its degree's quotient slice. Operator matrices are
+    assembled on layouts; keys() lists the terms in column order, which is
+    the order of `basis` and `quotient_basis`. A layout holds no problem."""
+
+    __slots__ = ("k", "q", "p", "quotient", "blocks", "dim", "_at")
+
+    def __init__(self, problem: ProblemInput, k: int, q: int, p: int,
+                 quotient: bool = False):
+        self.k, self.q, self.p, self.quotient = k, q, p, quotient
+        n = problem.n
+        self.blocks = []
+        self._at = {}
+        offset = 0
+        for l, dys, yexp, xdeg in slice_blocks(n, problem.degrees, k, q, p):
+            words = _words(problem, l)[0]
+            monos = _monomials(problem, xdeg, quotient)[0]
+            block = (l, dys, yexp, xdeg, offset, words, monos)
+            self.blocks.append(block)
+            self._at[(dys, yexp)] = block
+            offset += len(words) * len(monos)
+        self.dim = offset
+
+    def keys(self) -> list:
+        """The term keys (xexp, yexp, dxs, dys) in column order."""
+        return [(xexp, yexp, dxs, dys)
+                for _, dys, yexp, _, _, words, monos in self.blocks
+                for dxs in words for xexp in monos]
+
+    def __repr__(self):
+        return (f"SliceLayout(k={self.k}, q={self.q}, p={self.p}, "
+                f"dim={self.dim})")
+
+
 class BasisSlice:
-    """Ordered monomial-form basis of the (k, q, p) slice. With a quotient
-    slice attached, the coefficients live in K[x]/(gens) and the basis holds
-    the complement monomials only; a pivot monomial's term maps to its
-    normal form. Its keys depend only on (n, degrees, k, q, p): it holds no
-    problem or field, so a problem's cache never points back at it. A
-    vector becomes a form by DiffForm(problem, k, zip(keys, vec))."""
+    """The term keys of a slice in column order, for reading forms: the
+    witness class, the division vectors and the kernel forms. With a
+    quotient slice attached, the coefficients live in K[x]/(gens) and the
+    basis holds the complement monomials only; a pivot monomial's term maps
+    to its normal form. It holds no problem or field, so a problem's cache
+    never points back at it. A vector becomes a form by
+    DiffForm(problem, k, zip(keys, vec))."""
 
     __slots__ = ("k", "q", "p", "keys", "index", "quotient")
 
@@ -316,63 +398,142 @@ class BasisSlice:
         return f"BasisSlice(k={self.k}, q={self.q}, p={self.p}, dim={self.dim})"
 
 
-def _block_keys(n: int, blocks, monomials) -> list:
-    """The keys of the slice blocks in order, word by word, with
-    monomials(xdeg) as the x-monomials of each block."""
-    keys = []
-    for l, dys, yexp, xdeg in blocks:
-        xexps = monomials(xdeg)
-        keys += [(xexp, yexp, dxs, dys) for dxs in combinations(range(n), l)
-                 for xexp in xexps]
-    return keys
-
-
 def basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
-    """Monomial basis x^a y^b dx_I dy_J of the (k, q, p) slice, every
-    x-monomial of each block of `slice_blocks`. At p = 0 this is the space
-    of dx-only k-forms of weight q over K[x]."""
+    """Monomial basis x^a y^b dx_I dy_J of the (k, q, p) slice, in the
+    column order of its `SliceLayout`. At p = 0 this is the space of
+    dx-only k-forms of weight q over K[x]. Cached on the problem."""
     key = ("basis", k, q, p)
     slice_ = problem._cache.get(key)
     if slice_ is None:
-        n = problem.n
-        slice_ = problem._cache[key] = BasisSlice(k, q, p, _block_keys(
-            n, slice_blocks(n, problem.degrees, k, q, p),
-            lambda xdeg: monomials_of_degree(n, xdeg)))
+        slice_ = problem._cache[key] = BasisSlice(
+            k, q, p, SliceLayout(problem, k, q, p).keys())
     return slice_
 
 
 def quotient_basis(problem: ProblemInput, k: int, weight: int) -> BasisSlice:
     """dx-only k-forms of the given weight with coefficients in K[x]/(f),
-    f the problem's polynomials: the p = 0 slice of `basis`, one block at
-    most (x degree weight - k), with the complement monomials of that
-    degree's quotient slice as its x-monomials. Cached on the problem, as
-    is each quotient slice."""
+    f the problem's polynomials: the keys of the quotient layout of the
+    p = 0 slice, with that block's quotient slice attached. Cached on the
+    problem."""
     key = ("quotient-basis", k, weight)
     if key not in problem._cache:
-        blocks = list(slice_blocks(problem.n, problem.degrees, k, weight, 0))
-        qs = None
-        if blocks:
-            qkey = ("quotient", blocks[0][3])
-            if qkey not in problem._cache:
-                problem._cache[qkey] = quotient_slice(list(problem.polys),
-                                                      qkey[1])
-            qs = problem._cache[qkey]
-        problem._cache[key] = BasisSlice(k, weight, 0, _block_keys(
-            problem.n, blocks, lambda _: qs.complement), qs)
+        layout = SliceLayout(problem, k, weight, 0, quotient=True)
+        qs = _quotient(problem, layout.blocks[0][3]) if layout.blocks else None
+        problem._cache[key] = BasisSlice(k, weight, 0, layout.keys(), qs)
     return problem._cache[key]
 
 
-def assemble(mat: SparseMatrix, rule, source: BasisSlice, target: BasisSlice,
-             row0: int = 0) -> SparseMatrix:
-    """Add into the rows of mat from row0 on the matrix of the linear map
-    with the given term rule: column j holds the image of the j-th source
-    key, rule(key) yields (image key, coefficient) pairs, and the target
-    maps each image term to its coordinates. An image term outside the
-    target raises SliceMismatch. Every operator matrix is built here."""
-    f = mat.field
+# ---------------------------------------------------------------------------
+# the assembler
+# ---------------------------------------------------------------------------
+
+
+def _mult_table(problem: ProblemInput, g: tuple, a: int,
+                quotient: bool) -> tuple:
+    """M(g, a): multiplication by the homogeneous x-polynomial g, a tuple
+    of (exponent, coefficient) pairs of degree e, from the block monomials
+    of degree a (see _monomials) to those of degree a + e. Returns three
+    lists over the source monomials: the target positions of each product,
+    their coefficients, and the negated coefficients. Over K[x]/(f) a
+    product's pivot monomials pass through their normal forms and each
+    target position is summed once, so no position repeats and no
+    coefficient is zero; over K[x] every product has g's coefficients,
+    one tuple shared by every monomial."""
+    f = problem.field
+    src = _monomials(problem, a, quotient)[0]
+    e = sum(g[0][0])
+    index = _monomials(problem, a + e, quotient)[1]
+    if not quotient:
+        coeffs = tuple(c for _, c in g)
+        negated = tuple(f.neg(c) for c in coeffs)
+        return ([tuple([index[tuple(map(add, xa, m))] for xa, _ in g])
+                 for m in src], [coeffs] * len(src), [negated] * len(src))
+    normal_forms = _quotient(problem, a + e).pivot_normal_forms()
+    positions, coeffs, negated = [], [], []
+    for m in src:
+        acc = {}
+        for xa, c in g:
+            prod_ = tuple(map(add, xa, m))
+            t = index.get(prod_)
+            if t is not None:
+                add_term(acc, t, c, f)
+            else:
+                for cm, w in normal_forms[prod_]:
+                    add_term(acc, index[cm], f.mul(c, w), f)
+        positions.append(tuple(acc))
+        coeffs.append(tuple(acc.values()))
+        negated.append(tuple(f.neg(c) for c in acc.values()))
+    return positions, coeffs, negated
+
+
+def _table(problem: ProblemInput, g: tuple, a: int, quotient: bool) -> tuple:
+    """_mult_table(problem, g, a, quotient), built once per problem."""
+    key = ("table", g, a, quotient)
+    table = problem._cache.get(key)
+    if table is None:
+        table = problem._cache[key] = _mult_table(problem, g, a, quotient)
+    return table
+
+
+def assemble(mat: SparseMatrix, mu: DiffForm, source: SliceLayout,
+             target: SliceLayout, row0: int = 0) -> SparseMatrix:
+    """Add into the rows of mat from row0 on the matrix of the left wedge
+    with mu from source to target, two layouts over one coefficient ring
+    (quotient set on both or on neither): column j holds the image of the
+    j-th source term. mu's terms are grouped by dx word, dy word, y exponent and
+    x degree into one x-polynomial g each. A source block and a group fix
+    the target block; each source word is merged with the group's word
+    once, and the block's rows are filled from the table M(g, a) of its
+    x degree a, cached on the problem. Each cell is written once: the
+    target's words and y exponent fix the group, and distinct terms of g
+    give distinct products (summed in the table over a quotient). An image
+    outside the target raises SliceMismatch. Every operator matrix is built
+    here."""
+    problem = mu.problem
+    n = problem.n
+    grouped = {}
+    for (xa, ya, dxa, dya), c in mu.terms.items():
+        grouped.setdefault((dxa, dya, ya, sum(xa)), []).append((xa, c))
+    groups = [(dxa, dya, ya, tuple(sorted(g)))
+              for (dxa, dya, ya, _), g in grouped.items()]
     rows = mat.rows[row0:row0 + target.dim]
-    for col, key in enumerate(source.keys):
-        for ikey, c in rule(key):
-            for row, v in target.coords(ikey, c):
-                add_term(rows[row], col, v, f)
+    merges = {}
+    for l, dys, yexp, a, offset, words, monos in source.blocks:
+        width = len(monos)
+        if not width:
+            continue
+        pieces = []
+        for dxa, dya, ya, g in groups:
+            key = (dxa, dya, l, dys)
+            merged = merges.get(key)
+            if merged is None:
+                merged = merges[key] = [_merge_words(n, dxa, dya, dxs, dys)
+                                        for dxs in words]
+            hit = next((m for m in merged if m is not None), None)
+            if hit is None:
+                continue
+            block = target._at.get((hit[2], tuple(map(add, ya, yexp))))
+            if (block is None or block[0] != len(hit[1])
+                    or block[3] != a + sum(g[0][0])):
+                raise SliceMismatch(
+                    f"the image of the block (l={l}, J={dys}, b={yexp}) is "
+                    f"not in the (k={target.k}, q={target.q}, "
+                    f"p={target.p}) slice")
+            tl, _, _, _, toffset, _, tmonos = block
+            windex = _words(problem, tl)[1]
+            positions, coeffs, negated = _table(problem, g, a,
+                                                source.quotient)
+            pieces.append([None if m is None else
+                           (toffset + windex[m[1]] * len(tmonos), positions,
+                            coeffs if m[0] > 0 else negated) for m in merged])
+        for w in range(len(words)):
+            col0 = offset + w * width
+            for piece in pieces:
+                hit = piece[w]
+                if hit is None:
+                    continue
+                rbase, positions, values = hit
+                for col, ts, cs in zip(count(col0), positions, values):
+                    for t, c in zip(ts, cs):
+                        rows[rbase + t][col] = c
     return mat

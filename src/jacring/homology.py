@@ -7,15 +7,19 @@ only the three graded slices the boundary connects, so no global complex is
 ever materialized. A dimension is the slice's count
 (`hilbert.omega_slice_dim`, 0 outside the complex) minus the ranks of the
 two boundaries at the slice; a boundary with an empty source or target has
-rank 0, and a slice basis is built only where a boundary is assembled or a
-form is read (`_witness_class_is_nonzero`). Over Q a boundary rank comes
-first from a copy of the problem reduced mod the prime _MODULAR_PRIME =
-2^31 - 1: reduction never raises a rank, and d∘d = 0 bounds the two ranks
-at a slice by its dimension, so where the mod-P cohomology of the copy
-vanishes at either end of a boundary, its mod-P rank is its Q rank. Every
-other boundary, and every boundary of a problem with no reduction (P
-divides a denominator, or a polynomial vanishes mod P), is ranked exactly
-over Q: the only boundaries a problem over Q assembles to rank.
+rank 0. Every matrix is assembled on slice layouts (`forms.assemble`), and
+term keys are built only where a form is read: the witness class
+(`_witness_class_is_nonzero`), the division vectors of
+`wedge_division_solve` and the kernel forms of `joint_wedge_kernel`.
+
+Over Q a boundary rank comes first from a copy of the problem reduced mod
+the prime _MODULAR_PRIME = 2^31 - 1: reduction never raises a rank, and
+d∘d = 0 bounds the two ranks at a slice by its dimension, so where the
+mod-P cohomology of the copy vanishes at either end of a boundary, its
+mod-P rank is its Q rank. Every other boundary, and every boundary of a
+problem with no reduction (P divides a denominator, or a polynomial
+vanishes mod P), is ranked exactly over Q: the only boundaries a problem
+over Q assembles to rank.
 """
 from __future__ import annotations
 
@@ -25,8 +29,8 @@ from math import prod
 from .certify import ideal_membership, jacobian_determinant, jacobian_minors
 from .errors import CertificateRequired, InputError
 from .fields import PrimeField
-from .forms import (DiffForm, assemble, basis, boundary, dF_of, df_form,
-                    quotient_basis, wedge_rule, xi)
+from .forms import (DiffForm, SliceLayout, assemble, basis, boundary, dF_of,
+                    df_form, quotient_basis, xi)
 from .hilbert import hodge_table, omega_slice_dim
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank
 from .polynomials import MultiPoly
@@ -36,12 +40,11 @@ from .problem import ProblemInput
 def boundary_matrix(problem: ProblemInput, k: int, q: int,
                     p: int) -> SparseMatrix:
     """Matrix of the boundary out of the (k, q, p) slice into
-    (k+1, q, p+1)."""
-    src = basis(problem, k, q, p)
-    tgt = basis(problem, k + 1, q, p + 1)
-    rule = wedge_rule(dF_of(problem).terms, problem.n, problem.field)
-    return assemble(SparseMatrix(tgt.dim, src.dim, problem.field), rule,
-                    src, tgt)
+    (k+1, q, p+1), assembled on the two slice layouts."""
+    src = SliceLayout(problem, k, q, p)
+    tgt = SliceLayout(problem, k + 1, q, p + 1)
+    return assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
+                    dF_of(problem), src, tgt)
 
 
 # the prime of the modular copy of a problem over Q; rank's int64 dense tail
@@ -165,17 +168,17 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
     if omega.is_zero():
         return 0
     weight = _dx_only_weight(omega, "omega")
-    rule = wedge_rule(product.terms, prob.n, f)
     k = omega.k
     for m in range(m_max + 1):
         # g^m * omega stays nonzero: K[x] is a domain
         target = omega.times_poly(g.pow(m)) if m else omega
         target_weight = weight + m * g_degree
-        tgt = quotient_basis(prob, k, target_weight)
-        src = quotient_basis(prob, k - len(multipliers),
-                             target_weight - product_weight)
-        mat = assemble(SparseMatrix(tgt.dim, src.dim, f), rule, src, tgt)
-        if in_column_span(mat, tgt.vector_of_form(target)):
+        tgt = SliceLayout(prob, k, target_weight, 0, quotient=True)
+        src = SliceLayout(prob, k - len(multipliers),
+                          target_weight - product_weight, 0, quotient=True)
+        mat = assemble(SparseMatrix(tgt.dim, src.dim, f), product, src, tgt)
+        rhs = quotient_basis(prob, k, target_weight).vector_of_form(target)
+        if in_column_span(mat, rhs):
             return m
     return None
 
@@ -185,20 +188,20 @@ def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
     """Basis of { omega of word length k and the given weight :
     w_i /\\ omega = 0 for every multiplier } over K[x]/(f), f the
     problem's polynomials."""
-    src = quotient_basis(problem, k, weight)
+    src = SliceLayout(problem, k, weight, 0, quotient=True)
     if src.dim == 0:
         return []
-    f = problem.field
-    tgts = [(w, quotient_basis(problem, k + 1,
-                               weight + _dx_only_weight(w, "multiplier")))
+    tgts = [(w, SliceLayout(problem, k + 1,
+                            weight + _dx_only_weight(w, "multiplier"), 0,
+                            quotient=True))
             for w in multipliers]
-    mat = SparseMatrix(sum(t.dim for _, t in tgts), src.dim, f)
+    mat = SparseMatrix(sum(t.dim for _, t in tgts), src.dim, problem.field)
     row0 = 0
     for w, tgt in tgts:
-        assemble(mat, wedge_rule(w.terms, problem.n, f), src, tgt, row0=row0)
+        assemble(mat, w, src, tgt, row0=row0)
         row0 += tgt.dim
-    return [DiffForm(problem, src.k, zip(src.keys, vec))
-            for vec in kernel_basis(mat)]
+    keys = src.keys()
+    return [DiffForm(problem, k, zip(keys, vec)) for vec in kernel_basis(mat)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 from jacring.errors import HypothesisViolation, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals, add_term
-from jacring.forms import (BasisSlice, DiffForm, assemble, basis,
-                           quotient_basis, wedge_rule)
+from jacring.forms import (BasisSlice, DiffForm, basis, quotient_basis,
+                           wedge_rule)
 from jacring.hilbert import Poly, eulerian_p
 from jacring.homology import _dx_only_weight
 from jacring.linalg import SparseMatrix, rank, solve
@@ -186,9 +186,26 @@ def random_form(rng: random.Random, problem: ProblemInput, k: int,
     return form
 
 
+def per_term_assemble(mat: SparseMatrix, rule, source: BasisSlice,
+                      target: BasisSlice, row0: int = 0) -> SparseMatrix:
+    """Reference oracle for `forms.assemble`, and the assembler of the
+    oracles that need a general term rule: add into the rows of mat from
+    row0 on the matrix of the linear map with the given term rule: column j
+    holds the image of the j-th source key, rule(key) yields (image key,
+    coefficient) pairs, and the target maps each image term to its
+    coordinates. An image term outside the target raises SliceMismatch."""
+    f = mat.field
+    rows = mat.rows[row0:row0 + target.dim]
+    for col, key in enumerate(source.keys):
+        for ikey, c in rule(key):
+            for row, v in target.coords(ikey, c):
+                add_term(rows[row], col, v, f)
+    return mat
+
+
 def matrix_of(prob: ProblemInput, op, source: BasisSlice,
               target: BasisSlice) -> SparseMatrix:
-    """Reference oracle for the term-level assembler: the matrix of a
+    """Reference oracle for both assemblers: the matrix of a
     form-level operator between two slice bases of prob, one DiffForm per
     column. Column j is the image of the j-th source basis form; a term
     landing outside the target slice raises SliceMismatch."""
@@ -201,7 +218,7 @@ def matrix_of(prob: ProblemInput, op, source: BasisSlice,
                 raise SliceMismatch(
                     f"image term {ikey} outside the (k={target.k}, "
                     f"q={target.q}, p={target.p}) slice")
-            mat.add_at(row, col, c)
+            mat.rows[row][col] = c   # the image's keys are distinct
     return mat
 
 
@@ -414,8 +431,8 @@ def koszul_cohomology_dim(gens: list[MultiPoly], k: int,
 
     def diff_rank(kk):
         src, tgt = space(kk), space(kk + 1)
-        return rank(assemble(SparseMatrix(tgt.dim, src.dim, field), rule,
-                             src, tgt))
+        return rank(per_term_assemble(SparseMatrix(tgt.dim, src.dim, field),
+                                      rule, src, tgt))
 
     dim = space(k).dim
     if dim == 0:
@@ -511,8 +528,8 @@ def theta_matrix(problem: ProblemInput, k: int, q: int, p: int) -> SparseMatrix:
     (k-1, q, p)."""
     src = basis(problem, k, q, p)
     tgt = basis(problem, k - 1, q, p)
-    return assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
-                    theta_rule(problem), src, tgt)
+    return per_term_assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
+                             theta_rule(problem), src, tgt)
 
 
 def theta_preimage(eta: DiffForm, k: int, q: int, p: int):
@@ -644,8 +661,8 @@ def wedge_division_oracle(omega: DiffForm, multipliers: list[DiffForm],
         mat = SparseMatrix(tgt.dim, ncols, f)
         for (J, src), col0 in zip(blocks, offsets):
             if src is not None:
-                block = assemble(SparseMatrix(tgt.dim, src.dim, f), rules[J],
-                                 src, tgt)
+                block = per_term_assemble(SparseMatrix(tgt.dim, src.dim, f),
+                                          rules[J], src, tgt)
                 for row, brow in zip(mat.rows, block.rows):
                     row.update((col0 + j, v) for j, v in brow.items())
         sol = solve(mat, rhs)

@@ -5,12 +5,15 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jacring.forms as forms
 from jacring.certify import no_common_zero_certificate, smooth_ci_certificate
-from jacring.errors import CertificateRequired, InputError
+from jacring.errors import CertificateRequired, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals
-from jacring.forms import (assemble, basis, boundary, dF_of, df_form,
-                           quotient_basis, wedge_rule, xi)
+from jacring.forms import (DiffForm, SliceLayout, assemble, basis, boundary,
+                           dF_of, df_form, quotient_basis, wedge_rule, xi)
 from jacring.hilbert import omega_slice_dim
 import jacring.homology as homology
 from jacring.homology import (boundary_matrix, cohomology_dim,
@@ -20,8 +23,9 @@ from jacring.linalg import SparseMatrix, in_column_span, rank
 from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
 
-from helpers import (Q, conic_char2, exceptional_pair_char2, fermat_cubic,
-                     koszul_cohomology_dim, matrix_of, quotient_wedge_matrix,
+from helpers import (F3, F32003, Q, conic_char2, exceptional_pair_char2,
+                     fermat_cubic, koszul_cohomology_dim, matrix_of,
+                     per_term_assemble, quotient_wedge_matrix,
                      singular_cubic_curve, square_pair, theta, theta_matrix,
                      theta_preimage, two_conics, two_quadrics)
 
@@ -54,27 +58,50 @@ def _same_matrix(got, want, where):
     assert got.rows == want.rows, where
 
 
+def _same_rows(got, want, where):
+    """Equal matrices, each row's entries in the same order too."""
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols), where
+    assert ([list(row.items()) for row in got.rows]
+            == [list(row.items()) for row in want.rows]), where
+
+
+# fixtures over Q, F_2, F_3 and F_32003
+ASSEMBLER_FIXTURES = (fermat_cubic, two_conics, square_pair, two_quadrics,
+                      conic_char2, lambda: fermat_cubic(F3),
+                      lambda: two_conics(F3), lambda: fermat_cubic(F32003))
+
+
 def test_assembler_matches_per_column_oracle():
-    """Every operator matrix from the term-level assembler equals the
-    per-column oracle entry for entry: the boundary, the contraction, and
-    the wedge blocks of the division solver into the polynomial and the
-    quotient form spaces."""
-    for prob in (fermat_cubic(), two_conics(), square_pair(), two_quadrics(),
-                 conic_char2()):
+    """Every operator matrix from the table assembler equals the per-term
+    assembler and the per-column oracle entry for entry, on every slice
+    from k = -1 to n+r+1 (empty ends and slices outside the complex
+    included) and p = 0..4 (0..3 at n + r = 6, where the oracles' p = 4
+    slices cost more than the rest of the test): the boundary, and the
+    wedge blocks of the division solver into the polynomial and the
+    quotient form spaces. The contraction's matrix (a test oracle itself)
+    equals the per-column oracle too."""
+    for make in ASSEMBLER_FIXTURES:
+        prob = make()
         n, r, f = prob.n, prob.r, prob.field
-        for k in range(n + r + 1):
-            for q in range(2):
-                for p in range(4):
+        dF = dF_of(prob)
+        rule = wedge_rule(dF.terms, n, f)
+        for k in range(-1, n + r + 2):
+            for q in range(-2, 3):
+                for p in range(5 if n + r < 6 else 4):
                     src = basis(prob, k, q, p)
+                    tgt = basis(prob, k + 1, q, p + 1)
                     where = (prob.degrees, f, k, q, p)
-                    _same_matrix(boundary_matrix(prob, k, q, p),
-                                 matrix_of(prob, boundary, src,
-                                           basis(prob, k + 1, q, p + 1)),
+                    got = boundary_matrix(prob, k, q, p)
+                    _same_rows(got, per_term_assemble(
+                        SparseMatrix(tgt.dim, src.dim, f), rule, src, tgt),
+                        where + ("boundary",))
+                    _same_matrix(got, matrix_of(prob, dF.wedge, src, tgt),
                                  where + ("boundary",))
-                    _same_matrix(theta_matrix(prob, k, q, p),
-                                 matrix_of(prob, theta, src,
-                                           basis(prob, k - 1, q, p)),
-                                 where + ("theta",))
+                    if 0 <= q < 2 and p < 4:
+                        _same_matrix(theta_matrix(prob, k, q, p),
+                                     matrix_of(prob, theta, src,
+                                               basis(prob, k - 1, q, p)),
+                                     where + ("theta",))
         mults = [(df_form(prob, j), prob.degrees[j]) for j in range(r)]
         if r > 1:
             full = mults[0][0]
@@ -86,21 +113,97 @@ def test_assembler_matches_per_column_oracle():
                 for mult, d in mults:
                     rule = wedge_rule(mult.terms, n, f)
                     where = (prob.degrees, f, k, weight, mult.k)
-                    src = basis(prob, k, weight, 0)
-                    tgt = basis(prob, k + mult.k, weight + d, 0)
-                    _same_matrix(
-                        assemble(SparseMatrix(tgt.dim, src.dim, f), rule,
-                                 src, tgt),
-                        matrix_of(prob, mult.wedge, src, tgt), where)
-                    src = quotient_basis(prob, k, weight)
-                    tgt = quotient_basis(prob, k + mult.k, weight + d)
-                    if tgt.quotient is None:
-                        continue
-                    _same_matrix(
-                        assemble(SparseMatrix(tgt.dim, src.dim, f), rule,
-                                 src, tgt),
-                        quotient_wedge_matrix(mult, src, tgt),
-                        where + ("quotient",))
+                    for quotient in (False, True):
+                        src = SliceLayout(prob, k, weight, 0, quotient)
+                        tgt = SliceLayout(prob, k + mult.k, weight + d, 0,
+                                          quotient)
+                        got = assemble(SparseMatrix(tgt.dim, src.dim, f),
+                                       mult, src, tgt)
+                        if quotient:
+                            src = quotient_basis(prob, k, weight)
+                            tgt = quotient_basis(prob, k + mult.k,
+                                                 weight + d)
+                            if tgt.quotient is None:
+                                continue
+                            want = quotient_wedge_matrix(mult, src, tgt)
+                        else:
+                            src = basis(prob, k, weight, 0)
+                            tgt = basis(prob, k + mult.k, weight + d, 0)
+                            want = matrix_of(prob, mult.wedge, src, tgt)
+                        _same_rows(got, per_term_assemble(
+                            SparseMatrix(tgt.dim, src.dim, f), rule, src,
+                            tgt), where + (quotient,))
+                        _same_matrix(got, want, where + (quotient,))
+
+
+def test_assemble_rejects_a_target_that_misses_the_image():
+    prob = two_conics()
+    src = SliceLayout(prob, 1, 0, 1)
+    for k, q, p in [(2, 0, 1), (2, 1, 2), (1, 0, 2)]:
+        tgt = SliceLayout(prob, k, q, p)
+        assert src.dim and tgt.dim
+        with pytest.raises(SliceMismatch):
+            assemble(SparseMatrix(tgt.dim, src.dim, prob.field),
+                     dF_of(prob), src, tgt)
+
+
+PROPERTY_PROBLEMS = [make() for make in ASSEMBLER_FIXTURES]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_boundary_matrix_acts_as_the_boundary(data):
+    """boundary_matrix(k, q, p) maps the coordinates of a form of the
+    (k, q, p) slice to those of its boundary: the layout's columns and
+    rows follow basis(...).keys, which the witness check reads."""
+    prob = data.draw(st.sampled_from(PROPERTY_PROBLEMS))
+    f = prob.field
+    k = data.draw(st.integers(0, prob.n + prob.r), label="k")
+    q = data.draw(st.integers(-1, 1), label="q")
+    p = data.draw(st.integers(0, 2), label="p")
+    src = basis(prob, k, q, p)
+    terms = {}
+    if src.dim:
+        terms = data.draw(st.dictionaries(
+            st.integers(0, src.dim - 1), st.integers(-3, 3), max_size=6),
+            label="terms")
+    omega = DiffForm(prob, k, [(src.keys[i], c) for i, c in terms.items()])
+    vec = src.vector_of_form(omega)
+    image = []
+    for row in boundary_matrix(prob, k, q, p).rows:
+        acc = f.zero
+        for j, v in row.items():
+            acc = f.add(acc, f.mul(v, vec[j]))
+        image.append(acc)
+    assert image == basis(prob, k + 1, q, p + 1).vector_of_form(
+        boundary(omega))
+
+
+def test_report_builds_no_basis_and_each_table_once(monkeypatch):
+    """cohomology_report assembles its boundaries on slice layouts: it
+    caches no basis, on the problem or on its modular copy, and builds each
+    multiplication table once per problem, (g, a) and ring."""
+    built = []
+    original = forms._mult_table
+
+    def counting(problem, g, a, quotient):
+        built.append((id(problem), g, a, quotient))
+        return original(problem, g, a, quotient)
+    monkeypatch.setattr(forms, "_mult_table", counting)
+    cached = []
+    problems = []
+    for prob in (fermat_cubic(), two_conics(F32003), two_quadrics()):
+        slices = [(k, q, p) for k in range(prob.n + prob.r + 1)
+                  for q in (-1, 0, 1) for p in range(4)]
+        cohomology_report(prob, slices)
+        reduced = homology._reduction(prob)
+        for problem in [prob] + ([reduced] if reduced else []):
+            problems.append(problem)   # keeps each id() unique
+            assert not [key for key in problem._cache if key[0] == "basis"]
+            cached += [(id(problem), *key[1:]) for key in problem._cache
+                       if key[0] == "table"]
+    assert cached
+    assert sorted(built, key=repr) == sorted(cached, key=repr)
 
 
 def test_boundary_matrices_compose_to_zero():
@@ -268,24 +371,16 @@ def _count(problem, k, q, p) -> int:
     return omega_slice_dim(problem.n, problem.degrees, k, q, p)
 
 
-def test_report_caches_slices_and_leaves_no_cycles(monkeypatch):
+def test_report_caches_slices_and_leaves_no_cycles():
     prob = fermat_cubic()
     slices = [(k, 0, p) for k in range(5) for p in range(3)]
     dims = cohomology_report(prob, slices)
     assert set(dims) == set(slices)
     assert all(v >= 0 for v in dims.values())
-    # perfbench computes basis.hit_ratio and brank.hit_ratio from these keys
+    # perfbench computes brank.hit_ratio from these keys
     for k, q, p in slices:
         if _count(prob, k, q, p):
             assert ("brank", k, q, p) in prob._cache
-    calls = _record_boundaries(monkeypatch)
-    prob = fermat_cubic(PrimeField(32003))
-    cohomology_report(prob, slices)
-    assert calls
-    for _, k, q, p, _ in calls:
-        assert ("basis", k, q, p) in prob._cache
-        assert ("basis", k + 1, q, p + 1) in prob._cache
-    monkeypatch.undo()
     # nothing a problem caches points back at it, so a finished problem is
     # freed by reference counting alone
     for field in (Q, PrimeField(32003)):
