@@ -9,8 +9,8 @@ from .certify import (Certificate, ideal_membership, jacobian_determinant,
 from .errors import (CertificateRequired, HypothesisViolation, InputError,
                      JacringError, SliceMismatch)
 from .fields import PrimeField, Rationals
-from .forms import (BasisSlice, DiffForm, SliceLayout, assemble, basis,
-                    boundary, dF_of, df_form, xi)
+from .forms import (DiffForm, SliceLayout, assemble, basis, boundary, dF_of,
+                    df_form, xi)
 from .hilbert import (HodgeTable, Poly, closed_form_H, euler_series,
                       eulerian_p, hodge_table, omega_slice_dim,
                       symmetry_check)
@@ -26,7 +26,7 @@ from .quotients import QuotientSlice, quotient_dim, quotient_slice
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisSlice", "Certificate", "CertificateRequired", "Check",
+    "Certificate", "CertificateRequired", "Check",
     "DiffForm", "HodgeTable", "HypothesisViolation", "InputError",
     "JacringError", "MODE_CI", "MODE_NCZ", "MultiPoly", "Poly", "PrimeField",
     "ProblemInput", "QuotientSlice", "Rationals", "SliceLayout",

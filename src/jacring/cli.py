@@ -14,12 +14,13 @@ Slices are computed one at a time in one process: the worker-count flag of
 keep working, and nothing reads it.
 
 Exit codes: 0 success; 1 certificate NONE or verification failure; 2 parse
-error, a negative verify bound (--p or --m-max), a verify --p range a..b
-with a != 0, verify --m-max on an input with r >= n (the wedge-division
-checks belong to complete intersections), or a prime p >= 3037000500 in a
-certificate, whose ranks are exact there but which keeps this refusal until
-the benchmark change of ROADMAP B1; 3 hypothesis violation (e.g. hodge
-needs r < n).
+error (a coefficient whose denominator vanishes mod p included), a negative
+verify bound (--p or --m-max), a verify --p range a..b with a != 0,
+verify --m-max on an input with r >= n (the wedge-division checks belong
+to complete intersections), or a prime p >= 3037000500 in a certificate,
+whose ranks are exact there but which keeps this refusal until the
+benchmark change of ROADMAP B1; 3 hypothesis violation (e.g. hodge needs
+r < n).
 """
 from __future__ import annotations
 

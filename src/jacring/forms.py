@@ -10,8 +10,11 @@ A slice is laid out block by block from `problem.slice_blocks`
 the left wedge with a form, one block at a time, from multiplication
 tables M(g, a) cached on the problem. Since (Omega, dF /\\ .) is a Koszul
 complex, each block of a boundary is a signed dx/dy insertion tensored
-with multiplication by a partial derivative d f_j / d x_i or by f_j. Term
-keys (`basis`, `quotient_basis`) are built only where a form is read.
+with multiplication by a partial derivative d f_j / d x_i or by f_j. A
+layout is the one slice object: it also reads a form into coordinates
+(`SliceLayout.vector_of_form`), with the block arithmetic and the quotient
+normal forms that the tables use, and lists its term keys
+(`SliceLayout.keys`) where a vector becomes a form.
 """
 from __future__ import annotations
 
@@ -135,15 +138,29 @@ class DiffForm:
         return hash((self.k, frozenset(self.terms.items())))
 
     def wedge(self, other: "DiffForm") -> "DiffForm":
+        """The wedge product self /\\ other. self's terms are grouped by
+        word, and each word pair is merged once."""
         if self.problem != other.problem:
             raise InputError("forms over different problems")
         prob = self.problem
-        f = prob.field
-        rule = wedge_rule(self.terms, prob.n, f)
+        n, f = prob.n, prob.field
+        by_word = {}
+        for (xa, ya, dxa, dya), c in self.terms.items():
+            by_word.setdefault((dxa, dya), []).append((xa, ya, c))
+        merges = {}
         out = {}
-        for key, cb in other.terms.items():
-            for ikey, c in rule(key):
-                add_term(out, ikey, f.mul(c, cb), f)
+        for (xb, yb, dxb, dyb), cb in other.terms.items():
+            merged = merges.get((dxb, dyb))
+            if merged is None:
+                merged = merges[(dxb, dyb)] = [
+                    (m, terms) for (dxa, dya), terms in by_word.items()
+                    if (m := _merge_words(n, dxa, dya, dxb, dyb)) is not None]
+            for (sign, dxs, dys), terms in merged:
+                for xa, ya, c in terms:
+                    c = f.mul(c, cb)
+                    add_term(out, (tuple(map(add, xa, xb)),
+                                   tuple(map(add, ya, yb)), dxs, dys),
+                             c if sign > 0 else f.neg(c), f)
         res = DiffForm(prob, self.k + other.k)
         res.terms = out
         return res
@@ -215,34 +232,6 @@ def boundary(omega: DiffForm) -> DiffForm:
     return dF_of(omega.problem).wedge(omega)
 
 
-def wedge_rule(mu_terms: dict, n: int, field):
-    """Term rule of the left wedge with the form whose terms are mu_terms
-    (dx letters 0..n-1): maps a term key to the (key, coefficient) pairs of
-    its image. The word merge runs once per (mu word, source word) pair."""
-    by_word = {}
-    for (xa, ya, dxa, dya), c in mu_terms.items():
-        by_word.setdefault((dxa, dya), []).append((xa, ya, c, field.neg(c)))
-    merges = {}
-
-    def rule(key):
-        xb, yb, dxb, dyb = key
-        merged = merges.get((dxb, dyb))
-        if merged is None:
-            merged = []
-            for (dxa, dya), mono_terms in by_word.items():
-                m = _merge_words(n, dxa, dya, dxb, dyb)
-                if m is not None:
-                    sign, dxs, dys = m
-                    merged.append((dxs, dys, [(xa, ya, c if sign > 0 else nc)
-                                              for xa, ya, c, nc in mono_terms]))
-            merges[(dxb, dyb)] = merged
-        for dxs, dys, mono_terms in merged:
-            for xa, ya, c in mono_terms:
-                yield ((tuple(map(add, xa, xb)), tuple(map(add, ya, yb)),
-                        dxs, dys), c)
-    return rule
-
-
 def xi(problem: ProblemInput, k: int) -> DiffForm:
     """sum over k-subsets S of the polynomials of
     (prod of degrees outside S) * df_S wedge dy_S; bidegree (0, k)."""
@@ -307,6 +296,21 @@ def _monomials(problem: ProblemInput, xdeg: int, quotient: bool) -> tuple:
     return got
 
 
+def _coords(problem: ProblemInput, m: tuple, xdeg: int, quotient: bool):
+    """The x-monomial m as (position, coefficient) pairs over the block
+    monomials of degree xdeg (see _monomials): its own position with
+    coefficient one, or over K[x]/(f) a pivot monomial's normal form. None
+    when m is no monomial of that degree."""
+    index = _monomials(problem, xdeg, quotient)[1]
+    t = index.get(m)
+    if t is not None:
+        return ((t, problem.field.one),)
+    if not quotient:
+        return None
+    nf = _quotient(problem, xdeg).pivot_normal_forms().get(m)
+    return None if nf is None else [(index[cm], w) for cm, w in nf]
+
+
 class SliceLayout:
     """The (k, q, p) slice as the ordered blocks of `slice_blocks`. A block
     (l, J, b, xdeg, offset, words, monomials) holds the terms
@@ -315,8 +319,8 @@ class SliceLayout:
     pos(I) * len(monomials) + pos(a). With quotient set (p = 0, one block
     at most) the coefficients live in K[x]/(f) and a block's monomials are
     the complement of its degree's quotient slice. Operator matrices are
-    assembled on layouts; keys() lists the terms in column order, which is
-    the order of `basis` and `quotient_basis`. A layout holds no problem."""
+    assembled on layouts; keys() lists the terms in column order, and
+    vector_of_form reads a form in that order. A layout holds no problem."""
 
     __slots__ = ("k", "q", "p", "quotient", "blocks", "dim", "_at")
 
@@ -342,85 +346,46 @@ class SliceLayout:
                 for _, dys, yexp, _, _, words, monos in self.blocks
                 for dxs in words for xexp in monos]
 
+    def vector_of_form(self, form: DiffForm) -> list:
+        """The coordinates of a form of the slice in column order: the term
+        x^a y^b dx_I dy_J is read at its block's offset + pos(I) *
+        len(monomials) + pos(a), a pivot monomial of a quotient layout
+        through its normal form. A term outside the slice raises
+        SliceMismatch. A vector becomes a form by
+        DiffForm(problem, k, zip(layout.keys(), vec))."""
+        problem = form.problem
+        f = problem.field
+        v = [f.zero] * self.dim
+        for key, c in form.terms.items():
+            xexp, yexp, dxs, dys = key
+            block = self._at.get((dys, yexp))
+            pos = coords = None
+            if block is not None:
+                l, _, _, xdeg, offset, _, monos = block
+                pos = _words(problem, l)[1].get(dxs)
+                coords = _coords(problem, xexp, xdeg, self.quotient)
+            if pos is None or coords is None:
+                raise SliceMismatch(
+                    f"term {key} is not in the (k={self.k}, q={self.q}, "
+                    f"p={self.p}) slice")
+            base = offset + pos * len(monos)
+            for t, w in coords:
+                v[base + t] = f.add(v[base + t], f.mul(c, w))
+        return v
+
     def __repr__(self):
         return (f"SliceLayout(k={self.k}, q={self.q}, p={self.p}, "
                 f"dim={self.dim})")
 
 
-class BasisSlice:
-    """The term keys of a slice in column order, for reading forms: the
-    witness class, the division vectors and the kernel forms. With a
-    quotient slice attached, the coefficients live in K[x]/(gens) and the
-    basis holds the complement monomials only; a pivot monomial's term maps
-    to its normal form. It holds no problem or field, so a problem's cache
-    never points back at it. A vector becomes a form by
-    DiffForm(problem, k, zip(keys, vec))."""
-
-    __slots__ = ("k", "q", "p", "keys", "index", "quotient")
-
-    def __init__(self, k, q, p, keys, quotient=None):
-        self.k, self.q, self.p = k, q, p
-        self.keys = keys
-        self.index = {key: i for i, key in enumerate(keys)}
-        self.quotient = quotient
-
-    @property
-    def dim(self) -> int:
-        return len(self.keys)
-
-    def coords(self, key, c) -> list:
-        """(position, coefficient) pairs of the term c * key; raises
-        SliceMismatch for a term outside the space."""
-        pos = self.index.get(key)
-        if pos is not None:
-            return [(pos, c)]
-        xexp, yexp, dxs, dys = key
-        nf = None
-        if (self.quotient is not None and len(dxs) == self.k
-                and not any(yexp) and not dys):
-            nf = self.quotient.pivot_normal_forms().get(xexp)
-        if nf is None:
-            raise SliceMismatch(
-                f"term {key} is not in the (k={self.k}, q={self.q}, "
-                f"p={self.p}) slice")
-        f = self.quotient.field
-        return [(self.index[(m, yexp, dxs, dys)], f.mul(c, w)) for m, w in nf]
-
-    def vector_of_form(self, form: DiffForm) -> list:
-        f = form.problem.field
-        v = [f.zero] * len(self.keys)
-        for key, c in form.terms.items():
-            for pos, w in self.coords(key, c):
-                v[pos] = f.add(v[pos], w)
-        return v
-
-    def __repr__(self):
-        return f"BasisSlice(k={self.k}, q={self.q}, p={self.p}, dim={self.dim})"
-
-
-def basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
-    """Monomial basis x^a y^b dx_I dy_J of the (k, q, p) slice, in the
-    column order of its `SliceLayout`. At p = 0 this is the space of
-    dx-only k-forms of weight q over K[x]. Cached on the problem."""
+def basis(problem: ProblemInput, k: int, q: int, p: int) -> SliceLayout:
+    """The layout of the (k, q, p) slice, cached on the problem: the slice
+    whose vector the witness class reads."""
     key = ("basis", k, q, p)
-    slice_ = problem._cache.get(key)
-    if slice_ is None:
-        slice_ = problem._cache[key] = BasisSlice(
-            k, q, p, SliceLayout(problem, k, q, p).keys())
-    return slice_
-
-
-def quotient_basis(problem: ProblemInput, k: int, weight: int) -> BasisSlice:
-    """dx-only k-forms of the given weight with coefficients in K[x]/(f),
-    f the problem's polynomials: the keys of the quotient layout of the
-    p = 0 slice, with that block's quotient slice attached. Cached on the
-    problem."""
-    key = ("quotient-basis", k, weight)
-    if key not in problem._cache:
-        layout = SliceLayout(problem, k, weight, 0, quotient=True)
-        qs = _quotient(problem, layout.blocks[0][3]) if layout.blocks else None
-        problem._cache[key] = BasisSlice(k, weight, 0, layout.keys(), qs)
-    return problem._cache[key]
+    layout = problem._cache.get(key)
+    if layout is None:
+        layout = problem._cache[key] = SliceLayout(problem, k, q, p)
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -434,32 +399,26 @@ def _mult_table(problem: ProblemInput, g: tuple, a: int,
     of (exponent, coefficient) pairs of degree e, from the block monomials
     of degree a (see _monomials) to those of degree a + e. Returns three
     lists over the source monomials: the target positions of each product,
-    their coefficients, and the negated coefficients. Over K[x]/(f) a
-    product's pivot monomials pass through their normal forms and each
-    target position is summed once, so no position repeats and no
+    their coefficients, and the negated coefficients. Over K[x]/(f) each
+    product is read by _coords, a pivot monomial through its normal form,
+    and each target position is summed once, so no position repeats and no
     coefficient is zero; over K[x] every product has g's coefficients,
     one tuple shared by every monomial."""
     f = problem.field
     src = _monomials(problem, a, quotient)[0]
     e = sum(g[0][0])
-    index = _monomials(problem, a + e, quotient)[1]
     if not quotient:
+        index = _monomials(problem, a + e, False)[1]
         coeffs = tuple(c for _, c in g)
         negated = tuple(f.neg(c) for c in coeffs)
         return ([tuple([index[tuple(map(add, xa, m))] for xa, _ in g])
                  for m in src], [coeffs] * len(src), [negated] * len(src))
-    normal_forms = _quotient(problem, a + e).pivot_normal_forms()
     positions, coeffs, negated = [], [], []
     for m in src:
         acc = {}
         for xa, c in g:
-            prod_ = tuple(map(add, xa, m))
-            t = index.get(prod_)
-            if t is not None:
-                add_term(acc, t, c, f)
-            else:
-                for cm, w in normal_forms[prod_]:
-                    add_term(acc, index[cm], f.mul(c, w), f)
+            for t, w in _coords(problem, tuple(map(add, xa, m)), a + e, True):
+                add_term(acc, t, f.mul(c, w), f)
         positions.append(tuple(acc))
         coeffs.append(tuple(acc.values()))
         negated.append(tuple(f.neg(c) for c in acc.values()))

@@ -8,9 +8,10 @@ ever materialized. A dimension is the slice's count
 (`hilbert.omega_slice_dim`, 0 outside the complex) minus the ranks of the
 two boundaries at the slice; a boundary with an empty source or target has
 rank 0. Every matrix is assembled on slice layouts (`forms.assemble`), and
-term keys are built only where a form is read: the witness class
-(`_witness_class_is_nonzero`), the division vectors of
-`wedge_division_solve` and the kernel forms of `joint_wedge_kernel`.
+the same layouts read forms: the witness class
+(`_witness_class_is_nonzero`) and the division vectors of
+`wedge_division_solve` come from `SliceLayout.vector_of_form`, and term
+keys are listed only for the kernel forms of `joint_wedge_kernel`.
 
 Over Q a boundary rank comes first from a copy of the problem reduced mod
 the prime _MODULAR_PRIME = 2^31 - 1: reduction never raises a rank, and
@@ -30,7 +31,7 @@ from .certify import ideal_membership, jacobian_determinant, jacobian_minors
 from .errors import CertificateRequired, InputError
 from .fields import PrimeField
 from .forms import (DiffForm, SliceLayout, assemble, basis, boundary, dF_of,
-                    df_form, quotient_basis, xi)
+                    df_form, xi)
 from .hilbert import hodge_table, omega_slice_dim
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank
 from .polynomials import MultiPoly
@@ -177,8 +178,7 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
         src = SliceLayout(prob, k - len(multipliers),
                           target_weight - product_weight, 0, quotient=True)
         mat = assemble(SparseMatrix(tgt.dim, src.dim, f), product, src, tgt)
-        rhs = quotient_basis(prob, k, target_weight).vector_of_form(target)
-        if in_column_span(mat, rhs):
+        if in_column_span(mat, tgt.vector_of_form(target)):
             return m
     return None
 

@@ -226,7 +226,8 @@ def _tokenize(text: str):
 def parse_poly(field, names, text: str) -> MultiPoly:
     """Parse a sign-separated sum of terms `c`, `c*m`, or `m`, where `m` is a
     `*`-separated product of `var` or `var^k` over the given variable names.
-    Coefficients are integers, optionally `a/b` fractions."""
+    Coefficients are integers, optionally `a/b` fractions; over F_p a
+    denominator divisible by p raises InputError."""
     tokens = _tokenize(text)
     if not tokens:
         raise InputError("empty polynomial expression")
@@ -302,4 +303,7 @@ def parse_poly(field, names, text: str) -> MultiPoly:
             sign = 1
         else:
             raise InputError(f"expected '+' or '-' between terms, got {val!r}")
-    return MultiPoly(field, nvars, terms)
+    try:
+        return MultiPoly(field, nvars, terms)
+    except ZeroDivisionError as exc:   # a denominator that vanishes mod p
+        raise InputError(str(exc)) from None

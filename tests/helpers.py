@@ -8,12 +8,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
+from operator import add
 from typing import NamedTuple
 
 from jacring.errors import HypothesisViolation, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals, add_term
-from jacring.forms import (BasisSlice, DiffForm, basis, quotient_basis,
-                           wedge_rule)
+from jacring.forms import DiffForm, SliceLayout, _merge_words, _quotient
 from jacring.hilbert import Poly, eulerian_p
 from jacring.homology import _dx_only_weight
 from jacring.linalg import SparseMatrix, rank, solve
@@ -184,6 +184,103 @@ def random_form(rng: random.Random, problem: ProblemInput, k: int,
             form = form + DiffForm.term(problem, xexp, yexp, dxs, dys,
                                         problem.field.of(c))
     return form
+
+
+# ---------------------------------------------------------------------------
+# the key-index oracle: slices as term-key lists, and the per-term rules
+# ---------------------------------------------------------------------------
+
+
+class BasisSlice:
+    """The term keys of a slice in column order, with a key -> position
+    index: the oracle for `SliceLayout.vector_of_form` and the slice of the
+    per-term oracles. With a quotient slice attached, the coefficients live
+    in K[x]/(gens) and the basis holds the complement monomials only; a
+    pivot monomial's term maps to its normal form. A vector becomes a form
+    by DiffForm(problem, k, zip(keys, vec))."""
+
+    __slots__ = ("k", "q", "p", "keys", "index", "quotient")
+
+    def __init__(self, k, q, p, keys, quotient=None):
+        self.k, self.q, self.p = k, q, p
+        self.keys = keys
+        self.index = {key: i for i, key in enumerate(keys)}
+        self.quotient = quotient
+
+    @property
+    def dim(self) -> int:
+        return len(self.keys)
+
+    def coords(self, key, c) -> list:
+        """(position, coefficient) pairs of the term c * key; raises
+        SliceMismatch for a term outside the space."""
+        pos = self.index.get(key)
+        if pos is not None:
+            return [(pos, c)]
+        xexp, yexp, dxs, dys = key
+        nf = None
+        if (self.quotient is not None and len(dxs) == self.k
+                and not any(yexp) and not dys):
+            nf = self.quotient.pivot_normal_forms().get(xexp)
+        if nf is None:
+            raise SliceMismatch(
+                f"term {key} is not in the (k={self.k}, q={self.q}, "
+                f"p={self.p}) slice")
+        f = self.quotient.field
+        return [(self.index[(m, yexp, dxs, dys)], f.mul(c, w)) for m, w in nf]
+
+    def vector_of_form(self, form: DiffForm) -> list:
+        f = form.problem.field
+        v = [f.zero] * len(self.keys)
+        for key, c in form.terms.items():
+            for pos, w in self.coords(key, c):
+                v[pos] = f.add(v[pos], w)
+        return v
+
+    def __repr__(self):
+        return f"BasisSlice(k={self.k}, q={self.q}, p={self.p}, dim={self.dim})"
+
+
+def key_basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
+    """The (k, q, p) slice as the keys of its `SliceLayout`."""
+    return BasisSlice(k, q, p, SliceLayout(problem, k, q, p).keys())
+
+
+def quotient_basis(problem: ProblemInput, k: int, weight: int) -> BasisSlice:
+    """dx-only k-forms of the given weight with coefficients in K[x]/(f),
+    f the problem's polynomials: the keys of the quotient layout of the
+    p = 0 slice, with that block's quotient slice attached."""
+    layout = SliceLayout(problem, k, weight, 0, quotient=True)
+    qs = _quotient(problem, layout.blocks[0][3]) if layout.blocks else None
+    return BasisSlice(k, weight, 0, layout.keys(), qs)
+
+
+def wedge_rule(mu_terms: dict, n: int, field):
+    """Term rule of the left wedge with the form whose terms are mu_terms
+    (dx letters 0..n-1): maps a term key to the (key, coefficient) pairs of
+    its image. The word merge runs once per (mu word, source word) pair."""
+    by_word = {}
+    for (xa, ya, dxa, dya), c in mu_terms.items():
+        by_word.setdefault((dxa, dya), []).append((xa, ya, c, field.neg(c)))
+    merges = {}
+
+    def rule(key):
+        xb, yb, dxb, dyb = key
+        merged = merges.get((dxb, dyb))
+        if merged is None:
+            merged = []
+            for (dxa, dya), mono_terms in by_word.items():
+                m = _merge_words(n, dxa, dya, dxb, dyb)
+                if m is not None:
+                    sign, dxs, dys = m
+                    merged.append((dxs, dys, [(xa, ya, c if sign > 0 else nc)
+                                              for xa, ya, c, nc in mono_terms]))
+            merges[(dxb, dyb)] = merged
+        for dxs, dys, mono_terms in merged:
+            for xa, ya, c in mono_terms:
+                yield ((tuple(map(add, xa, xb)), tuple(map(add, ya, yb)),
+                        dxs, dys), c)
+    return rule
 
 
 def per_term_assemble(mat: SparseMatrix, rule, source: BasisSlice,
@@ -449,11 +546,15 @@ def reduce_form_mod_ideal(form: DiffForm) -> DiffForm:
         return form
     prob = form.problem
     terms = []
+    spaces = {}
     for key, c in form.terms.items():
         xexp, yexp, dxs, dys = key
         if any(yexp) or dys:
             raise InputError("only dx-only forms can be reduced")
-        space = quotient_basis(prob, form.k, sum(xexp) + form.k)
+        weight = sum(xexp) + form.k
+        space = spaces.get(weight)
+        if space is None:
+            space = spaces[weight] = quotient_basis(prob, form.k, weight)
         terms.extend((space.keys[pos], v) for pos, v in space.coords(key, c))
     return DiffForm(prob, form.k, terms)
 
@@ -526,8 +627,8 @@ def theta(omega: DiffForm) -> DiffForm:
 def theta_matrix(problem: ProblemInput, k: int, q: int, p: int) -> SparseMatrix:
     """Matrix of the contraction out of the (k, q, p) slice into
     (k-1, q, p)."""
-    src = basis(problem, k, q, p)
-    tgt = basis(problem, k - 1, q, p)
+    src = key_basis(problem, k, q, p)
+    tgt = key_basis(problem, k - 1, q, p)
     return per_term_assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
                              theta_rule(problem), src, tgt)
 
@@ -537,9 +638,9 @@ def theta_preimage(eta: DiffForm, k: int, q: int, p: int):
     The solver's free coordinates are set to zero, so the result is
     deterministic but not canonical."""
     prob = eta.problem
-    src = basis(prob, k, q, p)
+    src = key_basis(prob, k, q, p)
     sol = solve(theta_matrix(prob, k, q, p),
-                basis(prob, k - 1, q, p).vector_of_form(eta))
+                key_basis(prob, k - 1, q, p).vector_of_form(eta))
     if sol is None:
         return None
     return DiffForm(prob, src.k, zip(src.keys, sol))
@@ -555,7 +656,7 @@ def _form_spaces(problem, over: str):
     coefficients in K[x] ("polynomial-ring") or in K[x]/(f), f the
     problem's polynomials ("quotient-by-f")."""
     if over == "polynomial-ring":
-        return lambda k, weight: basis(problem, k, weight, 0)
+        return lambda k, weight: key_basis(problem, k, weight, 0)
     if over == "quotient-by-f":
         return lambda k, weight: quotient_basis(problem, k, weight)
     raise InputError(f"unknown coefficient ring mode {over!r}")

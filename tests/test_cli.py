@@ -412,6 +412,20 @@ def test_bad_inputs_exit_two(tmp_path, capsys, text, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("text,flags,line", [
+    ("field F 7\nvars x y z\npoly 1/7*x^3 + y^3 + z^3\n", [], 3),
+    ("field Q\nvars x y z\n\npoly 1/7*x^3 + y^3 + z^3\n", ["--field", "F7"],
+     4),
+])
+def test_denominator_vanishing_mod_p_exits_two(tmp_path, text, flags, line):
+    proc = subprocess.run([sys.executable, "-m", "jacring", "certify",
+                           write(tmp_path, text), *flags],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: line {line}: denominator 7 vanishes mod 7\n"
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     rc = main(["certify", str(tmp_path / "nope.txt")])
     assert rc == 2

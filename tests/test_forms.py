@@ -7,14 +7,16 @@ from math import prod
 import pytest
 
 from jacring.errors import InputError, SliceMismatch
-from jacring.forms import DiffForm, basis, boundary, dF_of, df_form, xi
+from jacring.fields import add_term
+from jacring.forms import (DiffForm, SliceLayout, basis, boundary, dF_of,
+                           df_form, xi)
 from jacring.hilbert import omega_slice_dim
 
 from helpers import (F2, F3, F7, Q, bidegree_of, bidegrees, conic_char2,
                      exceptional_pair_char2, fermat_cubic, fermat_quintic,
-                     random_form, random_problem, singular_cubic_curve,
-                     square_pair, theta, theta_preimage, two_conics,
-                     two_quadrics)
+                     quotient_basis, random_form, random_problem,
+                     singular_cubic_curve, square_pair, theta,
+                     theta_preimage, two_conics, two_quadrics, wedge_rule)
 
 FIXTURES = [fermat_cubic(), two_quadrics(), two_conics(), square_pair(),
             conic_char2(), exceptional_pair_char2(), singular_cubic_curve(),
@@ -175,7 +177,7 @@ def test_basis_keys_match_brute_force_enumeration():
         for k in range(n + r + 1):
             for q in q_range:
                 for p in range(p_max + 1):
-                    keys = basis(prob, k, q, p).keys
+                    keys = basis(prob, k, q, p).keys()
                     assert len(set(keys)) == len(keys), (k, q, p)
                     assert set(keys) == found.pop((k, q, p), set()), \
                         (prob.degrees, k, q, p)
@@ -191,10 +193,10 @@ def test_vector_form_round_trip():
             if sl.dim == 0:
                 continue
             vec = [f.of(rng.randint(-4, 4)) for _ in range(sl.dim)]
-            form = DiffForm(prob, sl.k, zip(sl.keys, vec))
+            form = DiffForm(prob, sl.k, zip(sl.keys(), vec))
             assert sl.vector_of_form(form) == [f.of(v) for v in vec]
             back = sl.vector_of_form(form)
-            assert DiffForm(prob, sl.k, zip(sl.keys, back)) == form
+            assert DiffForm(prob, sl.k, zip(sl.keys(), back)) == form
 
 
 def test_wedge_graded_commutativity_and_associativity():
@@ -213,6 +215,23 @@ def test_wedge_graded_commutativity_and_associativity():
         assert ab.wedge(c) == a.wedge(b.wedge(c))
 
 
+def test_wedge_matches_the_per_term_rule():
+    """DiffForm.wedge gives the terms of the oracle helpers.wedge_rule, in
+    the same dict order, on random forms of word lengths 0..3."""
+    rng = random.Random(15)
+    for _ in range(400):
+        field = rng.choice([Q, F2, F3])
+        prob = random_problem(rng, field, rng.randint(1, 4), rng.randint(1, 2))
+        a = random_form(rng, prob, rng.randint(0, 3), max_terms=6)
+        b = random_form(rng, prob, rng.randint(0, 3), max_terms=6)
+        rule = wedge_rule(a.terms, prob.n, field)
+        want = {}
+        for key, cb in b.terms.items():
+            for ikey, c in rule(key):
+                add_term(want, ikey, field.mul(c, cb), field)
+        assert list(a.wedge(b).terms.items()) == list(want.items())
+
+
 def test_operator_bidegrees():
     """The boundary lands one step up in word length and second grading; the
     contraction one step down in word length with both gradings intact."""
@@ -224,7 +243,7 @@ def test_operator_bidegrees():
             if sl.dim == 0:
                 continue
             vec = [f.of(rng.randint(-3, 3)) for _ in range(sl.dim)]
-            w = DiffForm(prob, sl.k, zip(sl.keys, vec))
+            w = DiffForm(prob, sl.k, zip(sl.keys(), vec))
             bw = boundary(w)
             assert bidegrees(bw) <= {(q, p + 1)}
             assert bw.is_zero() or bw.k == k + 1
@@ -232,7 +251,7 @@ def test_operator_bidegrees():
             assert bidegrees(tw) <= {(q, p)}
             assert tw.is_zero() or tw.k == k - 1
             # every basis key itself sits in the declared slice
-            for key in sl.keys:
+            for key in sl.keys():
                 assert bidegree_of(prob, *key) == (q, p)
 
 
@@ -242,6 +261,21 @@ def test_vector_of_form_rejects_stray_terms():
     stray = DiffForm.term(prob, (1, 1, 0), (0,), (0,), ())  # degree 2, not in q=0
     with pytest.raises(SliceMismatch):
         sl.vector_of_form(stray)
+    # the quotient layout of the dx-only 1-forms of weight 4 over
+    # K[x]/(x1^3 + x2^3 + x3^3), and its key-index oracle
+    layout = SliceLayout(prob, 1, 4, 0, quotient=True)
+    oracle = quotient_basis(prob, 1, 4)
+    pivot = next(iter(oracle.quotient.pivot_normal_forms()))
+    inside = DiffForm.term(prob, pivot, (0,), (0,), ())
+    assert layout.vector_of_form(inside) == oracle.vector_of_form(inside)
+    strays = [DiffForm.term(prob, pivot, (1,), (0,), ()),        # a y
+              DiffForm.term(prob, pivot, (0,), (), (0,)),        # a dy
+              DiffForm.term(prob, (2, 0, 0), (0,), (0,), ()),    # x degree
+              DiffForm.term(prob, (2, 0, 0), (0,), (0, 1), ())]  # word length
+    for stray in strays:
+        for space in (layout, oracle):
+            with pytest.raises(SliceMismatch):
+                space.vector_of_form(stray)
 
 
 def test_term_constructor_validation():
@@ -268,7 +302,7 @@ def test_theta_preimage_round_trip():
             if sl.dim == 0:
                 continue
             vec = [prob.field.of(rng.randint(-3, 3)) for _ in range(sl.dim)]
-            eta = theta(DiffForm(prob, sl.k, zip(sl.keys, vec)))
+            eta = theta(DiffForm(prob, sl.k, zip(sl.keys(), vec)))
             zeta = theta_preimage(eta, k, q, p)
             assert zeta is not None
             assert theta(zeta) == eta

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -13,7 +14,7 @@ from jacring.certify import no_common_zero_certificate, smooth_ci_certificate
 from jacring.errors import CertificateRequired, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals
 from jacring.forms import (DiffForm, SliceLayout, assemble, basis, boundary,
-                           dF_of, df_form, quotient_basis, wedge_rule, xi)
+                           dF_of, df_form, xi)
 from jacring.hilbert import omega_slice_dim
 import jacring.homology as homology
 from jacring.homology import (boundary_matrix, cohomology_dim,
@@ -24,10 +25,11 @@ from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
 
 from helpers import (F3, F32003, Q, conic_char2, exceptional_pair_char2,
-                     fermat_cubic, koszul_cohomology_dim, matrix_of,
-                     per_term_assemble, quotient_wedge_matrix,
-                     singular_cubic_curve, square_pair, theta, theta_matrix,
-                     theta_preimage, two_conics, two_quadrics)
+                     fermat_cubic, key_basis, koszul_cohomology_dim,
+                     matrix_of, per_term_assemble, quotient_basis,
+                     quotient_wedge_matrix, singular_cubic_curve, square_pair,
+                     theta, theta_matrix, theta_preimage, two_conics,
+                     two_quadrics, wedge_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +48,8 @@ def test_matrix_on_empty_source_slice():
 def test_theta_matrix_one_by_one():
     # single x-variable: contraction sends dx1 to x1, a 1x1 matrix (1)
     prob = problem_from_strings(Q, 1, ["x1^2"])
-    src = basis(prob, 1, 1, 0)
-    tgt = basis(prob, 0, 1, 0)
+    src = key_basis(prob, 1, 1, 0)
+    tgt = key_basis(prob, 0, 1, 0)
     assert src.dim == 1 and tgt.dim == 1
     m = matrix_of(prob, theta, src, tgt)
     assert m.rows == [{0: Q.one}]
@@ -88,8 +90,8 @@ def test_assembler_matches_per_column_oracle():
         for k in range(-1, n + r + 2):
             for q in range(-2, 3):
                 for p in range(5 if n + r < 6 else 4):
-                    src = basis(prob, k, q, p)
-                    tgt = basis(prob, k + 1, q, p + 1)
+                    src = key_basis(prob, k, q, p)
+                    tgt = key_basis(prob, k + 1, q, p + 1)
                     where = (prob.degrees, f, k, q, p)
                     got = boundary_matrix(prob, k, q, p)
                     _same_rows(got, per_term_assemble(
@@ -100,7 +102,7 @@ def test_assembler_matches_per_column_oracle():
                     if 0 <= q < 2 and p < 4:
                         _same_matrix(theta_matrix(prob, k, q, p),
                                      matrix_of(prob, theta, src,
-                                               basis(prob, k - 1, q, p)),
+                                               key_basis(prob, k - 1, q, p)),
                                      where + ("theta",))
         mults = [(df_form(prob, j), prob.degrees[j]) for j in range(r)]
         if r > 1:
@@ -127,13 +129,57 @@ def test_assembler_matches_per_column_oracle():
                                 continue
                             want = quotient_wedge_matrix(mult, src, tgt)
                         else:
-                            src = basis(prob, k, weight, 0)
-                            tgt = basis(prob, k + mult.k, weight + d, 0)
+                            src = key_basis(prob, k, weight, 0)
+                            tgt = key_basis(prob, k + mult.k, weight + d, 0)
                             want = matrix_of(prob, mult.wedge, src, tgt)
                         _same_rows(got, per_term_assemble(
                             SparseMatrix(tgt.dim, src.dim, f), rule, src,
                             tgt), where + (quotient,))
                         _same_matrix(got, want, where + (quotient,))
+
+
+def _random_forms(rng, prob, k, keys, count=3):
+    """Random forms on the given term keys, a few terms each."""
+    if not keys:
+        return [DiffForm.zero(prob, k)]
+    return [DiffForm(prob, k, [(rng.choice(keys), rng.randint(-3, 3))
+                               for _ in range(rng.randint(1, 5))])
+            for _ in range(count)]
+
+
+def test_vector_of_form_matches_the_key_index_oracle():
+    """SliceLayout.vector_of_form reads every form as the key-index oracle
+    helpers.BasisSlice does: random forms of every fixture slice from
+    k = -1 to n+r+1, q = -2..2 and p = 0..3, and of the quotient layouts of
+    every weight from -2 to k + max degree + 1, where each pivot monomial's
+    term, once per dx word, is read through its normal form."""
+    rng = random.Random(41)
+    for make in ASSEMBLER_FIXTURES:
+        prob = make()
+        n, r = prob.n, prob.r
+        zy = (0,) * r
+        for k in range(-1, n + r + 2):
+            for q in range(-2, 3):
+                for p in range(4):
+                    layout = SliceLayout(prob, k, q, p)
+                    oracle = key_basis(prob, k, q, p)
+                    for form in _random_forms(rng, prob, k, oracle.keys):
+                        assert (layout.vector_of_form(form)
+                                == oracle.vector_of_form(form)), (k, q, p)
+            for weight in range(-2, k + max(prob.degrees) + 2):
+                layout = SliceLayout(prob, k, weight, 0, quotient=True)
+                oracle = quotient_basis(prob, k, weight)
+                forms_ = _random_forms(rng, prob, k, oracle.keys)
+                if oracle.quotient is not None:
+                    pivots = [(m, zy, word, ()) for m in
+                              oracle.quotient.pivot_normal_forms()
+                              for word in combinations(range(n), k)]
+                    forms_ += [DiffForm(prob, k, {key: rng.randint(1, 3)})
+                               for key in pivots]
+                    forms_ += _random_forms(rng, prob, k, pivots + oracle.keys)
+                for form in forms_:
+                    assert (layout.vector_of_form(form)
+                            == oracle.vector_of_form(form)), (k, weight)
 
 
 def test_assemble_rejects_a_target_that_misses_the_image():
@@ -155,7 +201,7 @@ PROPERTY_PROBLEMS = [make() for make in ASSEMBLER_FIXTURES]
 def test_boundary_matrix_acts_as_the_boundary(data):
     """boundary_matrix(k, q, p) maps the coordinates of a form of the
     (k, q, p) slice to those of its boundary: the layout's columns and
-    rows follow basis(...).keys, which the witness check reads."""
+    rows follow basis(...).keys(), which the witness check reads."""
     prob = data.draw(st.sampled_from(PROPERTY_PROBLEMS))
     f = prob.field
     k = data.draw(st.integers(0, prob.n + prob.r), label="k")
@@ -167,7 +213,8 @@ def test_boundary_matrix_acts_as_the_boundary(data):
         terms = data.draw(st.dictionaries(
             st.integers(0, src.dim - 1), st.integers(-3, 3), max_size=6),
             label="terms")
-    omega = DiffForm(prob, k, [(src.keys[i], c) for i, c in terms.items()])
+    keys = src.keys()
+    omega = DiffForm(prob, k, [(keys[i], c) for i, c in terms.items()])
     vec = src.vector_of_form(omega)
     image = []
     for row in boundary_matrix(prob, k, q, p).rows:
@@ -523,8 +570,8 @@ def test_theta_xi_matrix_identity():
         eta2 = boundary(zeta1)                      # dF /\ zeta_1
         sign = (-1) ** (r * (r - 1) // 2)
         residual = theta(xi(prob, r)) - eta2.scale(f.of(sign * prod(prob.degrees)))
-        src = basis(prob, 2 * r - 1, 0, r - 1)
-        tgt = basis(prob, 2 * r - 1, 0, r)
+        src = key_basis(prob, 2 * r - 1, 0, r - 1)
+        tgt = key_basis(prob, 2 * r - 1, 0, r)
 
         def composite(w):
             return boundary(theta(w))
@@ -541,7 +588,7 @@ def test_theta_xi_in_image_when_degrees_vanish():
     r = prob.r
     assert f.is_zero(f.of(prod(prob.degrees)))
     target_form = theta(xi(prob, r))
-    src = basis(prob, 2 * r - 1, 0, r - 1)
-    tgt = basis(prob, 2 * r - 1, 0, r)
+    src = key_basis(prob, 2 * r - 1, 0, r - 1)
+    tgt = key_basis(prob, 2 * r - 1, 0, r)
     m = matrix_of(prob, lambda w: boundary(theta(w)), src, tgt)
     assert in_column_span(m, tgt.vector_of_form(target_form))
