@@ -6,7 +6,8 @@ dy". The operator of interest is the boundary, the left wedge with dF where
 F = sum_j y_j f_j.
 
 A slice is laid out block by block from `problem.slice_blocks`
-(`SliceLayout`), and `assemble` builds every operator matrix on layouts:
+(`SliceLayout`), over K[x] or, keeping one dy word, over K[x]/(f), and
+`assemble` builds every operator matrix on layouts:
 the left wedge with a form, one block at a time, from multiplication
 tables M(g, a) cached on the problem. Since (Omega, dF /\\ .) is a Koszul
 complex, each block of a boundary is a signed dx/dy insertion tensored
@@ -48,8 +49,14 @@ def _merge_words(n, dxs_a, dys_a, dxs_b, dys_b):
     return (-1 if inv % 2 else 1), dxs, dys
 
 
+def _ascending(word) -> bool:
+    """Whether a wedge word's indices are strictly ascending."""
+    return all(a < b for a, b in zip(word, word[1:]))
+
+
 class DiffForm:
-    """Sum of wedge terms of a single word length k."""
+    """Sum of wedge terms of a single word length k. A term key's dx and dy
+    words must be strictly ascending (InputError otherwise)."""
 
     __slots__ = ("problem", "k", "terms")
 
@@ -64,6 +71,9 @@ class DiffForm:
                 xexp, yexp, dxs, dys = key
                 if len(dxs) + len(dys) != k:
                     raise InputError(f"term word length {len(dxs)+len(dys)} != {k}")
+                if not (_ascending(dxs) and _ascending(dys)):
+                    raise InputError(
+                        "wedge indices must be strictly ascending")
                 add_term(clean, key, f.of(c), f)
         self.terms = clean
 
@@ -79,8 +89,6 @@ class DiffForm:
         dxs, dys = tuple(dxs), tuple(dys)
         if len(xexp) != problem.n or len(yexp) != problem.r:
             raise InputError("exponent tuple lengths do not match the problem")
-        if list(dxs) != sorted(set(dxs)) or list(dys) != sorted(set(dys)):
-            raise InputError("wedge indices must be strictly ascending")
         return cls(problem, len(dxs) + len(dys), {(xexp, yexp, dxs, dys): c})
 
     @classmethod
@@ -316,27 +324,33 @@ class SliceLayout:
     (l, J, b, xdeg, offset, words, monomials) holds the terms
     x^a y^b dx_I dy_J with I in words (every dx word of length l) and a in
     monomials (every one of degree xdeg), term (I, a) at offset +
-    pos(I) * len(monomials) + pos(a). With quotient set (p = 0, one block
-    at most) the coefficients live in K[x]/(f) and a block's monomials are
-    the complement of its degree's quotient slice. Operator matrices are
-    assembled on layouts; keys() lists the terms in column order, and
-    vector_of_form reads a form in that order. A layout holds no problem."""
+    pos(I) * len(monomials) + pos(a). With dys set to a dy word the
+    coefficients live in K[x]/(f): the layout keeps only the blocks whose
+    dy word is dys, and a block's monomials are the complement of its
+    degree's quotient slice. Wedge division lays out dx-only forms that
+    way (p = 0, dys = ()), and the reduced complex its slices
+    (dys = (0, .., r-1), see homology). Operator matrices are assembled on
+    layouts; keys() lists the terms in column order, and vector_of_form
+    reads a form in that order. A layout holds no problem."""
 
     __slots__ = ("k", "q", "p", "quotient", "blocks", "dim", "_at")
 
     def __init__(self, problem: ProblemInput, k: int, q: int, p: int,
-                 quotient: bool = False):
-        self.k, self.q, self.p, self.quotient = k, q, p, quotient
+                 dys: tuple | None = None):
+        self.k, self.q, self.p = k, q, p
+        self.quotient = quotient = dys is not None
         n = problem.n
         self.blocks = []
         self._at = {}
         offset = 0
-        for l, dys, yexp, xdeg in slice_blocks(n, problem.degrees, k, q, p):
+        for l, J, yexp, xdeg in slice_blocks(n, problem.degrees, k, q, p):
+            if quotient and J != dys:
+                continue
             words = _words(problem, l)[0]
             monos = _monomials(problem, xdeg, quotient)[0]
-            block = (l, dys, yexp, xdeg, offset, words, monos)
+            block = (l, J, yexp, xdeg, offset, words, monos)
             self.blocks.append(block)
-            self._at[(dys, yexp)] = block
+            self._at[(J, yexp)] = block
             offset += len(words) * len(monos)
         self.dim = offset
 

@@ -1,8 +1,8 @@
 """Closed-form Hilbert-series pipeline: the derivative-recursion polynomials
 p_e, the closed form of H(t), the alternating-sum series of the complex
-derived from it, the slice-dimension count (from the slice rule of
-`problem.slice_blocks`; `homology` reads every slice size from it), and
-the predicted dimension table.
+derived from it, the slice-dimension counts of the full and of the
+reduced complex (from the slice rule of `problem.slice_blocks`; `homology`
+reads every slice size from them), and the predicted dimension table.
 
 The paper writes H(t) as a sum over exponent vectors e; its terms depend on
 e only through E = sum(e_i) and a multinomial weight, so H is built with one
@@ -263,6 +263,33 @@ def omega_slice_dim(n: int, d, k: int, q: int, p: int) -> int:
     C(n, l) dx words times the x-monomials of the forced degree."""
     return sum(comb(n, l) * comb(xdeg + n - 1, n - 1)
                for l, _, _, xdeg in slice_blocks(n, d, k, q, p))
+
+
+def _regular_quotient_dim(n: int, d, a: int) -> int:
+    """The coefficient of t^a in prod_j (1 - t^(d_j)) / (1-t)^n, which is
+    the dimension of the degree-a part of K[x]/(f) for a regular sequence
+    f of degrees d in n variables. The numerator is truncated at t^a and
+    paired with the coefficients C(m + n - 1, n - 1) of 1/(1-t)^n."""
+    numerator = {0: 1}
+    for dj in d:
+        shifted = dict(numerator)
+        for e, c in numerator.items():
+            if e + dj <= a:
+                shifted[e + dj] = shifted.get(e + dj, 0) - c
+        numerator = shifted
+    return sum(c * comb(a - e + n - 1, n - 1) for e, c in numerator.items())
+
+
+def reduced_slice_dim(n: int, d, k: int, q: int, p: int) -> int:
+    """Dimension of the (k, q, p) slice of the reduced complex, the terms
+    c y^b dx_I dy_1..dy_r with c in K[x]/(f) (`homology`), when f is a
+    regular sequence of degrees d. Counted from the blocks of
+    `problem.slice_blocks` whose dy word is (0, .., r-1): C(n, l) dx words
+    times the degree-xdeg part of K[x]/(f)."""
+    top = tuple(range(len(d)))
+    return sum(comb(n, l) * _regular_quotient_dim(n, d, xdeg)
+               for l, dys, _, xdeg in slice_blocks(n, d, k, q, p)
+               if dys == top)
 
 
 @dataclass

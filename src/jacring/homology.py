@@ -13,14 +13,38 @@ the same layouts read forms: the witness class
 `wedge_division_solve` come from `SliceLayout.vector_of_form`, and term
 keys are listed only for the kernel forms of `joint_wedge_kernel`.
 
-Over Q a boundary rank comes first from a copy of the problem reduced mod
-the prime _MODULAR_PRIME = 2^31 - 1: reduction never raises a rank, and
-d∘d = 0 bounds the two ranks at a slice by its dimension, so where the
-mod-P cohomology of the copy vanishes at either end of a boundary, its
-mod-P rank is its Q rank. Every other boundary, and every boundary of a
-problem with no reduction (P divides a denominator, or a polynomial
-vanishes mod P), is ranked exactly over Q: the only boundaries a problem
-over Q assembles to rank.
+`verify` at 2 <= r <= n takes its dimensions from the E_1 page instead.
+dF = d_x + d_y, with d_x = (sum_j y_j df_j) /\\ . and
+d_y = (sum_j f_j dy_j) /\\ . ; filtered by the dx word length, the E_0
+differential is d_y, the Koszul complex of f_1..f_r. When f is a regular
+sequence its cohomology is K[x]/(f) dy_1..dy_r and 0 at every shorter dy
+word (Eisenbud, Commutative Algebra, Cor. 17.5), so the spectral sequence
+stops at E_2 and dim H^k(q, p) is the cohomology of the reduced complex:
+the forms c y^b dx_I dy_1..dy_r with c in K[x]/(f), |I| = k - r and
+|b| = p - r, under d_x (SliceLayout with dys = (0, .., r-1)). Its slice
+sizes are counted by `hilbert.reduced_slice_dim`, which is 0 below k = r
+or p = r. The proof that f is regular is the certificate that verify
+requires. A successful smooth-ci certificate (r < n) proves
+(f, r x r minors) m-primary; on a component of V(f) of dimension
+> n - r every minor would vanish (Jacobian criterion), so there is no
+such component, and f is regular since K[x] is Cohen-Macaulay. A
+successful no-common-zero certificate at r = n proves (f) m-primary.
+Without such a proof the reduced complex gives wrong dimensions, so
+`cohomology`, which certifies nothing, keeps the full complex, and so do
+r > n, r = 1 (cheaper in full while quotient normal forms go through
+dense rows) and the witness class. Over Q the reduced boundaries are
+ranked exactly over Q: at an unlucky prime the quotient's standard
+monomials can change, and a reduced matrix mod P would not be the
+reduction of the Q one.
+
+Over Q a full-complex boundary rank comes first from a copy of the
+problem reduced mod the prime _MODULAR_PRIME = 2^31 - 1: reduction never
+raises a rank, and d∘d = 0 bounds the two ranks at a slice by its
+dimension, so where the mod-P cohomology of the copy vanishes at either
+end of a boundary, its mod-P rank is its Q rank. Every other boundary,
+and every boundary of a problem with no reduction (P divides a
+denominator, or a polynomial vanishes mod P), is ranked exactly over Q:
+the only full-complex boundaries a problem over Q assembles to rank.
 """
 from __future__ import annotations
 
@@ -32,18 +56,21 @@ from .errors import CertificateRequired, InputError
 from .fields import PrimeField
 from .forms import (DiffForm, SliceLayout, assemble, basis, boundary, dF_of,
                     df_form, xi)
-from .hilbert import hodge_table, omega_slice_dim
+from .hilbert import hodge_table, omega_slice_dim, reduced_slice_dim
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank
 from .polynomials import MultiPoly
 from .problem import ProblemInput
 
 
-def boundary_matrix(problem: ProblemInput, k: int, q: int,
-                    p: int) -> SparseMatrix:
+def boundary_matrix(problem: ProblemInput, k: int, q: int, p: int,
+                    reduced: bool = False) -> SparseMatrix:
     """Matrix of the boundary out of the (k, q, p) slice into
-    (k+1, q, p+1), assembled on the two slice layouts."""
-    src = SliceLayout(problem, k, q, p)
-    tgt = SliceLayout(problem, k + 1, q, p + 1)
+    (k+1, q, p+1), assembled on the two slice layouts; with reduced set,
+    on the reduced complex's layouts (the module docstring), where dF acts
+    as d_x: each dy_j of dF meets the full dy word."""
+    dys = tuple(range(problem.r)) if reduced else None
+    src = SliceLayout(problem, k, q, p, dys)
+    tgt = SliceLayout(problem, k + 1, q, p + 1, dys)
     return assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
                     dF_of(problem), src, tgt)
 
@@ -89,35 +116,60 @@ def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int) -> int:
     key = ("brank", k, q, p)
     cached = problem._cache.get(key)
     if cached is None:
-        n, degrees = problem.n, problem.degrees
-        reduced = _reduction(problem)
-        if (omega_slice_dim(n, degrees, k, q, p) == 0
-                or omega_slice_dim(n, degrees, k + 1, q, p + 1) == 0):
+        modular = _reduction(problem)
+        if (not _count(problem, k, q, p, False)
+                or not _count(problem, k + 1, q, p + 1, False)):
             cached = 0
-        elif reduced is not None and _proves_rank(reduced, k, q, p):
-            cached = _boundary_rank(reduced, k, q, p)
+        elif modular is not None and _proves_rank(modular, k, q, p):
+            cached = _boundary_rank(modular, k, q, p)
         else:
             cached = rank(boundary_matrix(problem, k, q, p))
         problem._cache[key] = cached
     return cached
 
 
-def cohomology_dim(problem: ProblemInput, k: int, q: int, p: int) -> int:
+def _reduced_rank(problem: ProblemInput, k: int, q: int, p: int) -> int:
+    """Rank of the reduced complex's boundary out of (k, q, p), cached on
+    the problem: 0 when its source or target counts no term, else the rank
+    of the assembled boundary, over Q exactly."""
+    key = ("rrank", k, q, p)
+    cached = problem._cache.get(key)
+    if cached is None:
+        cached = problem._cache[key] = (
+            rank(boundary_matrix(problem, k, q, p, reduced=True))
+            if _count(problem, k, q, p, True)
+            and _count(problem, k + 1, q, p + 1, True) else 0)
+    return cached
+
+
+def _count(problem: ProblemInput, k: int, q: int, p: int,
+           reduced: bool) -> int:
+    """The size of the (k, q, p) slice of the full or the reduced complex,
+    counted without building it; 0 outside the complex."""
+    count = reduced_slice_dim if reduced else omega_slice_dim
+    return count(problem.n, problem.degrees, k, q, p)
+
+
+def cohomology_dim(problem: ProblemInput, k: int, q: int, p: int,
+                   reduced: bool = False) -> int:
     """dim of the boundary cohomology at slice (k, q, p), computed as the
     slice's count minus the ranks of the outgoing and incoming boundaries;
-    the count is 0 outside the complex."""
-    d = omega_slice_dim(problem.n, problem.degrees, k, q, p)
+    the count is 0 outside the complex. With reduced set, the slice and
+    its boundaries are the reduced complex's, which gives the same
+    dimension only when f is a regular sequence (the module docstring)."""
+    d = _count(problem, k, q, p, reduced)
     if d == 0:
         return 0
-    out_rank = _boundary_rank(problem, k, q, p)
-    in_rank = _boundary_rank(problem, k - 1, q, p - 1)
-    return d - out_rank - in_rank
+    brank = _reduced_rank if reduced else _boundary_rank
+    return d - brank(problem, k, q, p) - brank(problem, k - 1, q, p - 1)
 
 
-def cohomology_report(problem: ProblemInput, slices) -> dict:
+def cohomology_report(problem: ProblemInput, slices,
+                      reduced: bool = False) -> dict:
     """{(k, q, p): dim} for an iterable of (k, q, p) slices, in sorted
-    order."""
-    return {kqp: cohomology_dim(problem, *kqp) for kqp in sorted(set(slices))}
+    order; reduced as in cohomology_dim."""
+    return {kqp: cohomology_dim(problem, *kqp, reduced)
+            for kqp in sorted(set(slices))}
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +226,9 @@ def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
         # g^m * omega stays nonzero: K[x] is a domain
         target = omega.times_poly(g.pow(m)) if m else omega
         target_weight = weight + m * g_degree
-        tgt = SliceLayout(prob, k, target_weight, 0, quotient=True)
+        tgt = SliceLayout(prob, k, target_weight, 0, dys=())
         src = SliceLayout(prob, k - len(multipliers),
-                          target_weight - product_weight, 0, quotient=True)
+                          target_weight - product_weight, 0, dys=())
         mat = assemble(SparseMatrix(tgt.dim, src.dim, f), product, src, tgt)
         if in_column_span(mat, tgt.vector_of_form(target)):
             return m
@@ -188,12 +240,12 @@ def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
     """Basis of { omega of word length k and the given weight :
     w_i /\\ omega = 0 for every multiplier } over K[x]/(f), f the
     problem's polynomials."""
-    src = SliceLayout(problem, k, weight, 0, quotient=True)
+    src = SliceLayout(problem, k, weight, 0, dys=())
     if src.dim == 0:
         return []
     tgts = [(w, SliceLayout(problem, k + 1,
                             weight + _dx_only_weight(w, "multiplier"), 0,
-                            quotient=True))
+                            dys=()))
             for w in multipliers]
     mat = SparseMatrix(sum(t.dim for _, t in tgts), src.dim, problem.field)
     row0 = 0
@@ -262,6 +314,14 @@ def check_verify_bounds(problem: ProblemInput, p_max: int | None,
                          f" got r = {problem.r}, n = {problem.n}")
 
 
+def _uses_reduced(problem: ProblemInput) -> bool:
+    """Whether verify_predictions takes its dimensions from the reduced
+    complex: at 2 <= r <= n, where the certificate it requires proves f a
+    regular sequence (the module docstring). At r = 1 the full complex is
+    cheaper while quotient normal forms go through dense rows."""
+    return 2 <= problem.r <= problem.n
+
+
 def verify_predictions(problem: ProblemInput, certificate,
                        p_max: int | None = None,
                        division_m_max: int | None = None) -> VerificationReport:
@@ -270,7 +330,9 @@ def verify_predictions(problem: ProblemInput, certificate,
     The input fixes the mode: complete-intersection when r < n, which needs
     a successful smooth-ci certificate, else no-common-zero, which needs a
     successful no-common-zero certificate; without it CertificateRequired is
-    raised; then check_verify_bounds checks the bounds.
+    raised; then check_verify_bounds checks the bounds. At 2 <= r <= n
+    the dimensions come from the reduced complex, which that certificate
+    licenses (the module docstring).
 
     With division_m_max set (complete-intersection mode), also checks the
     wedge-division property: every form in the joint kernel of all the
@@ -295,7 +357,7 @@ def verify_predictions(problem: ProblemInput, certificate,
         p_max = n + 1
     top = n + r
     slices = [(k, 0, p) for k in range(top + 1) for p in range(p_max + 1)]
-    dims = cohomology_report(problem, slices)
+    dims = cohomology_report(problem, slices, _uses_reduced(problem))
 
     # every row outside the live ones must vanish
     live_rows = {2 * r, top - 1, top} if mode == MODE_CI else {2 * n}

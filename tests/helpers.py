@@ -250,7 +250,7 @@ def quotient_basis(problem: ProblemInput, k: int, weight: int) -> BasisSlice:
     """dx-only k-forms of the given weight with coefficients in K[x]/(f),
     f the problem's polynomials: the keys of the quotient layout of the
     p = 0 slice, with that block's quotient slice attached."""
-    layout = SliceLayout(problem, k, weight, 0, quotient=True)
+    layout = SliceLayout(problem, k, weight, 0, dys=())
     qs = _quotient(problem, layout.blocks[0][3]) if layout.blocks else None
     return BasisSlice(k, weight, 0, layout.keys(), qs)
 

@@ -263,7 +263,7 @@ def test_vector_of_form_rejects_stray_terms():
         sl.vector_of_form(stray)
     # the quotient layout of the dx-only 1-forms of weight 4 over
     # K[x]/(x1^3 + x2^3 + x3^3), and its key-index oracle
-    layout = SliceLayout(prob, 1, 4, 0, quotient=True)
+    layout = SliceLayout(prob, 1, 4, 0, dys=())
     oracle = quotient_basis(prob, 1, 4)
     pivot = next(iter(oracle.quotient.pivot_normal_forms()))
     inside = DiffForm.term(prob, pivot, (0,), (0,), ())
@@ -291,6 +291,26 @@ def test_term_constructor_validation():
     with pytest.raises(InputError):
         two_conics_form = DiffForm.zero(two_conics(), 1)
         DiffForm.zero(prob, 1) + two_conics_form  # different problems
+
+
+def test_constructor_refuses_words_out_of_order():
+    """DiffForm refuses a term key whose dx or dy word is not strictly
+    ascending, as DiffForm.term does: otherwise dx2/\\dx1 + dx1/\\dx2
+    would be a nonzero form."""
+    prob = fermat_cubic()
+    x0, y0 = (0, 0, 0), (0,)
+    dx1dx2 = DiffForm(prob, 2, {(x0, y0, (0, 1), ()): 1})
+    for word, dys in [((1, 0), ()), ((0, 0), ())]:
+        with pytest.raises(InputError):
+            DiffForm(prob, 2, {(x0, y0, word, dys): 1}) + dx1dx2
+    conics = two_conics()
+    for dxs, dys in [((), (1, 0)), ((0,), (1, 1))]:
+        with pytest.raises(InputError):
+            DiffForm(conics, len(dxs) + 2, [(((0, 0, 0), (0, 0), dxs, dys),
+                                             1)])
+    # the ascending word and its negation cancel
+    swapped = DiffForm.term(prob, x0, y0, (0, 1), (), -1)
+    assert (dx1dx2 + swapped).is_zero()
 
 
 def test_theta_preimage_round_trip():

@@ -15,7 +15,7 @@ from jacring.errors import CertificateRequired, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals
 from jacring.forms import (DiffForm, SliceLayout, assemble, basis, boundary,
                            dF_of, df_form, xi)
-from jacring.hilbert import omega_slice_dim
+from jacring.hilbert import omega_slice_dim, reduced_slice_dim
 import jacring.homology as homology
 from jacring.homology import (boundary_matrix, cohomology_dim,
                               cohomology_report, verify_predictions,
@@ -116,9 +116,10 @@ def test_assembler_matches_per_column_oracle():
                     rule = wedge_rule(mult.terms, n, f)
                     where = (prob.degrees, f, k, weight, mult.k)
                     for quotient in (False, True):
-                        src = SliceLayout(prob, k, weight, 0, quotient)
+                        dys = () if quotient else None
+                        src = SliceLayout(prob, k, weight, 0, dys)
                         tgt = SliceLayout(prob, k + mult.k, weight + d, 0,
-                                          quotient)
+                                          dys)
                         got = assemble(SparseMatrix(tgt.dim, src.dim, f),
                                        mult, src, tgt)
                         if quotient:
@@ -167,7 +168,7 @@ def test_vector_of_form_matches_the_key_index_oracle():
                         assert (layout.vector_of_form(form)
                                 == oracle.vector_of_form(form)), (k, q, p)
             for weight in range(-2, k + max(prob.degrees) + 2):
-                layout = SliceLayout(prob, k, weight, 0, quotient=True)
+                layout = SliceLayout(prob, k, weight, 0, dys=())
                 oracle = quotient_basis(prob, k, weight)
                 forms_ = _random_forms(rng, prob, k, oracle.keys)
                 if oracle.quotient is not None:
@@ -402,20 +403,22 @@ def test_no_reduction_when_the_prime_divides_a_denominator_or_a_polynomial():
 
 
 def _record_boundaries(monkeypatch) -> list:
-    """Record (problem, k, q, p, matrix) for every boundary_matrix call."""
+    """Record (problem, k, q, p, matrix, reduced) for every boundary_matrix
+    call."""
     calls = []
     original = homology.boundary_matrix
 
-    def recording(problem, k, q, p):
-        mat = original(problem, k, q, p)
-        calls.append((problem, k, q, p, mat))
+    def recording(problem, k, q, p, reduced=False):
+        mat = original(problem, k, q, p, reduced)
+        calls.append((problem, k, q, p, mat, reduced))
         return mat
     monkeypatch.setattr(homology, "boundary_matrix", recording)
     return calls
 
 
-def _count(problem, k, q, p) -> int:
-    return omega_slice_dim(problem.n, problem.degrees, k, q, p)
+def _count(problem, k, q, p, reduced=False) -> int:
+    count = reduced_slice_dim if reduced else omega_slice_dim
+    return count(problem.n, problem.degrees, k, q, p)
 
 
 def test_report_caches_slices_and_leaves_no_cycles():
@@ -446,7 +449,9 @@ def test_report_caches_slices_and_leaves_no_cycles():
 def test_q_problem_builds_bases_only_to_rank_over_q(monkeypatch):
     """A problem over Q builds the slice bases of the boundaries it ranks
     over Q and of the witness's boundary, no other: its dimensions come
-    from the slice counts and the modular copy's ranks."""
+    from the slice counts and the modular copy's ranks. cohomology_report
+    ranks the full complex through the modular copy; verify, which takes
+    its dimensions from the reduced complex at r = 2, adds the witness."""
     calls = _record_boundaries(monkeypatch)
     ranked = []
 
@@ -457,12 +462,15 @@ def test_q_problem_builds_bases_only_to_rank_over_q(monkeypatch):
     prob = problem_from_strings(Q, 4, ["x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2",
                                        "4*x1^2 + 3*x2^2 + 5*x3^2 + x4^2"])
     r = prob.r
-    assert verify_predictions(prob, smooth_ci_certificate(prob),
-                              p_max=4).passed
+    window = [(k, 0, p) for k in range(prob.n + r + 1) for p in range(5)]
+    dims = cohomology_report(prob, window)
+    report = verify_predictions(prob, smooth_ci_certificate(prob), p_max=4)
+    assert report.passed
+    assert report.dims == dims
     q_ranked = {id(mat) for mat in ranked if mat.field.kind == "Q"}
     allowed = {(2 * r - 1, 0, r - 1), (2 * r, 0, r)}
-    for problem, k, q, p, mat in calls:
-        if problem is prob and id(mat) in q_ranked:
+    for problem, k, q, p, mat, reduced in calls:
+        if problem is prob and not reduced and id(mat) in q_ranked:
             allowed |= {(k, q, p), (k + 1, q, p + 1)}
     built = {key[1:] for key in prob._cache if key[0] == "basis"}
     assert built and built <= allowed
@@ -476,8 +484,8 @@ def test_no_boundary_is_assembled_into_an_empty_slice(monkeypatch, make):
     assert verify_predictions(prob, smooth_ci_certificate(prob)).passed
     assert calls
     # the witness's boundary may have an empty source, (1, 0, 0) at r = 1
-    for problem, k, q, p, _ in calls:
-        assert _count(problem, k + 1, q, p + 1) > 0
+    for problem, k, q, p, _, reduced in calls:
+        assert _count(problem, k + 1, q, p + 1, reduced) > 0
 
 
 # ---------------------------------------------------------------------------

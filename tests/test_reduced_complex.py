@@ -1,0 +1,162 @@
+"""The reduced complex of `verify` at 2 <= r <= n: the forms
+c y^b dx_I dy_1..dy_r with c in K[x]/(f) under d_x F /\\ . . Its slice
+counts, its dimensions against the full complex's, the proof obligation
+(f regular), and the CLI bytes of both paths."""
+from __future__ import annotations
+
+import pytest
+
+import jacring.homology as homology
+from jacring.certify import (Certificate, no_common_zero_certificate,
+                             smooth_ci_certificate)
+from jacring.forms import SliceLayout
+from jacring.hilbert import _regular_quotient_dim, reduced_slice_dim
+from jacring.homology import (cohomology_dim, cohomology_report,
+                              verify_predictions)
+from jacring.problem import problem_from_strings
+
+import digest_outputs
+from helpers import (F32003, Q, exceptional_pair_char2, fermat_cubic,
+                     product_hilbert_series, square_pair, two_conics,
+                     two_quadrics)
+from test_cli import QUADRICS, SQUARES, write
+
+REGULAR = [two_quadrics, lambda: two_quadrics(F32003), two_conics,
+           square_pair, exceptional_pair_char2]
+REGULAR_IDS = ["quadrics-Q", "quadrics-F32003", "conics", "squares",
+               "exceptional-char2"]
+
+
+def _certified(prob):
+    cert = (smooth_ci_certificate(prob) if prob.r < prob.n
+            else no_common_zero_certificate(prob))
+    return cert.success
+
+
+def _window(prob):
+    """Every k, q = -2..2 and p <= 4."""
+    return [(k, q, p) for k in range(prob.n + prob.r + 1)
+            for q in range(-2, 3) for p in range(5)]
+
+
+@pytest.mark.parametrize("make", REGULAR, ids=REGULAR_IDS)
+def test_reduced_counts_match_the_layouts_and_the_hilbert_series(make):
+    """On every certified fixture with r >= 2, reduced_slice_dim counts
+    the terms of the layout it predicts, and each degree's part of
+    K[x]/(f) is the coefficient of prod (1 - t^d_j) / (1-t)^n."""
+    prob = make()
+    assert prob.r >= 2 and _certified(prob)
+    n, d = prob.n, prob.degrees
+    series = product_hilbert_series(n, d, 12)
+    assert [_regular_quotient_dim(n, d, a) for a in range(13)] == series
+    top = tuple(range(prob.r))
+    for k, q, p in _window(prob) + [(prob.n + prob.r + 1, 0, 3)]:
+        layout = SliceLayout(prob, k, q, p, top)
+        assert reduced_slice_dim(n, d, k, q, p) == layout.dim, (k, q, p)
+        for l, _, _, xdeg, _, words, monos in layout.blocks:
+            assert len(monos) == series[xdeg]
+
+
+@pytest.mark.parametrize("make", REGULAR, ids=REGULAR_IDS)
+def test_reduced_and_full_dimensions_agree(make):
+    prob = make()
+    assert _certified(prob)
+    window = _window(prob)
+    reduced = cohomology_report(prob, window, reduced=True)
+    assert reduced == cohomology_report(prob, window)
+    # H^k(q, p) = 0 below k = r or p = r, with no matrix built
+    assert not any(dim for (k, _, p), dim in reduced.items()
+                   if k < prob.r or p < prob.r)
+
+
+def test_forcing_the_reduced_complex_on_a_non_regular_pair_is_wrong(
+        monkeypatch):
+    """x1 x2, x1 x3 is no regular sequence, and no certificate proves it
+    one. Passing verify a forged certificate forces the reduced path,
+    whose dimensions differ from the full complex's: H^2(0, 1) is 1, the
+    reduced complex gives 0."""
+    prob = problem_from_strings(Q, 3, ["x1*x2", "x1*x3"])
+    assert not smooth_ci_certificate(prob).success
+    assert cohomology_dim(prob, 2, 0, 1) == 1
+    assert cohomology_dim(prob, 2, 0, 1, reduced=True) == 0
+    forged = Certificate(kind="smooth-ci", field="Q", num_generators=2,
+                         bound=1, vanishing_degree=1)
+    reduced = verify_predictions(prob, forged, p_max=2).dims
+    monkeypatch.setattr(homology, "_uses_reduced", lambda problem: False)
+    full = verify_predictions(prob, forged, p_max=2).dims
+    assert (full[(2, 0, 1)], reduced[(2, 0, 1)]) == (1, 0)
+
+
+def _record_layouts(monkeypatch) -> list:
+    """The dy word (None over K[x]) of every layout homology builds."""
+    made = []
+
+    class Recording(SliceLayout):
+        __slots__ = ()
+
+        def __init__(self, problem, k, q, p, dys=None):
+            made.append(dys)
+            super().__init__(problem, k, q, p, dys)
+    monkeypatch.setattr(homology, "SliceLayout", Recording)
+    return made
+
+
+def test_r_1_verify_and_cohomology_assemble_only_the_full_complex(
+        monkeypatch):
+    made = _record_layouts(monkeypatch)
+    for field in (Q, F32003):
+        prob = fermat_cubic(field)
+        assert verify_predictions(prob, smooth_ci_certificate(prob),
+                                  p_max=4).passed
+        assert not [key for key in prob._cache if key[0] == "rrank"]
+    # cohomology certifies nothing, so it keeps the full complex at r = 2
+    cohomology_report(two_conics(), [(k, 0, p) for k in range(6)
+                                     for p in range(3)])
+    assert made and set(made) == {None}
+    prob = two_conics()
+    assert verify_predictions(prob, smooth_ci_certificate(prob)).passed
+    assert (0, 1) in made
+
+
+def _cli_bytes(run, monkeypatch, full: bool):
+    """run's result from the reduced path or, with full set, from the full
+    one; asserts that only the path asked for counted its slices."""
+    counted = []
+    with monkeypatch.context() as m:
+        if full:
+            m.setattr(homology, "_uses_reduced", lambda problem: False)
+        m.setattr(homology, "reduced_slice_dim",
+                  lambda *args: counted.append(args) or reduced_slice_dim(
+                      *args))
+        out = run()
+    assert bool(counted) != full
+    return out
+
+
+def _golden_runs(tmp_path, capsys):
+    from jacring.cli import main
+    for text, argv in [(QUADRICS, ["--p", "2"]), (SQUARES, [])]:
+        for fmt in ([], ["--json"]):
+            def run(text=text, argv=argv, fmt=fmt):
+                rc = main(["verify", write(tmp_path, text), *argv, *fmt])
+                return rc, capsys.readouterr().out
+            yield run
+
+
+def _job_runs():
+    jobs = {job.id: job for job in digest_outputs.jobs.generate("slices", 1)}
+    for jid in ("quadrics-fp", "conics-q-0", "quadrics-q-0"):
+        yield lambda job=jobs[jid]: digest_outputs.run(job)
+
+
+def test_reduced_and_full_paths_print_the_same_bytes(tmp_path, capsys,
+                                                     monkeypatch):
+    """The r >= 2 verify goldens and three r = 2 benchmark jobs of seed 1
+    print the same bytes from the reduced complex and, monkeypatched,
+    from the full one."""
+    runs = list(_golden_runs(tmp_path, capsys)) + list(_job_runs())
+    assert len(runs) == 7
+    for run in runs:
+        reduced = _cli_bytes(run, monkeypatch, full=False)
+        assert reduced[0] == 0 and reduced[1]
+        assert _cli_bytes(run, monkeypatch, full=True) == reduced
