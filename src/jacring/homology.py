@@ -31,11 +31,12 @@ such component, and f is regular since K[x] is Cohen-Macaulay. A
 successful no-common-zero certificate at r = n proves (f) m-primary.
 Without such a proof the reduced complex gives wrong dimensions, so
 `cohomology`, which certifies nothing, keeps the full complex, and so do
-r > n, r = 1 (cheaper in full while quotient normal forms go through
-dense rows) and the witness class. Over Q the reduced boundaries are
-ranked exactly over Q: at an unlucky prime the quotient's standard
-monomials can change, and a reduced matrix mod P would not be the
-reduction of the Q one.
+r > n, the witness class and r = 1, where the reduced complex costs more:
+it row reduces the Macaulay matrix of (f) in every x degree its slices
+reach, and it ranks exactly over Q where the full complex takes most
+ranks from the modular copy below. The reduced complex has no modular
+copy: at an unlucky prime the quotient's standard monomials can change,
+and a reduced matrix mod P would not be the reduction of the Q one.
 
 Over Q a full-complex boundary rank comes first from a copy of the
 problem reduced mod the prime _MODULAR_PRIME = 2^31 - 1: reduction never
@@ -318,7 +319,7 @@ def _uses_reduced(problem: ProblemInput) -> bool:
     """Whether verify_predictions takes its dimensions from the reduced
     complex: at 2 <= r <= n, where the certificate it requires proves f a
     regular sequence (the module docstring). At r = 1 the full complex is
-    cheaper while quotient normal forms go through dense rows."""
+    cheaper: the reduced one row reduces a quotient slice per x degree."""
     return 2 <= problem.r <= problem.n
 
 

@@ -66,13 +66,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(map(len, self.rows))
 
-    def to_dense_rows(self) -> list[list]:
-        out = [[self.field.zero] * self.ncols for _ in self.rows]
-        for dense, row in zip(out, self.rows):
-            for j, v in row.items():
-                dense[j] = v
-        return out
-
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -85,8 +78,7 @@ class SparseMatrix:
 def rank(mat: SparseMatrix) -> int:
     """Rank of the matrix; mat.rows is left as it was."""
     if mat.field.kind == "Q":
-        return len(_echelon(_int_dict_rows(mat.rows), mat.ncols,
-                            _eliminate_q)[0])
+        return len(_echelon(_int_dict_rows(mat.rows), _eliminate_q)[0])
     return _rank_modp(mat.rows, mat.field.p)
 
 
@@ -138,15 +130,16 @@ def _eliminate_modp(row: dict[int, int], prow: dict[int, int], col: int,
     return row
 
 
-def _echelon(rows: list[dict[int, int]], ncols: int,
+def _echelon(rows: list[dict[int, int]],
              eliminate) -> tuple[list[int], list[dict[int, int]]]:
-    """Forward elimination on sparse rows, column by column. The pivot is
-    the shortest row holding the column, then the one of least |entry|;
+    """Forward elimination on sparse rows, over the occupied columns in
+    order (elimination never fills a column that no row holds). The pivot
+    is the shortest row holding the column, then the one of least |entry|;
     only the rows holding the column change, by the field family's
     `eliminate`. Returns the pivot columns and the pivot rows."""
     pivots: list[int] = []
     prows: list[dict[int, int]] = []
-    for col in range(ncols):
+    for col in sorted(set().union(*rows)):
         if not rows:
             break
         best = -1
@@ -298,36 +291,32 @@ def _echelon_modp(A: np.ndarray, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def rref_rows(rows: list[list], field) -> tuple[list[int], list[list]]:
-    """Reduced row echelon form of dense rows. Returns (pivot columns,
-    nonzero rows with unit pivots and zeros above and below each pivot):
-    the column-order echelon on sparse rows, then back-substitution by the
-    same elimination step. Exact over Q and at every prime."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+def rref_rows(rows: list[dict], field) -> tuple[list[int], list[dict]]:
+    """Reduced row echelon form of sparse rows, each a dict col -> nonzero
+    scalar as in SparseMatrix.rows, which are left as they were. Returns
+    (pivot columns, nonzero rows with unit pivots, no other entry in a
+    pivot column, and columns in ascending order): the column-order echelon,
+    then back-substitution by the same elimination step. Exact over Q and
+    at every prime."""
     if field.kind == "Q":
         eliminate = _eliminate_q
-        sparse = _int_dict_rows(sparse)
+        rows = _int_dict_rows(rows)
     else:
         eliminate = partial(_eliminate_modp, p=field.p)
-    pivots, prows = _echelon(sparse, ncols, eliminate)
+        rows = [dict(row) for row in rows if row]
+    pivots, prows = _echelon(rows, eliminate)
     for i in reversed(range(len(prows))):
         for j in range(i + 1, len(prows)):
             if pivots[j] in prows[i]:
                 prows[i] = eliminate(prows[i], prows[j], pivots[j])
     out = []
     for pc, row in zip(pivots, prows):
-        dense = [field.zero] * ncols
         if field.kind == "Q":
-            for j, v in row.items():
-                dense[j] = Fraction(v, row[pc])
+            out.append({j: Fraction(v, row[pc])
+                        for j, v in sorted(row.items())})
         else:
             inv = pow(row[pc], -1, field.p)
-            for j, v in row.items():
-                dense[j] = v * inv % field.p
-        out.append(dense)
+            out.append({j: v * inv % field.p for j, v in sorted(row.items())})
     return pivots, out
 
 
@@ -335,27 +324,28 @@ def rref_rows(rows: list[list], field) -> tuple[list[int], list[list]]:
 # wraps it by name until ROADMAP B1 drops it from the traced layers
 def solve(mat: SparseMatrix, rhs: list):
     """One solution x of mat @ x = rhs with free coordinates set to zero,
-    or None when the system is inconsistent."""
+    or None when the system is inconsistent. The right-hand side enters the
+    row reduction as column ncols."""
     if len(rhs) != mat.nrows:
         raise InputError("right-hand side length mismatch")
     f = mat.field
-    rows = mat.to_dense_rows()
-    for i, v in enumerate(rhs):
-        rows[i].append(f.of(v))
+    rows = [row if f.is_zero(c) else {**row, mat.ncols: c}
+            for row, c in zip(mat.rows, map(f.of, rhs))]
     pivots, R = rref_rows(rows, f)
     if mat.ncols in pivots:
         return None
     x = [f.zero] * mat.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = f.of(R[i][mat.ncols])
+    for pc, row in zip(pivots, R):
+        x[pc] = row.get(mat.ncols, f.zero)
     return x
 
 
 def kernel_basis(mat: SparseMatrix) -> list[list]:
     """Basis of the right kernel, one vector per free column, in column
-    order."""
+    order: the free column's unit, minus its entries in the reduced rows at
+    their pivots."""
     f = mat.field
-    pivots, R = rref_rows(mat.to_dense_rows(), f)
+    pivots, R = rref_rows(mat.rows, f)
     pivset = set(pivots)
     basis = []
     for j in range(mat.ncols):
@@ -363,8 +353,9 @@ def kernel_basis(mat: SparseMatrix) -> list[list]:
             continue
         v = [f.zero] * mat.ncols
         v[j] = f.one
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(f.of(R[i][j]))
+        for pc, row in zip(pivots, R):
+            if j in row:
+                v[pc] = f.neg(row[j])
         basis.append(v)
     return basis
 

@@ -17,17 +17,17 @@ from .polynomials import MultiPoly, monomials_of_degree
 
 
 class QuotientSlice:
-    """Degree-N slice of K[x1..xn]/(gens)."""
+    """Degree-N slice of K[x1..xn]/(gens): the reduced Macaulay rows as
+    rref_rows returns them, and the complement monomials as its basis."""
 
-    __slots__ = ("field", "nvars", "degree", "monomials", "index",
-                 "pivots", "rows", "complement", "_pivot_forms")
+    __slots__ = ("field", "nvars", "degree", "monomials", "pivots", "rows",
+                 "complement", "_pivot_forms")
 
     def __init__(self, field, nvars, degree, monomials, pivots, rows):
         self.field = field
         self.nvars = nvars
         self.degree = degree
         self.monomials = monomials
-        self.index = {m: i for i, m in enumerate(monomials)}
         self.pivots = pivots
         self.rows = rows
         pivset = set(pivots)
@@ -36,14 +36,14 @@ class QuotientSlice:
 
     def pivot_normal_forms(self) -> dict:
         """Normal form of each pivot monomial as (complement monomial,
-        coefficient) pairs: minus its reduced row on the complement. A
-        complement monomial is its own normal form. Built on first use."""
+        coefficient) pairs in column order: minus its reduced row off the
+        pivot, which holds only complement columns. A complement monomial
+        is its own normal form. Built on first use."""
         if self._pivot_forms is None:
-            f = self.field
-            cols = [(self.index[m], m) for m in self.complement]
+            f, monos = self.field, self.monomials
             self._pivot_forms = {
-                self.monomials[pc]: [(m, f.neg(f.of(row[j]))) for j, m in cols
-                                     if not f.is_zero(row[j])]
+                monos[pc]: [(monos[j], f.neg(v)) for j, v in row.items()
+                            if j != pc]
                 for pc, row in zip(self.pivots, self.rows)}
         return self._pivot_forms
 
@@ -84,7 +84,7 @@ def _macaulay_matrix(gens: list[MultiPoly],
 def quotient_slice(gens: list[MultiPoly], degree: int) -> QuotientSlice:
     """Row-reduce the degree-`degree` slice of the ideal (gens)."""
     monomials, mat = _macaulay_matrix(gens, degree)
-    pivots, red = rref_rows(mat.to_dense_rows(), mat.field)
+    pivots, red = rref_rows(mat.rows, mat.field)
     return QuotientSlice(mat.field, gens[0].nvars, degree, monomials, pivots,
                          red)
 

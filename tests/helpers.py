@@ -26,6 +26,11 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F7 = PrimeField(7)
 F32003 = PrimeField(32003)
+# the fields of the row-reduction tests: Q, small primes, primes on both
+# sides of linalg._NUMPY_P_LIMIT, and two far beyond int64 products
+RREF_FIELDS = [Q, F2, PrimeField(5), F32003, PrimeField(2**31 + 11),
+               PrimeField(3037000493), PrimeField(2**61 - 1),
+               PrimeField(2**89 - 1)]
 
 
 def fermat_cubic(field=Q) -> ProblemInput:
@@ -106,15 +111,21 @@ def sympy_quotient_dim(gens, degree):
     return count
 
 
+def monomial_index(qs) -> dict:
+    """Monomial -> column of a QuotientSlice's Macaulay matrix."""
+    return {m: i for i, m in enumerate(qs.monomials)}
+
+
 def slice_vector(qs, poly: MultiPoly) -> list:
     """Coefficient vector of a degree-N polynomial over the monomials of a
     degree-N QuotientSlice; a term of another degree raises InputError."""
     f = qs.field
+    index = monomial_index(qs)
     v = [f.zero] * len(qs.monomials)
     for exp, c in poly.terms.items():
         if sum(exp) != qs.degree:
             raise InputError(f"term of degree {sum(exp)} in degree-{qs.degree} slice")
-        v[qs.index[exp]] = c
+        v[index[exp]] = c
     return v
 
 
@@ -128,9 +139,8 @@ def normal_form_vector(qs, v: list) -> list:
         c = v[pc]
         if f.is_zero(c):
             continue
-        for j, w in enumerate(row):
-            if not f.is_zero(w):
-                v[j] = f.sub(v[j], f.mul(c, f.of(w)))
+        for j, w in row.items():
+            v[j] = f.sub(v[j], f.mul(c, w))
     return v
 
 
@@ -138,8 +148,9 @@ def normal_form(qs, poly: MultiPoly) -> MultiPoly:
     """Oracle: the normal form of a degree-N polynomial in a QuotientSlice,
     on the complement monomials."""
     v = normal_form_vector(qs, slice_vector(qs, poly))
+    index = monomial_index(qs)
     return MultiPoly(qs.field, qs.nvars,
-                     {m: v[qs.index[m]] for m in qs.complement})
+                     {m: v[index[m]] for m in qs.complement})
 
 
 def random_homogeneous(rng: random.Random, field, nvars: int, degree: int) -> MultiPoly:
@@ -327,6 +338,7 @@ def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
     prob = mult.problem
     f = prob.field
     qs = target.quotient
+    index = monomial_index(qs)
     zy = (0,) * prob.r
     mat = SparseMatrix(target.dim, source.dim, f)
     for col, key in enumerate(source.keys):
@@ -334,12 +346,12 @@ def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
         per_word = {}
         for (xexp, _, dxs, _), c in img.terms.items():
             vec = per_word.setdefault(dxs, [f.zero] * len(qs.monomials))
-            vec[qs.index[xexp]] = c
+            vec[index[xexp]] = c
         for word, vec in per_word.items():
             red = normal_form_vector(qs, vec)
             for m in qs.complement:
                 mat.add_at(target.index[(m, zy, word, ())], col,
-                           red[qs.index[m]])
+                           red[index[m]])
     return mat
 
 
@@ -458,15 +470,24 @@ def product_hilbert_series(n: int, d, upto: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def to_dense_rows(mat: SparseMatrix) -> list[list]:
+    """The rows of mat as dense lists, zeros filled in."""
+    out = [[mat.field.zero] * mat.ncols for _ in mat.rows]
+    for dense, row in zip(out, mat.rows):
+        for j, v in row.items():
+            dense[j] = v
+    return out
+
+
 def rank_reference(mat: SparseMatrix) -> int:
     """Textbook Gaussian elimination on dense rows. Kept independent of the
     production engines so the two can cross-check each other."""
     if mat.field.kind == "Q":
-        rows = [[Fraction(v) for v in row] for row in mat.to_dense_rows()]
+        rows = [[Fraction(v) for v in row] for row in to_dense_rows(mat)]
         return _rank_dense_gauss(rows, lambda a: a == 0, lambda a: 1 / a,
                                  lambda a, b: a * b, lambda a, b: a - b)
     p = mat.field.p
-    rows = [[int(v) % p for v in row] for row in mat.to_dense_rows()]
+    rows = [[int(v) % p for v in row] for row in to_dense_rows(mat)]
     return _rank_dense_gauss(rows, lambda a: a % p == 0,
                              lambda a: pow(a, -1, p),
                              lambda a, b: a * b % p,

@@ -14,8 +14,9 @@ from jacring.homology import boundary_matrix
 from jacring.linalg import (SparseMatrix, in_column_span, kernel_basis, rank,
                             rref_rows, solve)
 
-from helpers import (fermat_cubic, problem_from_strings, rank_reference,
-                     square_pair, two_conics, two_quadrics)
+from helpers import (RREF_FIELDS, fermat_cubic, problem_from_strings,
+                     rank_reference, square_pair, to_dense_rows, two_conics,
+                     two_quadrics)
 
 Q = Rationals()
 FIELDS = [Q, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003),
@@ -268,8 +269,9 @@ def test_rref_idempotent_and_consistent():
     for field in (Q, PrimeField(5)):
         for _ in range(10):
             ncols = rng.randint(1, 8)
-            rows = [[field.of(rng.randint(-4, 4)) for _ in range(ncols)]
-                    for _ in range(rng.randint(1, 8))]
+            rows = _dict_rows([[field.of(rng.randint(-4, 4))
+                                for _ in range(ncols)]
+                               for _ in range(rng.randint(1, 8))])
             pivots, red = rref_rows(rows, field)
             assert len(pivots) == len(red)
             # pivot columns are strictly increasing, each pivot is 1
@@ -279,37 +281,40 @@ def test_rref_idempotent_and_consistent():
                 # pivot column is zero elsewhere
                 for other in red:
                     if other is not prow:
-                        assert field.is_zero(other[pc])
+                        assert field.is_zero(other.get(pc, field.zero))
             pivots2, red2 = rref_rows(red, field)
             assert pivots2 == pivots and red2 == red
 
 
-RREF_FIELDS = [Q, PrimeField(2), PrimeField(5), PrimeField(32003),
-               PrimeField(2**31 + 11), PrimeField(3037000493),
-               PrimeField(2**61 - 1), PrimeField(2**89 - 1)]
+def _dict_rows(rows: list[list]) -> list[dict]:
+    """Dense rows as rref_rows takes them: dicts col -> nonzero scalar."""
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
 
 
-def _sympy_rref(rows, field):
-    """Pivot columns and nonzero rows of the RREF by sympy's DomainMatrix,
-    in this package's scalars."""
+def _sympy_rref(rows, ncols, field):
+    """Pivot columns and nonzero rows of the RREF of dict rows by sympy's
+    DomainMatrix, as dict rows in this package's scalars."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
     if field.kind == "Q":
         dom = sympy.QQ
-        entries = [[dom(Fraction(v).numerator, Fraction(v).denominator)
-                    for v in r] for r in rows]
+        entries = [[dom(Fraction(r.get(j, 0)).numerator,
+                        Fraction(r.get(j, 0)).denominator)
+                    for j in range(ncols)] for r in rows]
 
         def back(x):
             return Fraction(int(x.numerator), int(x.denominator))
     else:
         dom = sympy.GF(field.p)
-        entries = [[dom(int(v)) for v in r] for r in rows]
+        entries = [[dom(int(r.get(j, 0))) for j in range(ncols)]
+                   for r in rows]
 
         def back(x):
             return int(x) % field.p
-    R, pivots = DomainMatrix(entries, (len(rows), len(rows[0])), dom).rref()
+    R, pivots = DomainMatrix(entries, (len(rows), ncols), dom).rref()
     return (list(pivots),
-            [[back(x) for x in r] for r in R.to_list()[:len(pivots)]])
+            _dict_rows([[back(x) for x in r]
+                        for r in R.to_list()[:len(pivots)]]))
 
 
 def test_rref_matches_sympy_on_random_rows():
@@ -322,13 +327,14 @@ def test_rref_matches_sympy_on_random_rows():
             mat = random_matrix(rng, field, rng.randint(1, 10), ncols,
                                 density=rng.choice([0.2, 0.5, 0.9]),
                                 denominators=True)
-            rows = mat.to_dense_rows()
+            rows = to_dense_rows(mat)
             if field.kind == "F" and trial % 3 == 0:
                 rows = [[rng.randrange(field.p) for _ in range(ncols)]
                         for _ in rows]
             rows.insert(rng.randint(0, len(rows)), [field.zero] * ncols)
             rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
-            assert rref_rows(rows, field) == _sympy_rref(rows, field), (
+            rows = _dict_rows(rows)
+            assert rref_rows(rows, field) == _sympy_rref(rows, ncols, field), (
                 field, trial)
 
 
@@ -354,7 +360,8 @@ def test_rref_matches_sympy_on_macaulay_rows(monkeypatch):
                     [(rows, _)] = seen
                     if rows:
                         assert (qs.pivots, qs.rows) == _sympy_rref(
-                            rows, field), (field, prob.degrees, degree)
+                            rows, len(qs.monomials), field), (
+                                field, prob.degrees, degree)
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 2**89 - 1])
@@ -370,8 +377,8 @@ def test_row_reduction_is_exact_at_primes_beyond_int64(p):
     mat = SparseMatrix(7, 9, field, {
         (i, j): sum(A[i][t] * B[t][j] for t in range(5))
         for i in range(7) for j in range(9)})
-    rows = mat.to_dense_rows()
-    pivots, red = _sympy_rref(rows, field)
+    rows = mat.rows
+    pivots, red = _sympy_rref(rows, 9, field)
     assert len(pivots) == rank(mat) == 5
     assert rref_rows(rows, field) == (pivots, red)
     kernel = []
@@ -379,17 +386,18 @@ def test_row_reduction_is_exact_at_primes_beyond_int64(p):
         v = [0] * 9
         v[j] = 1
         for prow, pc in zip(red, pivots):
-            v[pc] = -prow[j] % p
+            v[pc] = -prow.get(j, 0) % p
         kernel.append(v)
     assert kernel_basis(mat) == kernel
     for rhs in (_mat_vec(mat, [rng.randrange(p) for _ in range(9)]),
                 [rng.randrange(p) for _ in range(7)]):
-        apiv, ared = _sympy_rref([r + [c] for r, c in zip(rows, rhs)], field)
+        apiv, ared = _sympy_rref([{**r, 9: c} if c else r
+                                  for r, c in zip(rows, rhs)], 10, field)
         want = None
         if 9 not in apiv:
             want = [0] * 9
             for prow, pc in zip(ared, apiv):
-                want[pc] = prow[9]
+                want[pc] = prow.get(9, 0)
         assert solve(mat, rhs) == want
     gens = list(problem_from_strings(field, 4, [
         "x1^3 + 2*x2^3 + 3*x3^3 + 4*x4^3",
@@ -397,7 +405,7 @@ def test_row_reduction_is_exact_at_primes_beyond_int64(p):
     for degree in range(2, 7):
         qs = quotients.quotient_slice(gens, degree)
         _, mac = quotients._macaulay_matrix(gens, degree)
-        assert (qs.pivots, qs.rows) == _sympy_rref(mac.to_dense_rows(),
+        assert (qs.pivots, qs.rows) == _sympy_rref(mac.rows, mac.ncols,
                                                    field), degree
 
 

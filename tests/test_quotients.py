@@ -4,15 +4,17 @@ import random
 
 import pytest
 
-from jacring.certify import m_primary_certificate
+from jacring.certify import jacobian_minors, m_primary_certificate
 from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
+from jacring.linalg import rank
 from jacring.polynomials import MultiPoly, monomials_of_degree
-from jacring.quotients import quotient_dim, quotient_slice
+from jacring.quotients import _macaulay_matrix, quotient_dim, quotient_slice
 
-from helpers import (koszul_cohomology_dim, normal_form,
-                     product_hilbert_series, random_homogeneous, slice_vector,
-                     sympy_quotient_dim)
+from helpers import (RREF_FIELDS, fermat_cubic, koszul_cohomology_dim,
+                     monomial_index, normal_form, product_hilbert_series,
+                     random_homogeneous, slice_vector, square_pair,
+                     sympy_quotient_dim, two_conics, two_quadrics)
 
 Q = Rationals()
 
@@ -90,6 +92,37 @@ def test_normal_form_properties():
                 for m in monomials_of_degree(3, degree - g.homogeneous_degree()):
                     mult = MultiPoly(field, 3, {m: field.one}) * g
                     assert normal_form(sl, mult).is_zero()
+
+
+def test_pivot_normal_forms_lie_in_the_ideal_coset():
+    """Each pivot monomial's normal form is supported on the complement,
+    and m - NF(m) lies in the ideal slice: adding every such row to the
+    Macaulay matrix leaves its rank at the number of pivots. Ranks come
+    from linalg.rank, which never calls rref_rows."""
+    for field in RREF_FIELDS:
+        for prob in (fermat_cubic(field), two_conics(field),
+                     square_pair(field), two_quadrics(field)):
+            minors = [g for g in jacobian_minors(prob) if not g.is_zero()]
+            for gens in (list(prob.polys), list(prob.polys) + minors):
+                for degree in range(1, 6):
+                    qs = quotient_slice(gens, degree)
+                    _, mac = _macaulay_matrix(gens, degree)
+                    col = monomial_index(qs)
+                    complement = set(qs.complement)
+                    nfs = qs.pivot_normal_forms()
+                    assert len(nfs) == len(qs.pivots)
+                    rows = []
+                    for m, nf in nfs.items():
+                        assert {c for c, _ in nf} <= complement
+                        row = {col[m]: field.one}
+                        for c, v in nf:
+                            row[col[c]] = field.neg(v)
+                        rows.append(row)
+                    before = rank(mac)
+                    mac.rows += rows
+                    mac.nrows += len(rows)
+                    where = (field, prob.degrees, len(gens), degree)
+                    assert rank(mac) == before == len(qs.pivots), where
 
 
 def test_generator_check_is_shared():
