@@ -17,6 +17,9 @@ CONICS = ("field Q\nvars x1 x2 x3\n"
 QUADRICS = ("field Q\nvars x1 x2 x3 x4\n"
             "poly x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2\n"
             "poly 4*x1^2 + 3*x2^2 + 5*x3^2 + x4^2\n")
+QUADRICS_P4 = ("field F 32003\nvars x1 x2 x3 x4 x5\n"
+               "poly x1^2+x2^2+x3^2+x4^2+x5^2\n"
+               "poly x1^2+2*x2^2+3*x3^2+4*x4^2+5*x5^2\n")
 
 
 def write(tmp_path, text, name="input.txt"):
@@ -363,6 +366,8 @@ GOLDEN_CASES = [  # name, input text or None, argv after the input, exit code
     ("verify-squares", SQUARES, ["verify"], 0),
     ("verify-cubic-F3", CUBIC, ["verify", "--field", "F3"], 1),
     ("verify-quadrics", QUADRICS, ["verify", "--p", "2"], 0),
+    ("verify-quadrics-P4-mmax", QUADRICS_P4,
+     ["verify", "--m-max", "1", "--p", "2"], 0),
     ("cohomology-conics-F32003", CONICS,
      ["cohomology", "--all", "--field", "F32003"], 0),
 ]

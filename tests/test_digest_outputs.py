@@ -40,3 +40,15 @@ def test_digest_tool_hashes_the_cli_bytes(tmp_path):
                         "stdout": _sha(out.getvalue()),
                         "stderr": _sha(err.getvalue())}
         assert rc == 0 and out.getvalue()
+
+
+def test_every_benchmark_job_keeps_its_bytes():
+    """Every job of both benchmark workloads at seeds 1 and 41 prints the
+    bytes recorded in the golden digest. Regenerate the file only in a
+    change meant to alter the CLI's bytes or the job list:
+    python3 tests/digest_outputs.py --seeds 1 41 > tests/golden/digest-seeds-1-41.jsonl"""
+    proc = subprocess.run([sys.executable, str(TOOL), "--seeds", "1", "41"],
+                          capture_output=True, text=True, check=True)
+    expected = (Path(__file__).parent / "golden"
+                / "digest-seeds-1-41.jsonl").read_text(encoding="utf-8")
+    assert proc.stdout.splitlines() == expected.splitlines()
