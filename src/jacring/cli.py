@@ -320,9 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coh = sub.add_parser("cohomology", help="brute-force slice dimensions")
     add_common(p_coh)
-    p_coh.add_argument("--k", help="cochain range a..b (default 0..n+r)")
-    p_coh.add_argument("--q", help="first-grading range a..b (default 0)")
-    p_coh.add_argument("--p", help="second-grading range a..b (default 0..n+1)")
+    # argparse reads "-1..1" as an option: a negative start needs "--q=-1..1"
+    p_coh.add_argument("--k", help="cochain range a..b (default 0..n+r); "
+                                   "write a negative a as --k=a..b")
+    p_coh.add_argument("--q", help="first-grading range a..b (default 0); "
+                                   "write a negative a as --q=a..b")
+    p_coh.add_argument("--p", help="second-grading range a..b (default "
+                                   "0..n+1); write a negative a as --p=a..b")
     p_coh.add_argument("--all", action="store_true",
                        help="the full default window")
     p_coh.add_argument("--threads", type=int, default=None, help=_IGNORED)

@@ -9,9 +9,11 @@ ever materialized. A dimension is the slice's count
 two boundaries at the slice; a boundary with an empty source or target has
 rank 0. Every matrix is assembled on slice layouts (`forms.assemble`), and
 the same layouts read forms: the witness class
-(`_witness_class_is_nonzero`) and the division vectors of
-`wedge_division_solve` come from `SliceLayout.vector_of_form`, and term
-keys are listed only for the kernel forms of `joint_wedge_kernel`.
+(`_witness_class_is_nonzero`) comes from `SliceLayout.vector_of_form`.
+The wedge division works on the coordinate vectors of one dx-only layout:
+`joint_wedge_kernel` returns its kernel as vectors, `wedge_division_solve`
+tests them as they are at m = 0, and only at m >= 1 turns a vector into
+a form (by `SliceLayout.keys`), multiplies it by g^m and reads it back.
 
 `verify` at 2 <= r <= n takes its dimensions from the E_1 page instead.
 dF = d_x + d_y, with d_x = (sum_j y_j df_j) /\\ . and
@@ -178,83 +180,71 @@ def cohomology_report(problem: ProblemInput, slices,
 # ---------------------------------------------------------------------------
 
 
-def _dx_only_weight(form: DiffForm, what: str) -> int:
-    """Common weight (monomial degree + word length) of a dx-only form."""
-    if form.is_zero():
-        raise InputError(f"{what} must be nonzero")
-    weights = set()
-    for (xexp, yexp, dxs, dys) in form.terms:
-        if any(yexp) or dys:
-            raise InputError(f"{what} must not involve the y-variables")
-        weights.add(sum(xexp) + len(dxs))
-    if len(weights) != 1:
-        raise InputError(f"{what} must be homogeneous")
-    return weights.pop()
-
-
-def wedge_division_solve(omega: DiffForm, multipliers: list[DiffForm],
-                         g: MultiPoly | None, m_max: int) -> int | None:
-    """The least m <= m_max such that g^m * omega lies in the image of
-    w_1 /\\ ... /\\ w_r /\\ . on the dx-only forms with coefficients in
-    K[x]/(f), f the problem's polynomials, or None when no m does. Each m is
-    decided by one rank comparison (in_column_span); with g None only m = 0
-    is tried."""
-    prob = omega.problem
-    f = prob.field
-    if m_max < 0:
-        raise InputError(f"saturation bound {m_max} is negative")
-    if not multipliers:
-        raise InputError("need at least one multiplier")
-    product = None
-    product_weight = 0
-    for i, w in enumerate(multipliers):
-        if w.k != 1:
-            raise InputError("multipliers must be 1-forms")
-        product_weight += _dx_only_weight(w, f"multiplier {i}")
-        product = w if product is None else product.wedge(w)
-    if g is None:
-        m_max, g_degree = 0, 0
-    else:
-        g_degree = g.homogeneous_degree()
-        if g.is_zero() or g_degree is None:
-            raise InputError(
-                "saturation multiplier must be nonzero homogeneous")
-    if omega.is_zero():
-        return 0
-    weight = _dx_only_weight(omega, "omega")
-    k = omega.k
-    for m in range(m_max + 1):
-        # g^m * omega stays nonzero: K[x] is a domain
-        target = omega.times_poly(g.pow(m)) if m else omega
-        target_weight = weight + m * g_degree
-        tgt = SliceLayout(prob, k, target_weight, 0, dys=())
-        src = SliceLayout(prob, k - len(multipliers),
-                          target_weight - product_weight, 0, dys=())
-        mat = assemble(SparseMatrix(tgt.dim, src.dim, f), product, src, tgt)
-        if in_column_span(mat, tgt.vector_of_form(target)):
-            return m
-    return None
-
-
-def joint_wedge_kernel(problem: ProblemInput, multipliers: list[DiffForm],
-                       k: int, weight: int) -> list[DiffForm]:
-    """Basis of { omega of word length k and the given weight :
-    w_i /\\ omega = 0 for every multiplier } over K[x]/(f), f the
-    problem's polynomials."""
+def joint_wedge_kernel(problem: ProblemInput, k: int,
+                       weight: int) -> tuple[SliceLayout, list]:
+    """The dx-only layout of word length k and the given weight over
+    K[x]/(f), f the problem's polynomials, and a basis of its joint kernel
+    { omega : df_j /\\ omega = 0 for every j } as vectors on it: the
+    kernel_basis of the stacked df_j /\\ blocks, df_j landing at weight
+    + d_j."""
     src = SliceLayout(problem, k, weight, 0, dys=())
     if src.dim == 0:
-        return []
-    tgts = [(w, SliceLayout(problem, k + 1,
-                            weight + _dx_only_weight(w, "multiplier"), 0,
-                            dys=()))
-            for w in multipliers]
-    mat = SparseMatrix(sum(t.dim for _, t in tgts), src.dim, problem.field)
+        return src, []
+    tgts = [SliceLayout(problem, k + 1, weight + d, 0, dys=())
+            for d in problem.degrees]
+    mat = SparseMatrix(sum(t.dim for t in tgts), src.dim, problem.field)
     row0 = 0
-    for w, tgt in tgts:
-        assemble(mat, w, src, tgt, row0=row0)
+    for j, tgt in enumerate(tgts):
+        assemble(mat, df_form(problem, j), src, tgt, row0=row0)
         row0 += tgt.dim
-    keys = src.keys()
-    return [DiffForm(problem, k, zip(keys, vec)) for vec in kernel_basis(mat)]
+    return src, kernel_basis(mat)
+
+
+def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
+                         vectors: list, g: MultiPoly | None,
+                         m_max: int) -> list[int | None]:
+    """For each vector on the dx-only layout over K[x]/(f) (see
+    joint_wedge_kernel), the least m <= m_max such that g^m times its form
+    lies in the image of df_1 /\\ ... /\\ df_r /\\ . on the dx-only forms
+    over K[x]/(f), or None when no m does; with g None only m = 0 is tried.
+    Each m assembles the product's matrix once, into the layout at weight
+    + m deg g, and decides each vector still open by one rank comparison
+    (in_column_span): at m = 0 the vector itself, at m >= 1 the
+    coordinates of g^m times its form."""
+    if m_max < 0:
+        raise InputError(f"saturation bound {m_max} is negative")
+    if g is None:
+        m_max = 0
+    elif g.is_zero() or g.homogeneous_degree() is None:
+        raise InputError("saturation multiplier must be nonzero homogeneous")
+    if not vectors:
+        return []
+    product = df_form(problem, 0)
+    for j in range(1, problem.r):
+        product = product.wedge(df_form(problem, j))
+    k, found, todo = layout.k, [None] * len(vectors), range(len(vectors))
+    for m in range(m_max + 1):
+        tgt = layout
+        if m:
+            tgt = SliceLayout(problem, k, layout.q + m * g.homogeneous_degree(),
+                              0, dys=())
+            gm, keys = g.pow(m), layout.keys()
+        src = SliceLayout(problem, k - problem.r, tgt.q - sum(problem.degrees),
+                          0, dys=())
+        mat = assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
+                       product, src, tgt)
+        left = []
+        for i in todo:
+            vec = vectors[i] if not m else tgt.vector_of_form(
+                DiffForm(problem, k, zip(keys, vectors[i])).times_poly(gm))
+            if in_column_span(mat, vec):
+                found[i] = m
+            else:
+                left.append(i)
+        if not left:
+            break
+        todo = left
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +396,14 @@ def _division_checks(problem: ProblemInput, m_max: int) -> list:
     k < n-1 (over the quotient by the polynomials, weights up to
     k + max degree) must factor through the full product of the df's with
     saturation exponent 0."""
-    n, r = problem.n, problem.r
-    dfs = [df_form(problem, j) for j in range(r)]
     g = next((mnr for mnr in jacobian_minors(problem) if not mnr.is_zero()),
              None)
     checks = []
-    for k in range(n - 1):
+    for k in range(problem.n - 1):
         for w in range(k, k + max(problem.degrees) + 1):
-            kern = joint_wedge_kernel(problem, dfs, k, w)
-            for i, omega in enumerate(kern):
-                m = wedge_division_solve(omega, dfs, g, m_max)
+            layout, vectors = joint_wedge_kernel(problem, k, w)
+            for i, m in enumerate(wedge_division_solve(problem, layout,
+                                                       vectors, g, m_max)):
                 got = "NONE" if m is None else f"m={m}"
                 checks.append(Check(f"division[k={k},w={w},i={i}]",
                                     "m=0", got))

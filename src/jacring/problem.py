@@ -91,8 +91,9 @@ class ProblemInput:
 
 
 def problem_from_strings(field, names, exprs) -> ProblemInput:
-    """Build a problem from variable names and polynomial expression
-    strings (used by tests and the CLI)."""
+    """Build a problem from variable names (or their count n, for
+    x1..xn) and polynomial expression strings (used by the tests and the
+    README's library example)."""
     if isinstance(names, int):
         names = [f"x{i+1}" for i in range(names)]
     polys = [parse_poly(field, names, e) for e in exprs]

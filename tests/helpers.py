@@ -15,7 +15,6 @@ from jacring.errors import HypothesisViolation, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals, add_term
 from jacring.forms import DiffForm, SliceLayout, _merge_words, _quotient
 from jacring.hilbert import Poly, eulerian_p
-from jacring.homology import _dx_only_weight
 from jacring.linalg import SparseMatrix, rank, solve
 from jacring.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from jacring.problem import ProblemInput, problem_from_strings
@@ -681,6 +680,20 @@ def _form_spaces(problem, over: str):
     if over == "quotient-by-f":
         return lambda k, weight: quotient_basis(problem, k, weight)
     raise InputError(f"unknown coefficient ring mode {over!r}")
+
+
+def _dx_only_weight(form: DiffForm, what: str) -> int:
+    """Common weight (monomial degree + word length) of a dx-only form."""
+    if form.is_zero():
+        raise InputError(f"{what} must be nonzero")
+    weights = set()
+    for (xexp, yexp, dxs, dys) in form.terms:
+        if any(yexp) or dys:
+            raise InputError(f"{what} must not involve the y-variables")
+        weights.add(sum(xexp) + len(dxs))
+    if len(weights) != 1:
+        raise InputError(f"{what} must be homogeneous")
+    return weights.pop()
 
 
 @dataclass

@@ -237,6 +237,25 @@ def test_main_calls_share_the_parser_and_no_state(tmp_path, capsys,
     assert capsys.readouterr().out == "dim H^4(q=0,p=2) = 1\n"
 
 
+def test_cohomology_negative_start_needs_an_equals_sign(tmp_path, capsys):
+    """--q=-1..1 reaches the window parser; argparse reads the -1..1 of
+    --q -1..1 as an option and exits 2 (README, Window flags)."""
+    from jacring.homology import cohomology_dim
+    from jacring.problem import problem_from_strings
+    from helpers import Q
+    path = write(tmp_path, CUBIC)
+    assert main(["cohomology", path, "--k", "4", "--q=-1..1",
+                 "--p", "0..1"]) == 0
+    prob = problem_from_strings(Q, 3, ["x1^3 + x2^3 + x3^3"])
+    assert capsys.readouterr().out == "".join(
+        f"dim H^4(q={q},p={p}) = {cohomology_dim(prob, 4, q, p)}\n"
+        for q in (-1, 0, 1) for p in (0, 1))
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", path, "--k", "4", "--q", "-1..1"])
+    assert exc.value.code == 2
+    assert "argument --q: expected one argument" in capsys.readouterr().err
+
+
 def test_cohomology_empty_window(tmp_path, capsys):
     rc = main(["cohomology", write(tmp_path, CUBIC), "--k", "5..4"])
     assert rc == 2

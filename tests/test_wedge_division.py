@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -45,6 +46,12 @@ def _full_product(prob, alpha):
     return acc.wedge(alpha)
 
 
+def _kernel_forms(prob, k, weight):
+    """joint_wedge_kernel's vectors as forms on its layout."""
+    layout, vectors = joint_wedge_kernel(prob, k, weight)
+    return [DiffForm(prob, layout.k, zip(layout.keys(), v)) for v in vectors]
+
+
 def _random_dx_form(rng, prob, k, degree):
     """A random dx-only k-form with homogeneous degree-`degree` coefficients."""
     from itertools import combinations
@@ -79,7 +86,7 @@ def test_kernel_elements_divide_without_saturation():
         checked = 0
         for k in range(prob.n - 1):
             for weight in range(0, k + dmax + 2):
-                kern = joint_wedge_kernel(prob, dfs, k, weight)
+                kern = _kernel_forms(prob, k, weight)
                 if k < prob.r:
                     # a nonzero form of word length < r is never a product
                     # of r one-forms, so the kernel must vanish here
@@ -217,7 +224,7 @@ def test_singular_input_kernel_needs_no_saturation_at_smooth_points():
     prob = singular_cubic_curve()
     dfs = _dfs(prob)
     g = _first_minor(prob)
-    kern = joint_wedge_kernel(prob, dfs, 1, 3)
+    kern = _kernel_forms(prob, 1, 3)
     for omega in kern:
         sol = wedge_division_oracle(omega, dfs, "saito", over="quotient-by-f",
                                     saturation=(g, 2))
@@ -232,25 +239,14 @@ def test_singular_input_kernel_needs_no_saturation_at_smooth_points():
 def test_error_cases():
     """The input checks that wedge_division_solve keeps."""
     prob = fermat_cubic()
-    dfs = _dfs(prob)
     g = _first_minor(prob)
-    omega = dfs[0].wedge(DiffForm.term(prob, (0, 0, 0), (0,), (1,), ()))
+    layout, vectors = joint_wedge_kernel(prob, 1, 3)
+    assert len(vectors) == 1
     with pytest.raises(InputError):
-        wedge_division_solve(omega, [omega], g, 0)  # 2-form multiplier
-    with pytest.raises(InputError):
-        wedge_division_solve(omega, [], g, 0)
-    ydx = DiffForm.term(prob, (0, 0, 0), (1,), (0,), ())
-    with pytest.raises(InputError):
-        wedge_division_solve(ydx, dfs, g, 0)  # omega involves y1
-    mixed = DiffForm.term(prob, (1, 0, 0), (0,), (0,), ()) \
-        + DiffForm.term(prob, (2, 0, 0), (0,), (1,), ())
-    with pytest.raises(InputError):
-        wedge_division_solve(mixed, dfs, g, 0)  # not weight-homogeneous
-    with pytest.raises(InputError):
-        wedge_division_solve(omega, dfs, MultiPoly(Q, 3, {}), 1)
+        wedge_division_solve(prob, layout, vectors, MultiPoly(Q, 3, {}), 1)
     with pytest.raises(InputError, match="saturation bound -1"):
         # m_max < 0 would try no exponent and report omega unsolvable
-        wedge_division_solve(omega, dfs, g, -1)
+        wedge_division_solve(prob, layout, vectors, g, -1)
 
 
 def test_oracle_rejects_unknown_shapes():
@@ -272,10 +268,10 @@ def test_rank_decision_matches_the_oracle_on_every_division_check(
     df_1 /\\ ... /\\ df_r /\\ alpha = g^m * omega mod (f)."""
     visited = []
 
-    def recording(omega, dfs, g, m_max):
-        m = wedge_division_solve(omega, dfs, g, m_max)
-        visited.append((omega, g, m_max, m))
-        return m
+    def recording(prob, layout, vectors, g, m_max):
+        ms = wedge_division_solve(prob, layout, vectors, g, m_max)
+        visited.append((layout, vectors, g, m_max, ms))
+        return ms
 
     monkeypatch.setattr(homology, "wedge_division_solve", recording)
     cases = [fermat_cubic(), quadric_surface(), singular_cubic_curve(),
@@ -286,8 +282,11 @@ def test_rank_decision_matches_the_oracle_on_every_division_check(
         dfs = _dfs(prob)
         visited.clear()
         checks = homology._division_checks(prob, m_max)
-        assert len(checks) == len(visited) > 0, prob.degrees
-        for check, (omega, g, m_max, m) in zip(checks, visited):
+        forms = [(DiffForm(prob, layout.k, zip(layout.keys(), v)), g, mm, m)
+                 for layout, vectors, g, mm, ms in visited
+                 for v, m in zip(vectors, ms)]
+        assert len(checks) == len(forms) > 0, prob.degrees
+        for check, (omega, g, m_max, m) in zip(checks, forms):
             assert check.got == ("NONE" if m is None else f"m={m}")
             sol = wedge_division_oracle(omega, dfs, "full-product",
                                         over="quotient-by-f",
@@ -304,3 +303,32 @@ def test_rank_decision_matches_the_oracle_on_every_division_check(
                    else DiffForm.zero(prob, omega.k))
             assert reduce_form_mod_ideal(lhs - target).is_zero()
     assert seen == {0, 1, None}
+
+
+def test_one_product_assembly_per_slice_and_exponent(monkeypatch):
+    """On the quadric surface at saturation bound 0, four (k, w) have a
+    nonzero joint kernel, of 1, 4, 4 and 15 forms; the division check
+    assembles the product's matrix once for each of them, not once per
+    kernel form."""
+    solve, assemble = homology.wedge_division_solve, homology.assemble
+    solving, targets = [], []
+
+    def tracking_solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    def counting_assemble(mat, mu, source, target, *args, **kwargs):
+        if solving:
+            targets.append((target.k, target.q))
+        return assemble(mat, mu, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "wedge_division_solve", tracking_solve)
+    monkeypatch.setattr(homology, "assemble", counting_assemble)
+    checks = homology._division_checks(quadric_surface(), 0)
+    kernels = Counter(c.name.split(",i=")[0] for c in checks)
+    assert sorted(kernels.values()) == [1, 4, 4, 15]
+    assert len(targets) == 4
+    assert {f"division[k={k},w={w}" for k, w in targets} == set(kernels)
