@@ -9,8 +9,7 @@ from .certify import (Certificate, ideal_membership, jacobian_determinant,
 from .errors import (CertificateRequired, HypothesisViolation, InputError,
                      JacringError, SliceMismatch)
 from .fields import PrimeField, Rationals
-from .forms import (DiffForm, SliceLayout, assemble, basis, boundary, dF_of,
-                    df_form, xi)
+from .forms import DiffForm, SliceLayout, assemble, basis, dF_of, df_form
 from .hilbert import (HodgeTable, Poly, closed_form_H, euler_series,
                       eulerian_p, hodge_table, omega_slice_dim,
                       symmetry_check)
@@ -31,7 +30,7 @@ __all__ = [
     "JacringError", "MODE_CI", "MODE_NCZ", "MultiPoly", "Poly", "PrimeField",
     "ProblemInput", "QuotientSlice", "Rationals", "SliceLayout",
     "SliceMismatch", "SparseMatrix", "VerificationReport",
-    "assemble", "basis", "boundary", "boundary_matrix",
+    "assemble", "basis", "boundary_matrix",
     "closed_form_H", "cohomology_dim", "cohomology_report",
     "dF_of", "df_form", "euler_series", "eulerian_p",
     "hodge_table", "ideal_membership", "in_column_span",
@@ -42,5 +41,5 @@ __all__ = [
     "problem_from_strings", "quotient_dim",
     "quotient_slice", "rank",
     "smooth_ci_certificate", "symmetry_check", "verify_predictions",
-    "wedge_division_solve", "xi",
+    "wedge_division_solve",
 ]

@@ -2,8 +2,8 @@
 
 A form is a sum of terms  c * x^a y^b dx_I dy_J  with I, J ascending index
 tuples; the wedge factors are kept in the canonical order "all dx before all
-dy". The operator of interest is the boundary, the left wedge with dF where
-F = sum_j y_j f_j.
+dy". The boundary of the complex is the left wedge with dF,
+F = sum_j y_j f_j (`dF_of`).
 
 A slice is laid out block by block from `problem.slice_blocks`
 (`SliceLayout`), over K[x] or, keeping one dy word, over K[x]/(f), and
@@ -15,7 +15,8 @@ with multiplication by a partial derivative d f_j / d x_i or by f_j. A
 layout is the one slice object: it also reads a form into coordinates
 (`SliceLayout.vector_of_form`), with the block arithmetic and the quotient
 normal forms that the tables use, and lists its term keys
-(`SliceLayout.keys`) where a vector becomes a form.
+(`SliceLayout.keys`) where a vector becomes a form. `basis` caches the
+quotient layout that the witness class of `homology` reads.
 """
 from __future__ import annotations
 
@@ -234,36 +235,6 @@ def dF_of(problem: ProblemInput) -> DiffForm:
     return DiffForm(problem, 1, terms)
 
 
-def boundary(omega: DiffForm) -> DiffForm:
-    """Left wedge with dF; raises the word length and the second grading by
-    one, preserving the first."""
-    return dF_of(omega.problem).wedge(omega)
-
-
-def xi(problem: ProblemInput, k: int) -> DiffForm:
-    """sum over k-subsets S of the polynomials of
-    (prod of degrees outside S) * df_S wedge dy_S; bidegree (0, k)."""
-    if not 1 <= k <= problem.r:
-        raise InputError(f"k must be between 1 and r={problem.r}")
-    f = problem.field
-    acc = DiffForm.zero(problem, 2 * k)
-    zx = (0,) * problem.n
-    zy = (0,) * problem.r
-    for subset in combinations(range(problem.r), k):
-        coef = f.one
-        for i in range(problem.r):
-            if i not in subset:
-                coef = f.mul(coef, f.of(problem.degrees[i]))
-        if f.is_zero(coef):
-            continue
-        part = DiffForm.term(problem, zx, zy, (), ())
-        for j in subset:
-            part = part.wedge(df_form(problem, j))
-        part = part.wedge(DiffForm.term(problem, zx, zy, (), subset))
-        acc = acc + part.scale(coef)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # graded slices
 # ---------------------------------------------------------------------------
@@ -392,13 +363,14 @@ class SliceLayout:
                 f"dim={self.dim})")
 
 
-def basis(problem: ProblemInput, k: int, q: int, p: int) -> SliceLayout:
-    """The layout of the (k, q, p) slice, cached on the problem: the slice
-    whose vector the witness class reads."""
-    key = ("basis", k, q, p)
+def basis(problem: ProblemInput, k: int, q: int, p: int,
+          dys: tuple | None = None) -> SliceLayout:
+    """SliceLayout(problem, k, q, p, dys), cached on the problem: the
+    quotient layout that the witness class of homology reads."""
+    key = ("basis", k, q, p, dys)
     layout = problem._cache.get(key)
     if layout is None:
-        layout = problem._cache[key] = SliceLayout(problem, k, q, p)
+        layout = problem._cache[key] = SliceLayout(problem, k, q, p, dys)
     return layout
 
 

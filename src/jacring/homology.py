@@ -8,8 +8,7 @@ ever materialized. A dimension is the slice's count
 (`hilbert.omega_slice_dim`, 0 outside the complex) minus the ranks of the
 two boundaries at the slice; a boundary with an empty source or target has
 rank 0. Every matrix is assembled on slice layouts (`forms.assemble`), and
-the same layouts read forms: the witness class
-(`_witness_class_is_nonzero`) comes from `SliceLayout.vector_of_form`.
+the same layouts read forms (`SliceLayout.vector_of_form`).
 The wedge division works on the coordinate vectors of one dx-only layout:
 `joint_wedge_kernel` returns its kernel as vectors, `wedge_division_solve`
 tests them as they are at m = 0, and only at m >= 1 turns a vector into
@@ -33,12 +32,14 @@ such component, and f is regular since K[x] is Cohen-Macaulay. A
 successful no-common-zero certificate at r = n proves (f) m-primary.
 Without such a proof the reduced complex gives wrong dimensions, so
 `cohomology`, which certifies nothing, keeps the full complex, and so do
-r > n, the witness class and r = 1, where the reduced complex costs more:
+r > n and the dimensions at r = 1, where the reduced complex costs more:
 it row reduces the Macaulay matrix of (f) in every x degree its slices
 reach, and it ranks exactly over Q where the full complex takes most
 ranks from the modular copy below. The reduced complex has no modular
 copy: at an unlucky prime the quotient's standard monomials can change,
 and a reduced matrix mod P would not be the reduction of the Q one.
+The witness class of verify is read on the E_1 page at every r
+(`_witness_class_is_nonzero`): one quotient layout, no rank.
 
 Over Q a full-complex boundary rank comes first from a copy of the
 problem reduced mod the prime _MODULAR_PRIME = 2^31 - 1: reduction never
@@ -57,8 +58,7 @@ from math import prod
 from .certify import ideal_membership, jacobian_determinant, jacobian_minors
 from .errors import CertificateRequired, InputError
 from .fields import PrimeField
-from .forms import (DiffForm, SliceLayout, assemble, basis, boundary, dF_of,
-                    df_form, xi)
+from .forms import DiffForm, SliceLayout, assemble, basis, dF_of, df_form
 from .hilbert import hodge_table, omega_slice_dim, reduced_slice_dim
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank
 from .polynomials import MultiPoly
@@ -180,6 +180,14 @@ def cohomology_report(problem: ProblemInput, slices,
 # ---------------------------------------------------------------------------
 
 
+def _df_product(problem: ProblemInput) -> DiffForm:
+    """df_1 /\\ ... /\\ df_r."""
+    product = df_form(problem, 0)
+    for j in range(1, problem.r):
+        product = product.wedge(df_form(problem, j))
+    return product
+
+
 def joint_wedge_kernel(problem: ProblemInput, k: int,
                        weight: int) -> tuple[SliceLayout, list]:
     """The dx-only layout of word length k and the given weight over
@@ -208,9 +216,9 @@ def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
     lies in the image of df_1 /\\ ... /\\ df_r /\\ . on the dx-only forms
     over K[x]/(f), or None when no m does; with g None only m = 0 is tried.
     Each m assembles the product's matrix once, into the layout at weight
-    + m deg g, and decides each vector still open by one rank comparison
-    (in_column_span): at m = 0 the vector itself, at m >= 1 the
-    coordinates of g^m times its form."""
+    + m deg g, and decides the vectors still open in one in_column_span
+    call, which ranks that matrix once: at m = 0 the vectors themselves,
+    at m >= 1 the coordinates of g^m times their forms."""
     if m_max < 0:
         raise InputError(f"saturation bound {m_max} is negative")
     if g is None:
@@ -219,9 +227,7 @@ def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
         raise InputError("saturation multiplier must be nonzero homogeneous")
     if not vectors:
         return []
-    product = df_form(problem, 0)
-    for j in range(1, problem.r):
-        product = product.wedge(df_form(problem, j))
+    product = _df_product(problem)
     k, found, todo = layout.k, [None] * len(vectors), range(len(vectors))
     for m in range(m_max + 1):
         tgt = layout
@@ -233,11 +239,12 @@ def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
                           0, dys=())
         mat = assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
                        product, src, tgt)
+        open_vectors = [vectors[i] if not m else tgt.vector_of_form(
+            DiffForm(problem, k, zip(keys, vectors[i])).times_poly(gm))
+            for i in todo]
         left = []
-        for i in todo:
-            vec = vectors[i] if not m else tgt.vector_of_form(
-                DiffForm(problem, k, zip(keys, vectors[i])).times_poly(gm))
-            if in_column_span(mat, vec):
+        for i, inside in zip(todo, in_column_span(mat, open_vectors)):
+            if inside:
                 found[i] = m
             else:
                 left.append(i)
@@ -281,15 +288,21 @@ class VerificationReport:
 
 
 def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
-    """Whether xi_r = df_1 /\\ ... /\\ df_r /\\ dy_1 /\\ ... /\\ dy_r is
-    closed and not a boundary in its slice."""
+    """Whether xi_r = df_1 /\\ ... /\\ df_r /\\ dy_1 /\\ ... /\\ dy_r, a
+    closed form, is not a boundary, for f regular (verify's certificate).
+    Filtered by dx word length, xi_r sits in filtration r, and E_1 lives
+    only at the dy word dy_1..dy_r (the module docstring), so at total
+    degree 2r only |I| = r is left. The E_1 term that could hit it comes
+    from (2r-1, 0, r-1) of the reduced complex, which is 0 (p < r). So the
+    class is nonzero exactly when xi_r's coordinates on the reduced layout
+    (2r, 0, r) over K[x]/(f) are: when some r x r Jacobian minor lies
+    outside (f)."""
     r = problem.r
-    w = xi(problem, r)
-    if not boundary(w).is_zero():
-        return False
-    tgt = basis(problem, 2 * r, 0, r)
-    bmat = boundary_matrix(problem, 2 * r - 1, 0, r - 1)
-    return not in_column_span(bmat, tgt.vector_of_form(w))
+    dys = tuple(range(r))
+    dy_word = DiffForm.term(problem, (0,) * problem.n, (0,) * r, (), dys)
+    vec = basis(problem, 2 * r, 0, r, dys=dys).vector_of_form(
+        _df_product(problem).wedge(dy_word))
+    return not all(problem.field.is_zero(c) for c in vec)
 
 
 def check_verify_bounds(problem: ProblemInput, p_max: int | None,

@@ -360,15 +360,23 @@ def kernel_basis(mat: SparseMatrix) -> list[list]:
     return basis
 
 
-def in_column_span(mat: SparseMatrix, vec) -> bool:
-    """Whether vec lies in the span of the matrix columns, decided by a rank
-    comparison with the matrix that has vec as one more column."""
-    if len(vec) != mat.nrows:
+def in_column_span(mat: SparseMatrix, vectors) -> list[bool]:
+    """For each vector, whether it lies in the span of the matrix columns:
+    a zero vector does, any other when the matrix with it as one more
+    column has the rank of mat, which is taken once."""
+    if any(len(vec) != mat.nrows for vec in vectors):
         raise InputError("column length mismatch")
     f = mat.field
-    if all(f.is_zero(v) for v in vec):
-        return True
-    aug = SparseMatrix(mat.nrows, mat.ncols + 1, f)
-    aug.rows = [row if f.is_zero(v) else {**row, mat.ncols: v}
-                for row, v in zip(mat.rows, vec)]
-    return rank(aug) == rank(mat)
+    base = None
+    inside = []
+    for vec in vectors:
+        if all(f.is_zero(v) for v in vec):
+            inside.append(True)
+            continue
+        if base is None:
+            base = rank(mat)
+        aug = SparseMatrix(mat.nrows, mat.ncols + 1, f)
+        aug.rows = [row if f.is_zero(v) else {**row, mat.ncols: v}
+                    for row, v in zip(mat.rows, vec)]
+        inside.append(rank(aug) == base)
+    return inside

@@ -13,9 +13,11 @@ from typing import NamedTuple
 
 from jacring.errors import HypothesisViolation, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals, add_term
-from jacring.forms import DiffForm, SliceLayout, _merge_words, _quotient
+from jacring.forms import (DiffForm, SliceLayout, _merge_words, _quotient,
+                           dF_of, df_form)
 from jacring.hilbert import Poly, eulerian_p
-from jacring.linalg import SparseMatrix, rank, solve
+from jacring.homology import boundary_matrix
+from jacring.linalg import SparseMatrix, in_column_span, rank, solve
 from jacring.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from jacring.problem import ProblemInput, problem_from_strings
 from jacring.quotients import check_generators
@@ -312,14 +314,22 @@ def per_term_assemble(mat: SparseMatrix, rule, source: BasisSlice,
 
 def matrix_of(prob: ProblemInput, op, source: BasisSlice,
               target: BasisSlice) -> SparseMatrix:
-    """Reference oracle for both assemblers: the matrix of a
-    form-level operator between two slice bases of prob, one DiffForm per
-    column. Column j is the image of the j-th source basis form; a term
-    landing outside the target slice raises SliceMismatch."""
-    mat = SparseMatrix(target.dim, source.dim, prob.field)
+    """Reference oracle for both assemblers: the matrix of an operator
+    between two slice bases of prob. op is a form-level operator, applied
+    to one DiffForm per column, or a DiffForm mu for the left wedge with
+    mu, applied to each column's key by wedge_rule(mu), which groups mu's
+    terms by word once per matrix (test_forms checks the rule against
+    DiffForm.wedge). Column j is the image of the j-th source basis form;
+    a term landing outside the target slice raises SliceMismatch."""
+    f = prob.field
+    if isinstance(op, DiffForm):
+        image = wedge_rule(op.terms, prob.n, f)
+    else:
+        def image(key):
+            return op(DiffForm(prob, source.k, {key: f.one})).terms.items()
+    mat = SparseMatrix(target.dim, source.dim, f)
     for col, key in enumerate(source.keys):
-        img = op(DiffForm(prob, source.k, {key: prob.field.one}))
-        for ikey, c in img.terms.items():
+        for ikey, c in image(key):
             row = target.index.get(ikey)
             if row is None:
                 raise SliceMismatch(
@@ -352,6 +362,55 @@ def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
                 mat.add_at(target.index[(m, zy, word, ())], col,
                            red[index[m]])
     return mat
+
+
+# ---------------------------------------------------------------------------
+# the full complex at the form level: the boundary, the product classes and
+# the full-complex witness
+# ---------------------------------------------------------------------------
+
+
+def boundary(omega: DiffForm) -> DiffForm:
+    """Left wedge with dF; raises the word length and the second grading by
+    one, preserving the first."""
+    return dF_of(omega.problem).wedge(omega)
+
+
+def xi(problem: ProblemInput, k: int) -> DiffForm:
+    """sum over k-subsets S of the polynomials of
+    (prod of degrees outside S) * df_S wedge dy_S; bidegree (0, k)."""
+    if not 1 <= k <= problem.r:
+        raise InputError(f"k must be between 1 and r={problem.r}")
+    f = problem.field
+    acc = DiffForm.zero(problem, 2 * k)
+    zx = (0,) * problem.n
+    zy = (0,) * problem.r
+    for subset in combinations(range(problem.r), k):
+        coef = f.one
+        for i in range(problem.r):
+            if i not in subset:
+                coef = f.mul(coef, f.of(problem.degrees[i]))
+        if f.is_zero(coef):
+            continue
+        part = DiffForm.term(problem, zx, zy, (), ())
+        for j in subset:
+            part = part.wedge(df_form(problem, j))
+        part = part.wedge(DiffForm.term(problem, zx, zy, (), subset))
+        acc = acc + part.scale(coef)
+    return acc
+
+
+def full_witness_class_is_nonzero(problem: ProblemInput) -> bool:
+    """Oracle for homology._witness_class_is_nonzero on the full complex:
+    whether xi_r is closed and not in the image of the full boundary out
+    of (2r-1, 0, r-1), by a rank comparison over the exact field."""
+    r = problem.r
+    w = xi(problem, r)
+    if not boundary(w).is_zero():
+        return False
+    tgt = key_basis(problem, 2 * r, 0, r)
+    bmat = boundary_matrix(problem, 2 * r - 1, 0, r - 1)
+    return not in_column_span(bmat, [tgt.vector_of_form(w)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,14 @@ import pytest
 
 from jacring.errors import InputError, SliceMismatch
 from jacring.fields import add_term
-from jacring.forms import (DiffForm, SliceLayout, basis, boundary, dF_of,
-                           df_form, xi)
+from jacring.forms import DiffForm, SliceLayout, basis, dF_of, df_form
 from jacring.hilbert import omega_slice_dim
 
-from helpers import (F2, F3, F7, Q, bidegree_of, bidegrees, conic_char2,
-                     exceptional_pair_char2, fermat_cubic, fermat_quintic,
-                     quotient_basis, random_form, random_problem,
-                     singular_cubic_curve, square_pair, theta,
-                     theta_preimage, two_conics, two_quadrics, wedge_rule)
+from helpers import (F2, F3, F7, Q, bidegree_of, bidegrees, boundary,
+                     conic_char2, exceptional_pair_char2, fermat_cubic,
+                     fermat_quintic, quotient_basis, random_form,
+                     random_problem, singular_cubic_curve, square_pair, theta,
+                     theta_preimage, two_conics, two_quadrics, wedge_rule, xi)
 
 FIXTURES = [fermat_cubic(), two_quadrics(), two_conics(), square_pair(),
             conic_char2(), exceptional_pair_char2(), singular_cubic_curve(),
@@ -120,6 +119,9 @@ def test_theta_of_xi_recurrence():
 
 
 def test_boundary_of_xi_n_vanishes_when_r_at_least_n():
+    """xi_n is closed when r >= n, and xi_r, the witness form of verify, is
+    closed at every r < n too: each df_j and dy_j appears twice in its
+    boundary."""
     count = 0
     rng = random.Random(108)
     while count < N_RANDOM:
@@ -129,9 +131,17 @@ def test_boundary_of_xi_n_vanishes_when_r_at_least_n():
         prob = random_problem(rng, field, n, r)
         assert boundary(xi(prob, prob.n)).is_zero(), prob.degrees
         count += 1
+    rng = random.Random(109)
+    for _ in range(N_RANDOM):
+        n = rng.randint(2, 4)
+        prob = random_problem(rng, rng.choice(FIELDS), n,
+                              rng.randint(1, n - 1))
+        assert boundary(xi(prob, prob.r)).is_zero(), prob.degrees
     for prob in FIXTURES:
         if prob.r >= prob.n:
             assert boundary(xi(prob, prob.n)).is_zero()
+        else:
+            assert boundary(xi(prob, prob.r)).is_zero(), prob.degrees
 
 
 def test_basis_dimension_matches_combinatorial_count():

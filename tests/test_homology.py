@@ -13,8 +13,8 @@ import jacring.forms as forms
 from jacring.certify import no_common_zero_certificate, smooth_ci_certificate
 from jacring.errors import CertificateRequired, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals
-from jacring.forms import (DiffForm, SliceLayout, assemble, basis, boundary,
-                           dF_of, df_form, xi)
+from jacring.forms import (DiffForm, SliceLayout, assemble, basis, dF_of,
+                           df_form)
 from jacring.hilbert import omega_slice_dim, reduced_slice_dim
 import jacring.homology as homology
 from jacring.homology import (boundary_matrix, cohomology_dim,
@@ -24,12 +24,13 @@ from jacring.linalg import SparseMatrix, in_column_span, rank
 from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
 
-from helpers import (F3, F32003, Q, conic_char2, exceptional_pair_char2,
-                     fermat_cubic, key_basis, koszul_cohomology_dim,
-                     matrix_of, per_term_assemble, quotient_basis,
-                     quotient_wedge_matrix, singular_cubic_curve, square_pair,
-                     theta, theta_matrix, theta_preimage, two_conics,
-                     two_quadrics, wedge_rule)
+from helpers import (F2, F3, F32003, Q, boundary, conic_char2,
+                     exceptional_pair_char2, fermat_cubic, fermat_quintic,
+                     full_witness_class_is_nonzero, key_basis,
+                     koszul_cohomology_dim, matrix_of, per_term_assemble,
+                     quotient_basis, quotient_wedge_matrix,
+                     singular_cubic_curve, square_pair, theta, theta_matrix,
+                     theta_preimage, two_conics, two_quadrics, wedge_rule, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,7 @@ def test_assembler_matches_per_column_oracle():
                     _same_rows(got, per_term_assemble(
                         SparseMatrix(tgt.dim, src.dim, f), rule, src, tgt),
                         where + ("boundary",))
-                    _same_matrix(got, matrix_of(prob, dF.wedge, src, tgt),
+                    _same_matrix(got, matrix_of(prob, dF, src, tgt),
                                  where + ("boundary",))
                     if 0 <= q < 2 and p < 4:
                         _same_matrix(theta_matrix(prob, k, q, p),
@@ -132,7 +133,7 @@ def test_assembler_matches_per_column_oracle():
                         else:
                             src = key_basis(prob, k, weight, 0)
                             tgt = key_basis(prob, k + mult.k, weight + d, 0)
-                            want = matrix_of(prob, mult.wedge, src, tgt)
+                            want = matrix_of(prob, mult, src, tgt)
                         _same_rows(got, per_term_assemble(
                             SparseMatrix(tgt.dim, src.dim, f), rule, src,
                             tgt), where + (quotient,))
@@ -448,10 +449,11 @@ def test_report_caches_slices_and_leaves_no_cycles():
 
 def test_q_problem_builds_bases_only_to_rank_over_q(monkeypatch):
     """A problem over Q builds the slice bases of the boundaries it ranks
-    over Q and of the witness's boundary, no other: its dimensions come
-    from the slice counts and the modular copy's ranks. cohomology_report
-    ranks the full complex through the modular copy; verify, which takes
-    its dimensions from the reduced complex at r = 2, adds the witness."""
+    over Q and the witness's quotient layout, no other: its dimensions
+    come from the slice counts and the modular copy's ranks.
+    cohomology_report ranks the full complex through the modular copy;
+    verify, which takes its dimensions from the reduced complex at r = 2,
+    adds the witness's reduced (2r, 0, r) layout."""
     calls = _record_boundaries(monkeypatch)
     ranked = []
 
@@ -468,10 +470,10 @@ def test_q_problem_builds_bases_only_to_rank_over_q(monkeypatch):
     assert report.passed
     assert report.dims == dims
     q_ranked = {id(mat) for mat in ranked if mat.field.kind == "Q"}
-    allowed = {(2 * r - 1, 0, r - 1), (2 * r, 0, r)}
+    allowed = {(2 * r, 0, r, tuple(range(r)))}
     for problem, k, q, p, mat, reduced in calls:
         if problem is prob and not reduced and id(mat) in q_ranked:
-            allowed |= {(k, q, p), (k + 1, q, p + 1)}
+            allowed |= {(k, q, p, None), (k + 1, q, p + 1, None)}
     built = {key[1:] for key in prob._cache if key[0] == "basis"}
     assert built and built <= allowed
     assert any(problem is not prob for problem, *_ in calls)
@@ -483,9 +485,36 @@ def test_no_boundary_is_assembled_into_an_empty_slice(monkeypatch, make):
     prob = make()
     assert verify_predictions(prob, smooth_ci_certificate(prob)).passed
     assert calls
-    # the witness's boundary may have an empty source, (1, 0, 0) at r = 1
     for problem, k, q, p, _, reduced in calls:
+        assert _count(problem, k, q, p, reduced) > 0
         assert _count(problem, k + 1, q, p + 1, reduced) > 0
+
+
+@pytest.mark.parametrize("make", [two_quadrics, lambda: two_quadrics(F32003),
+                                  two_conics, square_pair],
+                         ids=["quadrics-Q", "quadrics-F32003", "conics",
+                              "squares"])
+def test_verify_at_2_le_r_le_n_uses_no_full_complex(monkeypatch, make):
+    """At 2 <= r <= n verify takes its dimensions from the reduced complex
+    and reads the witness class on a quotient layout, so it ranks and
+    assembles no boundary of the full complex, division rows included."""
+    original = homology.boundary_matrix
+
+    def reduced_only(problem, k, q, p, reduced=False):
+        assert reduced, ("full-complex boundary", k, q, p)
+        return original(problem, k, q, p, reduced)
+
+    def no_full_rank(problem, k, q, p):
+        raise AssertionError(("full-complex rank", k, q, p))
+    monkeypatch.setattr(homology, "boundary_matrix", reduced_only)
+    monkeypatch.setattr(homology, "_boundary_rank", no_full_rank)
+    prob = make()
+    if prob.r < prob.n:
+        report = verify_predictions(prob, smooth_ci_certificate(prob),
+                                    division_m_max=0)
+    else:
+        report = verify_predictions(prob, no_common_zero_certificate(prob))
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +556,34 @@ def test_koszul_rejects_bad_generators():
 
 def test_witness_class_on_two_quadrics():
     assert _witness_class_is_nonzero(two_quadrics())
+
+
+# (fixture, whether its witness class is nonzero); every Jacobian minor of
+# the three False ones lies in (f)
+WITNESS_FIXTURES = [
+    (fermat_cubic, True), (two_quadrics, True), (two_conics, True),
+    (conic_char2, True), (exceptional_pair_char2, True),
+    (singular_cubic_curve, True), (lambda: fermat_cubic(F3), False),
+    (lambda: fermat_cubic(F32003), True),
+    (lambda: two_quadrics(F32003), True), (lambda: two_conics(F3), True),
+    (fermat_quintic, True),
+    (lambda: problem_from_strings(Q, 4, ["x1^2", "x1*x2"]), False),
+    (lambda: problem_from_strings(F2, 3, ["x1^4 + x2^4 + x3^4"]), False),
+]
+
+
+def test_witness_class_matches_the_full_complex_oracle():
+    """On every fixture with r <= n - 1, over Q and F_p, the witness read
+    on the reduced (2r, 0, r) layout agrees with the full-complex oracle;
+    nothing of the reduced complex can hit it, since its (2r - 1, 0, r - 1)
+    slice is empty."""
+    for make, nonzero in WITNESS_FIXTURES:
+        prob = make()
+        n, r = prob.n, prob.r
+        assert r <= n - 1
+        assert reduced_slice_dim(n, prob.degrees, 2 * r - 1, 0, r - 1) == 0
+        assert full_witness_class_is_nonzero(prob) == nonzero, prob.polys
+        assert _witness_class_is_nonzero(prob) == nonzero, prob.polys
 
 
 def test_verify_predictions_refuses_negative_bounds():
@@ -585,7 +642,8 @@ def test_theta_xi_matrix_identity():
             return boundary(theta(w))
 
         m = matrix_of(prob, composite, src, tgt)
-        assert in_column_span(m, tgt.vector_of_form(residual)), prob.degrees
+        assert in_column_span(m, [tgt.vector_of_form(residual)]) == [True], \
+            prob.degrees
 
 
 def test_theta_xi_in_image_when_degrees_vanish():
@@ -599,4 +657,4 @@ def test_theta_xi_in_image_when_degrees_vanish():
     src = key_basis(prob, 2 * r - 1, 0, r - 1)
     tgt = key_basis(prob, 2 * r - 1, 0, r)
     m = matrix_of(prob, lambda w: boundary(theta(w)), src, tgt)
-    assert in_column_span(m, tgt.vector_of_form(target_form))
+    assert in_column_span(m, [tgt.vector_of_form(target_form)]) == [True]

@@ -248,20 +248,29 @@ def test_in_column_span():
             m = random_matrix(rng, field, nrows, ncols, density=0.5)
             x0 = [field.of(rng.randint(-3, 3)) for _ in range(ncols)]
             b = _mat_vec(m, x0)
-            assert in_column_span(m, b)
+            assert in_column_span(m, [b]) == [True]
         # a vector outside the span of a strictly smaller-rank matrix
         m = SparseMatrix(2, 1, field)
         m.add_at(0, 0, field.one)
-        assert not in_column_span(m, [field.zero, field.one])
+        assert in_column_span(m, [[field.zero, field.one]]) == [False]
+        # one call decides each vector of a batch, in order
+        assert in_column_span(m, [[field.zero, field.one],
+                                  [field.zero, field.zero],
+                                  [field.one, field.zero]]) == [False, True,
+                                                                True]
 
 
 def test_in_column_span_checks_the_length_first():
-    """A vector of the wrong length is refused whether it is zero or not."""
+    """A vector of the wrong length is refused whether it is zero or not,
+    and wherever it stands in the batch."""
     F7 = PrimeField(7)
     mat = SparseMatrix(2, 2, F7, {(0, 0): 1})
     for vec in ([0, 0, 0], [0, 1, 0], [0]):
         with pytest.raises(InputError, match="column length mismatch"):
-            in_column_span(mat, [F7.of(v) for v in vec])
+            in_column_span(mat, [[F7.of(v) for v in vec]])
+        with pytest.raises(InputError, match="column length mismatch"):
+            in_column_span(mat, [[F7.one, F7.zero],
+                                 [F7.of(v) for v in vec]])
 
 
 def test_rref_idempotent_and_consistent():
@@ -420,7 +429,7 @@ def test_rank_kernel_and_span_leave_the_rows_unchanged():
         before = copy.deepcopy(mat.rows)
         rank(mat)
         kernel_basis(mat)
-        in_column_span(mat, [field.one] * 12)
+        in_column_span(mat, [[field.one] * 12])
         assert mat.rows == before, field
 
 

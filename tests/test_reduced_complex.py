@@ -103,12 +103,19 @@ def _record_layouts(monkeypatch) -> list:
 
 def test_r_1_verify_and_cohomology_assemble_only_the_full_complex(
         monkeypatch):
+    """At r = 1 verify's dimensions come from the full complex: homology
+    lays out and ranks no reduced slice. Its witness class reads one
+    quotient layout, the reduced (2, 0, 1), through forms.basis, and
+    assembles nothing. cohomology keeps the full complex at r = 2 too;
+    verify at r = 2 lays out the reduced slices."""
     made = _record_layouts(monkeypatch)
     for field in (Q, F32003):
         prob = fermat_cubic(field)
         assert verify_predictions(prob, smooth_ci_certificate(prob),
                                   p_max=4).passed
         assert not [key for key in prob._cache if key[0] == "rrank"]
+        assert [key for key in prob._cache
+                if key[0] == "basis"] == [("basis", 2, 0, 1, (0,))]
     # cohomology certifies nothing, so it keeps the full complex at r = 2
     cohomology_report(two_conics(), [(k, 0, p) for k in range(6)
                                      for p in range(3)])

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from jacring import linalg
 from jacring.certify import jacobian_minors, smooth_ci_certificate
 from jacring.errors import InputError
 from jacring.forms import DiffForm, df_form
@@ -332,3 +333,21 @@ def test_one_product_assembly_per_slice_and_exponent(monkeypatch):
     assert sorted(kernels.values()) == [1, 4, 4, 15]
     assert len(targets) == 4
     assert {f"division[k={k},w={w}" for k, w in targets} == set(kernels)
+
+
+def test_each_product_matrix_is_ranked_once(monkeypatch):
+    """On the quadric surface at saturation bound 0, the 24 kernel forms of
+    four (k, w) are decided against four product matrices: one rank of
+    each product and one of each product with a kernel vector appended,
+    28 ranks, not two per kernel vector."""
+    ranked = []
+    rank = linalg.rank
+
+    def counting_rank(mat):
+        ranked.append(mat)
+        return rank(mat)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    checks = homology._division_checks(quadric_surface(), 0)
+    assert len(checks) == 24 and all(c.passed for c in checks)
+    assert len(ranked) == 28
