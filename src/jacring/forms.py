@@ -12,11 +12,10 @@ the left wedge with a form, one block at a time, from multiplication
 tables M(g, a) cached on the problem. Since (Omega, dF /\\ .) is a Koszul
 complex, each block of a boundary is a signed dx/dy insertion tensored
 with multiplication by a partial derivative d f_j / d x_i or by f_j. A
-layout is the one slice object: it also reads a form into coordinates
-(`SliceLayout.vector_of_form`), with the block arithmetic and the quotient
-normal forms that the tables use, and lists its term keys
-(`SliceLayout.keys`) where a vector becomes a form. `basis` caches the
-quotient layout that the witness class of `homology` reads.
+layout is the one slice object, and `assemble` the one way from forms to
+coordinates: multiplication by a polynomial and the witness class of
+`homology` are assembled too. `basis` caches the quotient layout that the
+witness class lands in.
 """
 from __future__ import annotations
 
@@ -301,8 +300,8 @@ class SliceLayout:
     degree's quotient slice. Wedge division lays out dx-only forms that
     way (p = 0, dys = ()), and the reduced complex its slices
     (dys = (0, .., r-1), see homology). Operator matrices are assembled on
-    layouts; keys() lists the terms in column order, and vector_of_form
-    reads a form in that order. A layout holds no problem."""
+    layouts (`assemble`), which is also how a form reaches coordinates. A
+    layout holds no problem."""
 
     __slots__ = ("k", "q", "p", "quotient", "blocks", "dim", "_at")
 
@@ -325,39 +324,6 @@ class SliceLayout:
             offset += len(words) * len(monos)
         self.dim = offset
 
-    def keys(self) -> list:
-        """The term keys (xexp, yexp, dxs, dys) in column order."""
-        return [(xexp, yexp, dxs, dys)
-                for _, dys, yexp, _, _, words, monos in self.blocks
-                for dxs in words for xexp in monos]
-
-    def vector_of_form(self, form: DiffForm) -> list:
-        """The coordinates of a form of the slice in column order: the term
-        x^a y^b dx_I dy_J is read at its block's offset + pos(I) *
-        len(monomials) + pos(a), a pivot monomial of a quotient layout
-        through its normal form. A term outside the slice raises
-        SliceMismatch. A vector becomes a form by
-        DiffForm(problem, k, zip(layout.keys(), vec))."""
-        problem = form.problem
-        f = problem.field
-        v = [f.zero] * self.dim
-        for key, c in form.terms.items():
-            xexp, yexp, dxs, dys = key
-            block = self._at.get((dys, yexp))
-            pos = coords = None
-            if block is not None:
-                l, _, _, xdeg, offset, _, monos = block
-                pos = _words(problem, l)[1].get(dxs)
-                coords = _coords(problem, xexp, xdeg, self.quotient)
-            if pos is None or coords is None:
-                raise SliceMismatch(
-                    f"term {key} is not in the (k={self.k}, q={self.q}, "
-                    f"p={self.p}) slice")
-            base = offset + pos * len(monos)
-            for t, w in coords:
-                v[base + t] = f.add(v[base + t], f.mul(c, w))
-        return v
-
     def __repr__(self):
         return (f"SliceLayout(k={self.k}, q={self.q}, p={self.p}, "
                 f"dim={self.dim})")
@@ -366,7 +332,7 @@ class SliceLayout:
 def basis(problem: ProblemInput, k: int, q: int, p: int,
           dys: tuple | None = None) -> SliceLayout:
     """SliceLayout(problem, k, q, p, dys), cached on the problem: the
-    quotient layout that the witness class of homology reads."""
+    quotient layout that the witness class of homology lands in."""
     key = ("basis", k, q, p, dys)
     layout = problem._cache.get(key)
     if layout is None:

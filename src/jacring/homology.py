@@ -8,11 +8,10 @@ ever materialized. A dimension is the slice's count
 (`hilbert.omega_slice_dim`, 0 outside the complex) minus the ranks of the
 two boundaries at the slice; a boundary with an empty source or target has
 rank 0. Every matrix is assembled on slice layouts (`forms.assemble`), and
-the same layouts read forms (`SliceLayout.vector_of_form`).
-The wedge division works on the coordinate vectors of one dx-only layout:
-`joint_wedge_kernel` returns its kernel as vectors, `wedge_division_solve`
-tests them as they are at m = 0, and only at m >= 1 turns a vector into
-a form (by `SliceLayout.keys`), multiplies it by g^m and reads it back.
+no form is read into coordinates any other way. The wedge division works
+on the coordinate vectors of one dx-only layout: `joint_wedge_kernel`
+returns its kernel as vectors, `wedge_division_solve` tests them as they
+are at m = 0, and at m >= 1 applies the assembled multiplication by g^m.
 
 `verify` at 2 <= r <= n takes its dimensions from the E_1 page instead.
 dF = d_x + d_y, with d_x = (sum_j y_j df_j) /\\ . and
@@ -39,7 +38,7 @@ ranks from the modular copy below. The reduced complex has no modular
 copy: at an unlucky prime the quotient's standard monomials can change,
 and a reduced matrix mod P would not be the reduction of the Q one.
 The witness class of verify is read on the E_1 page at every r
-(`_witness_class_is_nonzero`): one quotient layout, no rank.
+(`_witness_class_is_nonzero`): one assembled column, no rank.
 
 Over Q a full-complex boundary rank comes first from a copy of the
 problem reduced mod the prime _MODULAR_PRIME = 2^31 - 1: reduction never
@@ -217,8 +216,8 @@ def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
     over K[x]/(f), or None when no m does; with g None only m = 0 is tried.
     Each m assembles the product's matrix once, into the layout at weight
     + m deg g, and decides the vectors still open in one in_column_span
-    call, which ranks that matrix once: at m = 0 the vectors themselves,
-    at m >= 1 the coordinates of g^m times their forms."""
+    call: at m = 0 the vectors themselves, at m >= 1 their images under
+    the assembled multiplication by g^m."""
     if m_max < 0:
         raise InputError(f"saturation bound {m_max} is negative")
     if g is None:
@@ -228,20 +227,20 @@ def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
     if not vectors:
         return []
     product = _df_product(problem)
-    k, found, todo = layout.k, [None] * len(vectors), range(len(vectors))
+    f, k = problem.field, layout.k
+    found, todo = [None] * len(vectors), range(len(vectors))
     for m in range(m_max + 1):
-        tgt = layout
+        tgt, open_vectors = layout, [vectors[i] for i in todo]
         if m:
             tgt = SliceLayout(problem, k, layout.q + m * g.homogeneous_degree(),
                               0, dys=())
-            gm, keys = g.pow(m), layout.keys()
+            gm = assemble(SparseMatrix(tgt.dim, layout.dim, f),
+                          DiffForm.of_poly(problem, g.pow(m)), layout, tgt)
+            open_vectors = [[f.of(sum(c * vec[j] for j, c in row.items()))
+                             for row in gm.rows] for vec in open_vectors]
         src = SliceLayout(problem, k - problem.r, tgt.q - sum(problem.degrees),
                           0, dys=())
-        mat = assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
-                       product, src, tgt)
-        open_vectors = [vectors[i] if not m else tgt.vector_of_form(
-            DiffForm(problem, k, zip(keys, vectors[i])).times_poly(gm))
-            for i in todo]
+        mat = assemble(SparseMatrix(tgt.dim, src.dim, f), product, src, tgt)
         left = []
         for i, inside in zip(todo, in_column_span(mat, open_vectors)):
             if inside:
@@ -296,13 +295,15 @@ def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
     from (2r-1, 0, r-1) of the reduced complex, which is 0 (p < r). So the
     class is nonzero exactly when xi_r's coordinates on the reduced layout
     (2r, 0, r) over K[x]/(f) are: when some r x r Jacobian minor lies
-    outside (f)."""
+    outside (f). They are the one column of the wedge with df_1 /\\ ...
+    /\\ df_r from the one-term layout of dy_1 /\\ ... /\\ dy_r."""
     r = problem.r
     dys = tuple(range(r))
-    dy_word = DiffForm.term(problem, (0,) * problem.n, (0,) * r, (), dys)
-    vec = basis(problem, 2 * r, 0, r, dys=dys).vector_of_form(
-        _df_product(problem).wedge(dy_word))
-    return not all(problem.field.is_zero(c) for c in vec)
+    dy_word = SliceLayout(problem, r, -sum(problem.degrees), r, dys)
+    tgt = basis(problem, 2 * r, 0, r, dys=dys)
+    mat = assemble(SparseMatrix(tgt.dim, dy_word.dim, problem.field),
+                   _df_product(problem), dy_word, tgt)
+    return any(mat.rows)
 
 
 def check_verify_bounds(problem: ProblemInput, p_max: int | None,

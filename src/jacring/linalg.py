@@ -5,7 +5,8 @@ scalar. One column-order echelon serves every field, with one elimination
 step per field family: over Q it works fraction-free on integer rows and
 divides each updated row by the gcd of its entries; mod p it works on
 Python ints reduced mod p, exact for every p. Rank over Q counts its
-pivots, and row reduction back-substitutes. Rank mod p runs structured
+pivots, row reduction back-substitutes, and a batch of column-span
+questions reads the pivot rows past the matrix. Rank mod p runs structured
 Gaussian elimination instead (Markowitz pivots on a copy of the rows,
 exact for every p) and, for p below _NUMPY_P_LIMIT, hands the dense Schur
 block to an int64 kernel with deferred reduction. Boundary ranks over Q
@@ -78,7 +79,7 @@ class SparseMatrix:
 def rank(mat: SparseMatrix) -> int:
     """Rank of the matrix; mat.rows is left as it was."""
     if mat.field.kind == "Q":
-        return len(_echelon(_int_dict_rows(mat.rows), _eliminate_q)[0])
+        return len(_echelon_over(mat.rows, mat.field)[0])
     return _rank_modp(mat.rows, mat.field.p)
 
 
@@ -90,7 +91,6 @@ def _int_dict_rows(rows) -> list[dict[int, int]]:
     for row in rows:
         if not row:
             continue
-        row = {j: Fraction(v) for j, v in row.items()}
         scale = lcm(*(v.denominator for v in row.values()))
         out.append({j: v.numerator * (scale // v.denominator)
                     for j, v in row.items()})
@@ -159,6 +159,18 @@ def _echelon(rows: list[dict[int, int]],
         pivots.append(col)
         prows.append(prow)
     return pivots, prows
+
+
+def _echelon_over(rows: list[dict], field) -> tuple:
+    """The column-order echelon of the nonzero rows over field, which are
+    left as they were: over Q on their integer copies, mod p on copies.
+    Returns the pivot columns, the pivot rows and the elimination step."""
+    if field.kind == "Q":
+        eliminate, rows = _eliminate_q, _int_dict_rows(rows)
+    else:
+        eliminate = partial(_eliminate_modp, p=field.p)
+        rows = [dict(row) for row in rows if row]
+    return (*_echelon(rows, eliminate), eliminate)
 
 
 def _rank_modp(sparse_rows: list[dict[int, int]], p: int) -> int:
@@ -298,13 +310,7 @@ def rref_rows(rows: list[dict], field) -> tuple[list[int], list[dict]]:
     pivot column, and columns in ascending order): the column-order echelon,
     then back-substitution by the same elimination step. Exact over Q and
     at every prime."""
-    if field.kind == "Q":
-        eliminate = _eliminate_q
-        rows = _int_dict_rows(rows)
-    else:
-        eliminate = partial(_eliminate_modp, p=field.p)
-        rows = [dict(row) for row in rows if row]
-    pivots, prows = _echelon(rows, eliminate)
+    pivots, prows, eliminate = _echelon_over(rows, field)
     for i in reversed(range(len(prows))):
         for j in range(i + 1, len(prows)):
             if pivots[j] in prows[i]:
@@ -361,22 +367,21 @@ def kernel_basis(mat: SparseMatrix) -> list[list]:
 
 
 def in_column_span(mat: SparseMatrix, vectors) -> list[bool]:
-    """For each vector, whether it lies in the span of the matrix columns:
-    a zero vector does, any other when the matrix with it as one more
-    column has the rank of mat, which is taken once."""
+    """For each vector, whether it lies in the span of the matrix columns,
+    by one echelon of mat with the vectors as columns ncols on. The row
+    combinations y^T (mat | vectors) with y^T mat = 0 carry y^T v in a
+    vector v's column, all zero exactly when v lies in the span, and the
+    pivot rows at columns ncols on span them: a vector lies outside the
+    span exactly when one of those rows holds its column."""
     if any(len(vec) != mat.nrows for vec in vectors):
         raise InputError("column length mismatch")
-    f = mat.field
-    base = None
-    inside = []
-    for vec in vectors:
-        if all(f.is_zero(v) for v in vec):
-            inside.append(True)
-            continue
-        if base is None:
-            base = rank(mat)
-        aug = SparseMatrix(mat.nrows, mat.ncols + 1, f)
-        aug.rows = [row if f.is_zero(v) else {**row, mat.ncols: v}
-                    for row, v in zip(mat.rows, vec)]
-        inside.append(rank(aug) == base)
-    return inside
+    f, n = mat.field, mat.ncols
+    rows = [dict(row) for row in mat.rows]
+    for i, vec in enumerate(vectors):
+        for row, v in zip(rows, vec):
+            if not f.is_zero(v):
+                row[n + i] = v
+    pivots, prows, _ = _echelon_over(rows, f)
+    outside = {j - n for pc, row in zip(pivots, prows) if pc >= n
+               for j in row}
+    return [i not in outside for i in range(len(vectors))]

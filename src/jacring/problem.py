@@ -13,7 +13,7 @@ import hashlib
 from itertools import combinations
 
 from .errors import InputError
-from .polynomials import MultiPoly, grlex_key, monomials_of_degree, parse_poly
+from .polynomials import grlex_key, monomials_of_degree, parse_poly
 
 
 def slice_blocks(n: int, degrees, k: int, q: int, p: int):

@@ -18,7 +18,7 @@ from jacring.forms import (DiffForm, SliceLayout, _merge_words, _quotient,
 from jacring.hilbert import Poly, eulerian_p
 from jacring.homology import boundary_matrix
 from jacring.linalg import SparseMatrix, in_column_span, rank, solve
-from jacring.polynomials import MultiPoly, monomials_of_degree, parse_poly
+from jacring.polynomials import MultiPoly, monomials_of_degree
 from jacring.problem import ProblemInput, problem_from_strings
 from jacring.quotients import check_generators
 
@@ -203,13 +203,22 @@ def random_form(rng: random.Random, problem: ProblemInput, k: int,
 # ---------------------------------------------------------------------------
 
 
+def layout_keys(layout: SliceLayout) -> list:
+    """The term keys (xexp, yexp, dxs, dys) of a layout in column order,
+    read off its blocks."""
+    return [(xexp, yexp, dxs, dys)
+            for _, dys, yexp, _, _, words, monos in layout.blocks
+            for dxs in words for xexp in monos]
+
+
 class BasisSlice:
     """The term keys of a slice in column order, with a key -> position
-    index: the oracle for `SliceLayout.vector_of_form` and the slice of the
-    per-term oracles. With a quotient slice attached, the coefficients live
-    in K[x]/(gens) and the basis holds the complement monomials only; a
-    pivot monomial's term maps to its normal form. A vector becomes a form
-    by DiffForm(problem, k, zip(keys, vec))."""
+    index: the key-index oracle for the coordinates of a form on a
+    `SliceLayout`, and the slice of the per-term oracles. With a quotient
+    slice attached, the coefficients live in K[x]/(gens) and the basis
+    holds the complement monomials only; a pivot monomial's term maps to
+    its normal form. A vector becomes a form by
+    DiffForm(problem, k, zip(keys, vec))."""
 
     __slots__ = ("k", "q", "p", "keys", "index", "quotient")
 
@@ -255,7 +264,7 @@ class BasisSlice:
 
 def key_basis(problem: ProblemInput, k: int, q: int, p: int) -> BasisSlice:
     """The (k, q, p) slice as the keys of its `SliceLayout`."""
-    return BasisSlice(k, q, p, SliceLayout(problem, k, q, p).keys())
+    return BasisSlice(k, q, p, layout_keys(SliceLayout(problem, k, q, p)))
 
 
 def quotient_basis(problem: ProblemInput, k: int, weight: int) -> BasisSlice:
@@ -264,7 +273,7 @@ def quotient_basis(problem: ProblemInput, k: int, weight: int) -> BasisSlice:
     p = 0 slice, with that block's quotient slice attached."""
     layout = SliceLayout(problem, k, weight, 0, dys=())
     qs = _quotient(problem, layout.blocks[0][3]) if layout.blocks else None
-    return BasisSlice(k, weight, 0, layout.keys(), qs)
+    return BasisSlice(k, weight, 0, layout_keys(layout), qs)
 
 
 def wedge_rule(mu_terms: dict, n: int, field):

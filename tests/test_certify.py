@@ -15,7 +15,7 @@ from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
 from jacring.quotients import quotient_dim, quotient_slice
 
-from helpers import (F2, F3, F7, F32003, Q, conic_char2, fermat_cubic,
+from helpers import (F3, F7, F32003, Q, conic_char2, fermat_cubic,
                      normal_form, random_homogeneous, singular_cubic_curve,
                      square_pair, sympy_quotient_dim, two_quadrics)
 

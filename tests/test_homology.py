@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import gc
-import random
-from itertools import combinations
 from math import prod
 
 import pytest
@@ -12,7 +10,7 @@ from hypothesis import strategies as st
 import jacring.forms as forms
 from jacring.certify import no_common_zero_certificate, smooth_ci_certificate
 from jacring.errors import CertificateRequired, InputError, SliceMismatch
-from jacring.fields import PrimeField, Rationals
+from jacring.fields import PrimeField
 from jacring.forms import (DiffForm, SliceLayout, assemble, basis, dF_of,
                            df_form)
 from jacring.hilbert import omega_slice_dim, reduced_slice_dim
@@ -140,50 +138,6 @@ def test_assembler_matches_per_column_oracle():
                         _same_matrix(got, want, where + (quotient,))
 
 
-def _random_forms(rng, prob, k, keys, count=3):
-    """Random forms on the given term keys, a few terms each."""
-    if not keys:
-        return [DiffForm.zero(prob, k)]
-    return [DiffForm(prob, k, [(rng.choice(keys), rng.randint(-3, 3))
-                               for _ in range(rng.randint(1, 5))])
-            for _ in range(count)]
-
-
-def test_vector_of_form_matches_the_key_index_oracle():
-    """SliceLayout.vector_of_form reads every form as the key-index oracle
-    helpers.BasisSlice does: random forms of every fixture slice from
-    k = -1 to n+r+1, q = -2..2 and p = 0..3, and of the quotient layouts of
-    every weight from -2 to k + max degree + 1, where each pivot monomial's
-    term, once per dx word, is read through its normal form."""
-    rng = random.Random(41)
-    for make in ASSEMBLER_FIXTURES:
-        prob = make()
-        n, r = prob.n, prob.r
-        zy = (0,) * r
-        for k in range(-1, n + r + 2):
-            for q in range(-2, 3):
-                for p in range(4):
-                    layout = SliceLayout(prob, k, q, p)
-                    oracle = key_basis(prob, k, q, p)
-                    for form in _random_forms(rng, prob, k, oracle.keys):
-                        assert (layout.vector_of_form(form)
-                                == oracle.vector_of_form(form)), (k, q, p)
-            for weight in range(-2, k + max(prob.degrees) + 2):
-                layout = SliceLayout(prob, k, weight, 0, dys=())
-                oracle = quotient_basis(prob, k, weight)
-                forms_ = _random_forms(rng, prob, k, oracle.keys)
-                if oracle.quotient is not None:
-                    pivots = [(m, zy, word, ()) for m in
-                              oracle.quotient.pivot_normal_forms()
-                              for word in combinations(range(n), k)]
-                    forms_ += [DiffForm(prob, k, {key: rng.randint(1, 3)})
-                               for key in pivots]
-                    forms_ += _random_forms(rng, prob, k, pivots + oracle.keys)
-                for form in forms_:
-                    assert (layout.vector_of_form(form)
-                            == oracle.vector_of_form(form)), (k, weight)
-
-
 def test_assemble_rejects_a_target_that_misses_the_image():
     prob = two_conics()
     src = SliceLayout(prob, 1, 0, 1)
@@ -193,6 +147,31 @@ def test_assemble_rejects_a_target_that_misses_the_image():
         with pytest.raises(SliceMismatch):
             assemble(SparseMatrix(tgt.dim, src.dim, prob.field),
                      dF_of(prob), src, tgt)
+    # a quotient layout, the dx-only 1-forms of weight 4 over
+    # K[x]/(x1^3 + x2^3 + x3^3): the wedge with a term from the layout of
+    # the unit reads the term's coordinates, a pivot monomial through its
+    # normal form, and refuses a term outside the layout
+    prob = fermat_cubic()
+    unit = SliceLayout(prob, 0, 0, 0, dys=())
+    layout = SliceLayout(prob, 1, 4, 0, dys=())
+    oracle = quotient_basis(prob, 1, 4)
+    pivot = next(iter(oracle.quotient.pivot_normal_forms()))
+    inside = DiffForm.term(prob, pivot, (0,), (0,), ())
+    mat = assemble(SparseMatrix(layout.dim, unit.dim, prob.field), inside,
+                   unit, layout)
+    assert unit.dim == 1
+    assert [row.get(0, Q.zero) for row in mat.rows] == \
+        oracle.vector_of_form(inside)
+    strays = [DiffForm.term(prob, pivot, (1,), (0,), ()),        # a y
+              DiffForm.term(prob, pivot, (0,), (), (0,)),        # a dy
+              DiffForm.term(prob, (2, 0, 0), (0,), (0,), ()),    # x degree
+              DiffForm.term(prob, (2, 0, 0), (0,), (0, 1), ())]  # word length
+    for stray in strays:
+        with pytest.raises(SliceMismatch):
+            assemble(SparseMatrix(layout.dim, unit.dim, prob.field), stray,
+                     unit, layout)
+        with pytest.raises(SliceMismatch):
+            oracle.vector_of_form(stray)
 
 
 PROPERTY_PROBLEMS = [make() for make in ASSEMBLER_FIXTURES]
@@ -203,20 +182,19 @@ PROPERTY_PROBLEMS = [make() for make in ASSEMBLER_FIXTURES]
 def test_boundary_matrix_acts_as_the_boundary(data):
     """boundary_matrix(k, q, p) maps the coordinates of a form of the
     (k, q, p) slice to those of its boundary: the layout's columns and
-    rows follow basis(...).keys(), which the witness check reads."""
+    rows follow the key order of helpers.layout_keys."""
     prob = data.draw(st.sampled_from(PROPERTY_PROBLEMS))
     f = prob.field
     k = data.draw(st.integers(0, prob.n + prob.r), label="k")
     q = data.draw(st.integers(-1, 1), label="q")
     p = data.draw(st.integers(0, 2), label="p")
-    src = basis(prob, k, q, p)
+    src = key_basis(prob, k, q, p)
     terms = {}
     if src.dim:
         terms = data.draw(st.dictionaries(
             st.integers(0, src.dim - 1), st.integers(-3, 3), max_size=6),
             label="terms")
-    keys = src.keys()
-    omega = DiffForm(prob, k, [(keys[i], c) for i, c in terms.items()])
+    omega = DiffForm(prob, k, [(src.keys[i], c) for i, c in terms.items()])
     vec = src.vector_of_form(omega)
     image = []
     for row in boundary_matrix(prob, k, q, p).rows:
@@ -224,7 +202,7 @@ def test_boundary_matrix_acts_as_the_boundary(data):
         for j, v in row.items():
             acc = f.add(acc, f.mul(v, vec[j]))
         image.append(acc)
-    assert image == basis(prob, k + 1, q, p + 1).vector_of_form(
+    assert image == key_basis(prob, k + 1, q, p + 1).vector_of_form(
         boundary(omega))
 
 

@@ -260,6 +260,46 @@ def test_in_column_span():
                                                                 True]
 
 
+def test_in_column_span_reads_every_pivot_row_past_the_matrix():
+    """mat = (e1) and the batch e2, e1 + e2: both lie outside the span.
+    The echelon pivots on e2's column, so e1 + e2's column holds no pivot,
+    but the pivot row of e2 holds it."""
+    for field in (Q, PrimeField(7)):
+        mat = SparseMatrix(2, 1, field, {(0, 0): 1})
+        e2, e12 = [field.zero, field.one], [field.one, field.one]
+        assert in_column_span(mat, [e2, e12]) == [False, False]
+        assert in_column_span(mat, [e12, e2]) == [False, False]
+
+
+def test_in_column_span_matches_the_reference_rank():
+    """On random matrices and mixed batches of vectors inside the span,
+    outside it and zero, each vector lies in the span exactly when
+    appending it leaves helpers.rank_reference unchanged."""
+    rng = random.Random(23)
+    for field in (Q, PrimeField(7), PrimeField(2**61 - 1)):
+        for _ in range(12):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
+            mat = random_matrix(rng, field, nrows, ncols, density=0.3,
+                                denominators=True)
+            batch = []
+            for _ in range(rng.randint(1, 6)):
+                kind = rng.choice(["inside", "random", "zero"])
+                if kind == "inside":
+                    x = [field.of(rng.randint(-3, 3)) for _ in range(ncols)]
+                    batch.append(_mat_vec(mat, x))
+                else:
+                    batch.append([field.of(rng.randint(-3, 3)
+                                           if kind == "random" else 0)
+                                  for _ in range(nrows)])
+            base = rank_reference(mat)
+            want = []
+            for vec in batch:
+                aug = SparseMatrix(nrows, ncols + 1, field)
+                aug.rows = [{**row, ncols: v} for row, v in zip(mat.rows, vec)]
+                want.append(rank_reference(aug) == base)
+            assert in_column_span(mat, batch) == want, field
+
+
 def test_in_column_span_checks_the_length_first():
     """A vector of the wrong length is refused whether it is zero or not,
     and wherever it stands in the batch."""

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacring.errors import InputError
-from jacring.fields import PrimeField, Rationals
 from jacring.polynomials import (MultiPoly, grlex_key, monomials_of_degree,
                                  parse_poly)
 

@@ -88,14 +88,15 @@ def test_forcing_the_reduced_complex_on_a_non_regular_pair_is_wrong(
 
 
 def _record_layouts(monkeypatch) -> list:
-    """The dy word (None over K[x]) of every layout homology builds."""
+    """(k, q, p, dys) of every layout homology builds, dys None over
+    K[x]."""
     made = []
 
     class Recording(SliceLayout):
         __slots__ = ()
 
         def __init__(self, problem, k, q, p, dys=None):
-            made.append(dys)
+            made.append((k, q, p, dys))
             super().__init__(problem, k, q, p, dys)
     monkeypatch.setattr(homology, "SliceLayout", Recording)
     return made
@@ -104,10 +105,11 @@ def _record_layouts(monkeypatch) -> list:
 def test_r_1_verify_and_cohomology_assemble_only_the_full_complex(
         monkeypatch):
     """At r = 1 verify's dimensions come from the full complex: homology
-    lays out and ranks no reduced slice. Its witness class reads one
-    quotient layout, the reduced (2, 0, 1), through forms.basis, and
-    assembles nothing. cohomology keeps the full complex at r = 2 too;
-    verify at r = 2 lays out the reduced slices."""
+    ranks no reduced slice, and the only reduced layout it builds is the
+    witness class's one-term source, dy_1 at (1, -3, 1). The witness lands
+    in one quotient layout, the reduced (2, 0, 1), through forms.basis.
+    cohomology keeps the full complex at r = 2 too; verify at r = 2 lays
+    out the reduced slices."""
     made = _record_layouts(monkeypatch)
     for field in (Q, F32003):
         prob = fermat_cubic(field)
@@ -116,13 +118,16 @@ def test_r_1_verify_and_cohomology_assemble_only_the_full_complex(
         assert not [key for key in prob._cache if key[0] == "rrank"]
         assert [key for key in prob._cache
                 if key[0] == "basis"] == [("basis", 2, 0, 1, (0,))]
+        reduced = [kqp for kqp in made if kqp[3] is not None]
+        assert reduced == [(1, -3, 1, (0,))]
+        made.clear()
     # cohomology certifies nothing, so it keeps the full complex at r = 2
     cohomology_report(two_conics(), [(k, 0, p) for k in range(6)
                                      for p in range(3)])
-    assert made and set(made) == {None}
+    assert made and {dys for *_, dys in made} == {None}
     prob = two_conics()
     assert verify_predictions(prob, smooth_ci_certificate(prob)).passed
-    assert (0, 1) in made
+    assert (0, 1) in {dys for *_, dys in made}
 
 
 def _cli_bytes(run, monkeypatch, full: bool):

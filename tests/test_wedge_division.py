@@ -15,7 +15,7 @@ from jacring.homology import joint_wedge_kernel, wedge_division_solve
 from jacring.polynomials import MultiPoly
 from jacring.problem import problem_from_strings
 
-from helpers import (Q, fermat_cubic, random_form, reduce_form_mod_ideal,
+from helpers import (Q, fermat_cubic, layout_keys, reduce_form_mod_ideal,
                      singular_cubic_curve, two_conics, wedge_division_oracle)
 
 
@@ -50,7 +50,8 @@ def _full_product(prob, alpha):
 def _kernel_forms(prob, k, weight):
     """joint_wedge_kernel's vectors as forms on its layout."""
     layout, vectors = joint_wedge_kernel(prob, k, weight)
-    return [DiffForm(prob, layout.k, zip(layout.keys(), v)) for v in vectors]
+    keys = layout_keys(layout)
+    return [DiffForm(prob, layout.k, zip(keys, v)) for v in vectors]
 
 
 def _random_dx_form(rng, prob, k, degree):
@@ -283,7 +284,8 @@ def test_rank_decision_matches_the_oracle_on_every_division_check(
         dfs = _dfs(prob)
         visited.clear()
         checks = homology._division_checks(prob, m_max)
-        forms = [(DiffForm(prob, layout.k, zip(layout.keys(), v)), g, mm, m)
+        forms = [(DiffForm(prob, layout.k, zip(layout_keys(layout), v)),
+                  g, mm, m)
                  for layout, vectors, g, mm, ms in visited
                  for v, m in zip(vectors, ms)]
         assert len(checks) == len(forms) > 0, prob.degrees
@@ -335,19 +337,23 @@ def test_one_product_assembly_per_slice_and_exponent(monkeypatch):
     assert {f"division[k={k},w={w}" for k, w in targets} == set(kernels)
 
 
-def test_each_product_matrix_is_ranked_once(monkeypatch):
+def test_each_product_matrix_is_eliminated_once(monkeypatch):
     """On the quadric surface at saturation bound 0, the 24 kernel forms of
-    four (k, w) are decided against four product matrices: one rank of
-    each product and one of each product with a kernel vector appended,
-    28 ranks, not two per kernel vector."""
-    ranked = []
-    rank = linalg.rank
+    four (k, w) are decided against four product matrices: one
+    in_column_span call for each, which eliminates the product with the
+    kernel vectors appended once, and no rank."""
+    batches = []
+    span = homology.in_column_span
 
-    def counting_rank(mat):
-        ranked.append(mat)
-        return rank(mat)
+    def counting_span(mat, vectors):
+        batches.append(len(vectors))
+        return span(mat, vectors)
 
-    monkeypatch.setattr(linalg, "rank", counting_rank)
+    def no_rank(mat):
+        raise AssertionError("ranked a matrix")
+    monkeypatch.setattr(homology, "in_column_span", counting_span)
+    monkeypatch.setattr(homology, "rank", no_rank)
+    monkeypatch.setattr(linalg, "rank", no_rank)
     checks = homology._division_checks(quadric_surface(), 0)
     assert len(checks) == 24 and all(c.passed for c in checks)
-    assert len(ranked) == 28
+    assert sorted(batches) == [1, 4, 4, 15]
