@@ -6,8 +6,10 @@ dy". The boundary of the complex is the left wedge with dF,
 F = sum_j y_j f_j (`dF_of`).
 
 A slice is laid out block by block from `problem.slice_blocks`
-(`SliceLayout`), over K[x] or, keeping one dy word, over K[x]/(f), and
-`assemble` builds every operator matrix on layouts:
+(`SliceLayout`), over K[x] or, keeping its dy-free blocks, over K[x]/(f):
+the one kind of quotient layout, which holds the forms of wedge division
+and, shifted by the dy word dy_1..dy_r, the slices of the reduced complex
+of `homology`. `assemble` builds every operator matrix on layouts:
 the left wedge with a form, one block at a time, from multiplication
 tables M(g, a) cached on the problem. Since (Omega, dF /\\ .) is a Koszul
 complex, each block of a boundary is a signed dx/dy insertion tensored
@@ -274,19 +276,16 @@ def _monomials(problem: ProblemInput, xdeg: int, quotient: bool) -> tuple:
     return got
 
 
-def _coords(problem: ProblemInput, m: tuple, xdeg: int, quotient: bool):
-    """The x-monomial m as (position, coefficient) pairs over the block
-    monomials of degree xdeg (see _monomials): its own position with
-    coefficient one, or over K[x]/(f) a pivot monomial's normal form. None
-    when m is no monomial of that degree."""
-    index = _monomials(problem, xdeg, quotient)[1]
+def _coords(problem: ProblemInput, m: tuple, xdeg: int):
+    """The x-monomial m of degree xdeg over K[x]/(f) as (position,
+    coefficient) pairs over the complement monomials (see _monomials): its
+    own position with coefficient one, or a pivot monomial's normal form."""
+    index = _monomials(problem, xdeg, True)[1]
     t = index.get(m)
     if t is not None:
         return ((t, problem.field.one),)
-    if not quotient:
-        return None
-    nf = _quotient(problem, xdeg).pivot_normal_forms().get(m)
-    return None if nf is None else [(index[cm], w) for cm, w in nf]
+    return [(index[cm], w)
+            for cm, w in _quotient(problem, xdeg).pivot_normal_forms()[m]]
 
 
 class SliceLayout:
@@ -294,27 +293,27 @@ class SliceLayout:
     (l, J, b, xdeg, offset, words, monomials) holds the terms
     x^a y^b dx_I dy_J with I in words (every dx word of length l) and a in
     monomials (every one of degree xdeg), term (I, a) at offset +
-    pos(I) * len(monomials) + pos(a). With dys set to a dy word the
-    coefficients live in K[x]/(f): the layout keeps only the blocks whose
-    dy word is dys, and a block's monomials are the complement of its
-    degree's quotient slice. Wedge division lays out dx-only forms that
-    way (p = 0, dys = ()), and the reduced complex its slices
-    (dys = (0, .., r-1), see homology). Operator matrices are assembled on
-    layouts (`assemble`), which is also how a form reaches coordinates. A
-    layout holds no problem."""
+    pos(I) * len(monomials) + pos(a). With quotient set the coefficients
+    live in K[x]/(f): the layout keeps only the dy-free blocks (J = ()),
+    and a block's monomials are the complement of its degree's quotient
+    slice. Wedge division lays out its dx-only forms that way (p = 0), and
+    the reduced complex its slices, the dy-free slice (k - r, q + sum d,
+    p - r) standing for (k, q, p) times dy_1..dy_r (see homology).
+    Operator matrices are assembled on layouts (`assemble`), which is also
+    how a form reaches coordinates. A layout holds no problem."""
 
     __slots__ = ("k", "q", "p", "quotient", "blocks", "dim", "_at")
 
     def __init__(self, problem: ProblemInput, k: int, q: int, p: int,
-                 dys: tuple | None = None):
+                 quotient: bool = False):
         self.k, self.q, self.p = k, q, p
-        self.quotient = quotient = dys is not None
+        self.quotient = quotient
         n = problem.n
         self.blocks = []
         self._at = {}
         offset = 0
         for l, J, yexp, xdeg in slice_blocks(n, problem.degrees, k, q, p):
-            if quotient and J != dys:
+            if quotient and J:
                 continue
             words = _words(problem, l)[0]
             monos = _monomials(problem, xdeg, quotient)[0]
@@ -329,14 +328,14 @@ class SliceLayout:
                 f"dim={self.dim})")
 
 
-def basis(problem: ProblemInput, k: int, q: int, p: int,
-          dys: tuple | None = None) -> SliceLayout:
-    """SliceLayout(problem, k, q, p, dys), cached on the problem: the
+def basis(problem: ProblemInput, k: int, q: int, p: int, *,
+          quotient: bool = False) -> SliceLayout:
+    """SliceLayout(problem, k, q, p, quotient), cached on the problem: the
     quotient layout that the witness class of homology lands in."""
-    key = ("basis", k, q, p, dys)
+    key = ("basis", k, q, p, quotient)
     layout = problem._cache.get(key)
     if layout is None:
-        layout = problem._cache[key] = SliceLayout(problem, k, q, p, dys)
+        layout = problem._cache[key] = SliceLayout(problem, k, q, p, quotient)
     return layout
 
 
@@ -369,7 +368,7 @@ def _mult_table(problem: ProblemInput, g: tuple, a: int,
     for m in src:
         acc = {}
         for xa, c in g:
-            for t, w in _coords(problem, tuple(map(add, xa, m)), a + e, True):
+            for t, w in _coords(problem, tuple(map(add, xa, m)), a + e):
                 add_term(acc, t, f.mul(c, w), f)
         positions.append(tuple(acc))
         coeffs.append(tuple(acc.values()))
@@ -386,28 +385,28 @@ def _table(problem: ProblemInput, g: tuple, a: int, quotient: bool) -> tuple:
     return table
 
 
-def assemble(mat: SparseMatrix, mu: DiffForm, source: SliceLayout,
-             target: SliceLayout, row0: int = 0) -> SparseMatrix:
-    """Add into the rows of mat from row0 on the matrix of the left wedge
-    with mu from source to target, two layouts over one coefficient ring
-    (quotient set on both or on neither): column j holds the image of the
-    j-th source term. mu's terms are grouped by dx word, dy word, y exponent and
-    x degree into one x-polynomial g each. A source block and a group fix
-    the target block; each source word is merged with the group's word
-    once, and the block's rows are filled from the table M(g, a) of its
-    x degree a, cached on the problem. Each cell is written once: the
-    target's words and y exponent fix the group, and distinct terms of g
-    give distinct products (summed in the table over a quotient). An image
-    outside the target raises SliceMismatch. Every operator matrix is built
-    here."""
+def assemble(mu: DiffForm, source: SliceLayout,
+             target: SliceLayout) -> SparseMatrix:
+    """The matrix of the left wedge with mu from source to target, two
+    layouts over one coefficient ring (quotient set on both or on neither):
+    column j holds the image of the j-th source term. mu's terms are
+    grouped by dx word, dy word, y exponent and x degree into one
+    x-polynomial g each. A source block and a group fix the target block;
+    each source word is merged with the group's word once, and the block's
+    rows are filled from the table M(g, a) of its x degree a, cached on
+    the problem. Each cell is written once: the target's words and y
+    exponent fix the group, and distinct terms of g give distinct products
+    (summed in the table over a quotient). An image outside the target
+    raises SliceMismatch. Every operator matrix is built here."""
     problem = mu.problem
     n = problem.n
+    mat = SparseMatrix(target.dim, source.dim, problem.field)
+    rows = mat.rows
     grouped = {}
     for (xa, ya, dxa, dya), c in mu.terms.items():
         grouped.setdefault((dxa, dya, ya, sum(xa)), []).append((xa, c))
     groups = [(dxa, dya, ya, tuple(sorted(g)))
               for (dxa, dya, ya, _), g in grouped.items()]
-    rows = mat.rows[row0:row0 + target.dim]
     merges = {}
     for l, dys, yexp, a, offset, words, monos in source.blocks:
         width = len(monos)

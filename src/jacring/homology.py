@@ -9,9 +9,10 @@ ever materialized. A dimension is the slice's count
 two boundaries at the slice; a boundary with an empty source or target has
 rank 0. Every matrix is assembled on slice layouts (`forms.assemble`), and
 no form is read into coordinates any other way. The wedge division works
-on the coordinate vectors of one dx-only layout: `joint_wedge_kernel`
-returns its kernel as vectors, `wedge_division_solve` tests them as they
-are at m = 0, and at m >= 1 applies the assembled multiplication by g^m.
+on the coordinate vectors of one dx-only layout over K[x]/(f):
+`joint_wedge_kernel` returns the kernel of d_x on it as vectors,
+`wedge_division_solve` tests them as they are at m = 0, and at m >= 1
+applies the assembled multiplication by g^m.
 
 `verify` at 2 <= r <= n takes its dimensions from the E_1 page instead.
 dF = d_x + d_y, with d_x = (sum_j y_j df_j) /\\ . and
@@ -21,7 +22,10 @@ sequence its cohomology is K[x]/(f) dy_1..dy_r and 0 at every shorter dy
 word (Eisenbud, Commutative Algebra, Cor. 17.5), so the spectral sequence
 stops at E_2 and dim H^k(q, p) is the cohomology of the reduced complex:
 the forms c y^b dx_I dy_1..dy_r with c in K[x]/(f), |I| = k - r and
-|b| = p - r, under d_x (SliceLayout with dys = (0, .., r-1)). Its slice
+|b| = p - r, under d_x (`_d_x`). Wedging with dy_1..dy_r is a bijection
+onto them from the dy-free forms over K[x]/(f) that commutes with d_x, so
+the reduced slice (k, q, p) is laid out as the dy-free quotient layout
+(k - r, q + sum d, p - r), the kind wedge division uses too. Its slice
 sizes are counted by `hilbert.reduced_slice_dim`, which is 0 below k = r
 or p = r. The proof that f is regular is the certificate that verify
 requires. A successful smooth-ci certificate (r < n) proves
@@ -39,6 +43,7 @@ copy: at an unlucky prime the quotient's standard monomials can change,
 and a reduced matrix mod P would not be the reduction of the Q one.
 The witness class of verify is read on the E_1 page at every r
 (`_witness_class_is_nonzero`): one assembled column, no rank.
+`_boundary_rank` ranks the boundaries of both complexes.
 
 Over Q a full-complex boundary rank comes first from a copy of the
 problem reduced mod the prime _MODULAR_PRIME = 2^31 - 1: reduction never
@@ -64,17 +69,28 @@ from .polynomials import MultiPoly
 from .problem import ProblemInput
 
 
+def _d_x(problem: ProblemInput) -> DiffForm:
+    """d_x = sum_j y_j df_j: the terms of dF_of(problem) that carry no
+    dy."""
+    return DiffForm(problem, 1, [(key, c) for key, c in
+                                 dF_of(problem).terms.items() if not key[3]])
+
+
 def boundary_matrix(problem: ProblemInput, k: int, q: int, p: int,
                     reduced: bool = False) -> SparseMatrix:
     """Matrix of the boundary out of the (k, q, p) slice into
-    (k+1, q, p+1), assembled on the two slice layouts; with reduced set,
-    on the reduced complex's layouts (the module docstring), where dF acts
-    as d_x: each dy_j of dF meets the full dy word."""
-    dys = tuple(range(problem.r)) if reduced else None
-    src = SliceLayout(problem, k, q, p, dys)
-    tgt = SliceLayout(problem, k + 1, q, p + 1, dys)
-    return assemble(SparseMatrix(tgt.dim, src.dim, problem.field),
-                    dF_of(problem), src, tgt)
+    (k+1, q, p+1), assembled on the two slice layouts. With reduced set it
+    is the reduced complex's boundary (the module docstring): _d_x from the
+    dy-free quotient layout (k - r, q + sum d, p - r) into
+    (k - r + 1, q + sum d, p - r + 1). Wedging with dy_1..dy_r maps these
+    onto the reduced slices block for block, in order, and commutes with
+    d_x, whose merge sign ignores dy letters."""
+    mu = dF_of(problem)
+    if reduced:
+        mu, r = _d_x(problem), problem.r
+        k, q, p = k - r, q + sum(problem.degrees), p - r
+    return assemble(mu, SliceLayout(problem, k, q, p, reduced),
+                    SliceLayout(problem, k + 1, q, p + 1, reduced))
 
 
 # the prime of the modular copy of a problem over Q; rank's int64 dense tail
@@ -110,37 +126,26 @@ def _proves_rank(reduced: ProblemInput, k: int, q: int, p: int) -> bool:
             or cohomology_dim(reduced, k + 1, q, p + 1) == 0)
 
 
-def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int) -> int:
-    """Rank of the boundary out of (k, q, p), cached on the problem: 0 when
-    its source or target counts no term, else over Q the rank of the
-    modular copy where a vanishing mod-P slice proves it, else the rank of
-    the assembled boundary."""
-    key = ("brank", k, q, p)
+def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int, *,
+                   reduced: bool = False) -> int:
+    """Rank of the boundary out of (k, q, p) of the full complex or, with
+    reduced set, of the reduced one, cached on the problem: 0 when its
+    source or target counts no term, else for the full complex over Q the
+    rank of the modular copy where a vanishing mod-P slice proves it, else
+    the rank of the assembled boundary (the reduced complex's over Q
+    exactly)."""
+    key = ("rrank" if reduced else "brank", k, q, p)
     cached = problem._cache.get(key)
     if cached is None:
-        modular = _reduction(problem)
-        if (not _count(problem, k, q, p, False)
-                or not _count(problem, k + 1, q, p + 1, False)):
+        modular = None if reduced else _reduction(problem)
+        if (not _count(problem, k, q, p, reduced)
+                or not _count(problem, k + 1, q, p + 1, reduced)):
             cached = 0
         elif modular is not None and _proves_rank(modular, k, q, p):
             cached = _boundary_rank(modular, k, q, p)
         else:
-            cached = rank(boundary_matrix(problem, k, q, p))
+            cached = rank(boundary_matrix(problem, k, q, p, reduced))
         problem._cache[key] = cached
-    return cached
-
-
-def _reduced_rank(problem: ProblemInput, k: int, q: int, p: int) -> int:
-    """Rank of the reduced complex's boundary out of (k, q, p), cached on
-    the problem: 0 when its source or target counts no term, else the rank
-    of the assembled boundary, over Q exactly."""
-    key = ("rrank", k, q, p)
-    cached = problem._cache.get(key)
-    if cached is None:
-        cached = problem._cache[key] = (
-            rank(boundary_matrix(problem, k, q, p, reduced=True))
-            if _count(problem, k, q, p, True)
-            and _count(problem, k + 1, q, p + 1, True) else 0)
     return cached
 
 
@@ -162,8 +167,8 @@ def cohomology_dim(problem: ProblemInput, k: int, q: int, p: int,
     d = _count(problem, k, q, p, reduced)
     if d == 0:
         return 0
-    brank = _reduced_rank if reduced else _boundary_rank
-    return d - brank(problem, k, q, p) - brank(problem, k - 1, q, p - 1)
+    return (d - _boundary_rank(problem, k, q, p, reduced=reduced)
+            - _boundary_rank(problem, k - 1, q, p - 1, reduced=reduced))
 
 
 def cohomology_report(problem: ProblemInput, slices,
@@ -191,20 +196,14 @@ def joint_wedge_kernel(problem: ProblemInput, k: int,
                        weight: int) -> tuple[SliceLayout, list]:
     """The dx-only layout of word length k and the given weight over
     K[x]/(f), f the problem's polynomials, and a basis of its joint kernel
-    { omega : df_j /\\ omega = 0 for every j } as vectors on it: the
-    kernel_basis of the stacked df_j /\\ blocks, df_j landing at weight
-    + d_j."""
-    src = SliceLayout(problem, k, weight, 0, dys=())
+    { omega : df_j /\\ omega = 0 for every j } as vectors on it: ker d_x
+    from (k, weight, 0) into (k + 1, weight, 1), whose y_j block is
+    df_j /\\ omega."""
+    src = SliceLayout(problem, k, weight, 0, True)
     if src.dim == 0:
         return src, []
-    tgts = [SliceLayout(problem, k + 1, weight + d, 0, dys=())
-            for d in problem.degrees]
-    mat = SparseMatrix(sum(t.dim for t in tgts), src.dim, problem.field)
-    row0 = 0
-    for j, tgt in enumerate(tgts):
-        assemble(mat, df_form(problem, j), src, tgt, row0=row0)
-        row0 += tgt.dim
-    return src, kernel_basis(mat)
+    tgt = SliceLayout(problem, k + 1, weight, 1, True)
+    return src, kernel_basis(assemble(_d_x(problem), src, tgt))
 
 
 def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
@@ -233,14 +232,13 @@ def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
         tgt, open_vectors = layout, [vectors[i] for i in todo]
         if m:
             tgt = SliceLayout(problem, k, layout.q + m * g.homogeneous_degree(),
-                              0, dys=())
-            gm = assemble(SparseMatrix(tgt.dim, layout.dim, f),
-                          DiffForm.of_poly(problem, g.pow(m)), layout, tgt)
+                              0, True)
+            gm = assemble(DiffForm.of_poly(problem, g.pow(m)), layout, tgt)
             open_vectors = [[f.of(sum(c * vec[j] for j, c in row.items()))
                              for row in gm.rows] for vec in open_vectors]
         src = SliceLayout(problem, k - problem.r, tgt.q - sum(problem.degrees),
-                          0, dys=())
-        mat = assemble(SparseMatrix(tgt.dim, src.dim, f), product, src, tgt)
+                          0, True)
+        mat = assemble(product, src, tgt)
         left = []
         for i, inside in zip(todo, in_column_span(mat, open_vectors)):
             if inside:
@@ -293,17 +291,14 @@ def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
     only at the dy word dy_1..dy_r (the module docstring), so at total
     degree 2r only |I| = r is left. The E_1 term that could hit it comes
     from (2r-1, 0, r-1) of the reduced complex, which is 0 (p < r). So the
-    class is nonzero exactly when xi_r's coordinates on the reduced layout
-    (2r, 0, r) over K[x]/(f) are: when some r x r Jacobian minor lies
-    outside (f). They are the one column of the wedge with df_1 /\\ ...
-    /\\ df_r from the one-term layout of dy_1 /\\ ... /\\ dy_r."""
+    class is nonzero exactly when xi_r's coordinates on the reduced slice
+    (2r, 0, r) are, the dy-free quotient layout (r, sum d, 0): when some
+    r x r Jacobian minor lies outside (f). They are the one column of the
+    wedge with df_1 /\\ ... /\\ df_r from the unit layout (0, 0, 0)."""
     r = problem.r
-    dys = tuple(range(r))
-    dy_word = SliceLayout(problem, r, -sum(problem.degrees), r, dys)
-    tgt = basis(problem, 2 * r, 0, r, dys=dys)
-    mat = assemble(SparseMatrix(tgt.dim, dy_word.dim, problem.field),
-                   _df_product(problem), dy_word, tgt)
-    return any(mat.rows)
+    unit = SliceLayout(problem, 0, 0, 0, True)
+    tgt = basis(problem, r, sum(problem.degrees), 0, quotient=True)
+    return any(assemble(_df_product(problem), unit, tgt).rows)
 
 
 def check_verify_bounds(problem: ProblemInput, p_max: int | None,

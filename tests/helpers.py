@@ -20,7 +20,7 @@ from jacring.homology import boundary_matrix
 from jacring.linalg import SparseMatrix, in_column_span, rank, solve
 from jacring.polynomials import MultiPoly, monomials_of_degree
 from jacring.problem import ProblemInput, problem_from_strings
-from jacring.quotients import check_generators
+from jacring.quotients import check_generators, quotient_slice
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -271,7 +271,7 @@ def quotient_basis(problem: ProblemInput, k: int, weight: int) -> BasisSlice:
     """dx-only k-forms of the given weight with coefficients in K[x]/(f),
     f the problem's polynomials: the keys of the quotient layout of the
     p = 0 slice, with that block's quotient slice attached."""
-    layout = SliceLayout(problem, k, weight, 0, dys=())
+    layout = SliceLayout(problem, k, weight, 0, quotient=True)
     qs = _quotient(problem, layout.blocks[0][3]) if layout.blocks else None
     return BasisSlice(k, weight, 0, layout_keys(layout), qs)
 
@@ -305,15 +305,14 @@ def wedge_rule(mu_terms: dict, n: int, field):
 
 
 def per_term_assemble(mat: SparseMatrix, rule, source: BasisSlice,
-                      target: BasisSlice, row0: int = 0) -> SparseMatrix:
+                      target: BasisSlice) -> SparseMatrix:
     """Reference oracle for `forms.assemble`, and the assembler of the
-    oracles that need a general term rule: add into the rows of mat from
-    row0 on the matrix of the linear map with the given term rule: column j
-    holds the image of the j-th source key, rule(key) yields (image key,
-    coefficient) pairs, and the target maps each image term to its
-    coordinates. An image term outside the target raises SliceMismatch."""
-    f = mat.field
-    rows = mat.rows[row0:row0 + target.dim]
+    oracles that need a general term rule: add into the rows of mat the
+    matrix of the linear map with the given term rule: column j holds the
+    image of the j-th source key, rule(key) yields (image key, coefficient)
+    pairs, and the target maps each image term to its coordinates. An
+    image term outside the target raises SliceMismatch."""
+    f, rows = mat.field, mat.rows
     for col, key in enumerate(source.keys):
         for ikey, c in rule(key):
             for row, v in target.coords(ikey, c):
@@ -370,6 +369,49 @@ def quotient_wedge_matrix(mult: DiffForm, source: BasisSlice,
             for m in qs.complement:
                 mat.add_at(target.index[(m, zy, word, ())], col,
                            red[index[m]])
+    return mat
+
+
+def reduced_boundary_oracle(problem: ProblemInput, k: int, q: int,
+                            p: int) -> SparseMatrix:
+    """Oracle for boundary_matrix(problem, k, q, p, reduced=True) on the
+    reduced complex as first described, with no dy-free shift: its
+    (k, q, p) slice holds the terms x^a y^b dx_I dy_1..dy_r of the full
+    slice whose x^a is a complement monomial of K[x]/(f). Each term is
+    wedged with dF through wedge_rule (the f_j dy_j terms meet the full dy
+    word and vanish), and the image's coefficients at each y exponent and
+    word are read through normal_form_vector."""
+    f, top = problem.field, tuple(range(problem.r))
+    slices = {}
+
+    def quotient(xdeg):
+        """The degree-xdeg quotient slice and its monomial index."""
+        if xdeg not in slices:
+            qs = quotient_slice(list(problem.polys), xdeg)
+            slices[xdeg] = qs, monomial_index(qs)
+        return slices[xdeg]
+
+    def space(k, q, p):
+        return BasisSlice(k, q, p, [
+            key for key in layout_keys(SliceLayout(problem, k, q, p))
+            if key[3] == top
+            and key[0] in quotient(sum(key[0]))[0].complement])
+
+    src, tgt = space(k, q, p), space(k + 1, q, p + 1)
+    rule = wedge_rule(dF_of(problem).terms, problem.n, f)
+    mat = SparseMatrix(tgt.dim, src.dim, f)
+    for col, key in enumerate(src.keys):
+        images = {}
+        for (xexp, yexp, dxs, dys), c in rule(key):
+            qs, index = quotient(sum(xexp))
+            _, vec = images.setdefault((yexp, dxs, dys),
+                                       (qs, [f.zero] * len(qs.monomials)))
+            vec[index[xexp]] = f.add(vec[index[xexp]], c)
+        for (yexp, dxs, dys), (qs, vec) in images.items():
+            red = normal_form_vector(qs, vec)
+            for m, c in zip(qs.monomials, red):
+                if not f.is_zero(c):
+                    mat.rows[tgt.index[(m, yexp, dxs, dys)]][col] = c
     return mat
 
 

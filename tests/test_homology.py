@@ -115,12 +115,10 @@ def test_assembler_matches_per_column_oracle():
                     rule = wedge_rule(mult.terms, n, f)
                     where = (prob.degrees, f, k, weight, mult.k)
                     for quotient in (False, True):
-                        dys = () if quotient else None
-                        src = SliceLayout(prob, k, weight, 0, dys)
+                        src = SliceLayout(prob, k, weight, 0, quotient)
                         tgt = SliceLayout(prob, k + mult.k, weight + d, 0,
-                                          dys)
-                        got = assemble(SparseMatrix(tgt.dim, src.dim, f),
-                                       mult, src, tgt)
+                                          quotient)
+                        got = assemble(mult, src, tgt)
                         if quotient:
                             src = quotient_basis(prob, k, weight)
                             tgt = quotient_basis(prob, k + mult.k,
@@ -145,20 +143,18 @@ def test_assemble_rejects_a_target_that_misses_the_image():
         tgt = SliceLayout(prob, k, q, p)
         assert src.dim and tgt.dim
         with pytest.raises(SliceMismatch):
-            assemble(SparseMatrix(tgt.dim, src.dim, prob.field),
-                     dF_of(prob), src, tgt)
+            assemble(dF_of(prob), src, tgt)
     # a quotient layout, the dx-only 1-forms of weight 4 over
     # K[x]/(x1^3 + x2^3 + x3^3): the wedge with a term from the layout of
     # the unit reads the term's coordinates, a pivot monomial through its
     # normal form, and refuses a term outside the layout
     prob = fermat_cubic()
-    unit = SliceLayout(prob, 0, 0, 0, dys=())
-    layout = SliceLayout(prob, 1, 4, 0, dys=())
+    unit = SliceLayout(prob, 0, 0, 0, quotient=True)
+    layout = SliceLayout(prob, 1, 4, 0, quotient=True)
     oracle = quotient_basis(prob, 1, 4)
     pivot = next(iter(oracle.quotient.pivot_normal_forms()))
     inside = DiffForm.term(prob, pivot, (0,), (0,), ())
-    mat = assemble(SparseMatrix(layout.dim, unit.dim, prob.field), inside,
-                   unit, layout)
+    mat = assemble(inside, unit, layout)
     assert unit.dim == 1
     assert [row.get(0, Q.zero) for row in mat.rows] == \
         oracle.vector_of_form(inside)
@@ -168,8 +164,7 @@ def test_assemble_rejects_a_target_that_misses_the_image():
               DiffForm.term(prob, (2, 0, 0), (0,), (0, 1), ())]  # word length
     for stray in strays:
         with pytest.raises(SliceMismatch):
-            assemble(SparseMatrix(layout.dim, unit.dim, prob.field), stray,
-                     unit, layout)
+            assemble(stray, unit, layout)
         with pytest.raises(SliceMismatch):
             oracle.vector_of_form(stray)
 
@@ -431,7 +426,8 @@ def test_q_problem_builds_bases_only_to_rank_over_q(monkeypatch):
     come from the slice counts and the modular copy's ranks.
     cohomology_report ranks the full complex through the modular copy;
     verify, which takes its dimensions from the reduced complex at r = 2,
-    adds the witness's reduced (2r, 0, r) layout."""
+    adds the witness's layout: the reduced (2r, 0, r) slice as the
+    dy-free quotient layout (r, sum d, 0)."""
     calls = _record_boundaries(monkeypatch)
     ranked = []
 
@@ -448,10 +444,10 @@ def test_q_problem_builds_bases_only_to_rank_over_q(monkeypatch):
     assert report.passed
     assert report.dims == dims
     q_ranked = {id(mat) for mat in ranked if mat.field.kind == "Q"}
-    allowed = {(2 * r, 0, r, tuple(range(r)))}
+    allowed = {(r, sum(prob.degrees), 0, True)}
     for problem, k, q, p, mat, reduced in calls:
         if problem is prob and not reduced and id(mat) in q_ranked:
-            allowed |= {(k, q, p, None), (k + 1, q, p + 1, None)}
+            allowed |= {(k, q, p, False), (k + 1, q, p + 1, False)}
     built = {key[1:] for key in prob._cache if key[0] == "basis"}
     assert built and built <= allowed
     assert any(problem is not prob for problem, *_ in calls)
@@ -476,14 +472,15 @@ def test_verify_at_2_le_r_le_n_uses_no_full_complex(monkeypatch, make):
     """At 2 <= r <= n verify takes its dimensions from the reduced complex
     and reads the witness class on a quotient layout, so it ranks and
     assembles no boundary of the full complex, division rows included."""
-    original = homology.boundary_matrix
+    original, original_rank = homology.boundary_matrix, homology._boundary_rank
 
     def reduced_only(problem, k, q, p, reduced=False):
         assert reduced, ("full-complex boundary", k, q, p)
         return original(problem, k, q, p, reduced)
 
-    def no_full_rank(problem, k, q, p):
-        raise AssertionError(("full-complex rank", k, q, p))
+    def no_full_rank(problem, k, q, p, *, reduced=False):
+        assert reduced, ("full-complex rank", k, q, p)
+        return original_rank(problem, k, q, p, reduced=reduced)
     monkeypatch.setattr(homology, "boundary_matrix", reduced_only)
     monkeypatch.setattr(homology, "_boundary_rank", no_full_rank)
     prob = make()

@@ -1,25 +1,28 @@
 """The reduced complex of `verify` at 2 <= r <= n: the forms
 c y^b dx_I dy_1..dy_r with c in K[x]/(f) under d_x F /\\ . . Its slice
-counts, its dimensions against the full complex's, the proof obligation
-(f regular), and the CLI bytes of both paths."""
+counts, its boundary against the term-by-term oracle, its dimensions
+against the full complex's, the proof obligation (f regular), and the CLI
+bytes of both paths, traced and untraced."""
 from __future__ import annotations
 
 import pytest
 
+import jacring.cli as cli
 import jacring.homology as homology
 from jacring.certify import (Certificate, no_common_zero_certificate,
                              smooth_ci_certificate)
 from jacring.forms import SliceLayout
 from jacring.hilbert import _regular_quotient_dim, reduced_slice_dim
-from jacring.homology import (cohomology_dim, cohomology_report,
-                              verify_predictions)
+from jacring.homology import (boundary_matrix, cohomology_dim,
+                              cohomology_report, verify_predictions)
 from jacring.problem import problem_from_strings
 
 import digest_outputs
+import spans  # perfbench's tracer, on sys.path through digest_outputs
 from helpers import (F32003, Q, exceptional_pair_char2, fermat_cubic,
-                     product_hilbert_series, square_pair, two_conics,
-                     two_quadrics)
-from test_cli import QUADRICS, SQUARES, write
+                     product_hilbert_series, reduced_boundary_oracle,
+                     square_pair, two_conics, two_quadrics)
+from test_cli import QUADRICS, QUADRICS_P4, SQUARES, write
 
 REGULAR = [two_quadrics, lambda: two_quadrics(F32003), two_conics,
            square_pair, exceptional_pair_char2]
@@ -42,19 +45,37 @@ def _window(prob):
 @pytest.mark.parametrize("make", REGULAR, ids=REGULAR_IDS)
 def test_reduced_counts_match_the_layouts_and_the_hilbert_series(make):
     """On every certified fixture with r >= 2, reduced_slice_dim counts
-    the terms of the layout it predicts, and each degree's part of
-    K[x]/(f) is the coefficient of prod (1 - t^d_j) / (1-t)^n."""
+    the terms of the layout it predicts, the reduced (k, q, p) slice as the
+    dy-free quotient layout (k - r, q + sum d, p - r), and each degree's
+    part of K[x]/(f) is the coefficient of prod (1 - t^d_j) / (1-t)^n."""
     prob = make()
     assert prob.r >= 2 and _certified(prob)
     n, d = prob.n, prob.degrees
     series = product_hilbert_series(n, d, 12)
     assert [_regular_quotient_dim(n, d, a) for a in range(13)] == series
-    top = tuple(range(prob.r))
-    for k, q, p in _window(prob) + [(prob.n + prob.r + 1, 0, 3)]:
-        layout = SliceLayout(prob, k, q, p, top)
+    r = prob.r
+    for k, q, p in _window(prob) + [(prob.n + r + 1, 0, 3)]:
+        layout = SliceLayout(prob, k - r, q + sum(d), p - r, quotient=True)
         assert reduced_slice_dim(n, d, k, q, p) == layout.dim, (k, q, p)
-        for l, _, _, xdeg, _, words, monos in layout.blocks:
-            assert len(monos) == series[xdeg]
+        for _, J, _, xdeg, _, _, monos in layout.blocks:
+            assert J == () and len(monos) == series[xdeg]
+
+
+@pytest.mark.parametrize("make", [two_quadrics, lambda: two_quadrics(F32003),
+                                  two_conics],
+                         ids=["quadrics-Q", "quadrics-F32003", "conics"])
+def test_reduced_boundary_is_d_x_on_the_reduced_slices(make):
+    """The reduced boundary, assembled on the dy-free quotient layouts,
+    equals entry for entry the oracle that wedges each term
+    x^a y^b dx_I dy_1..dy_r of the reduced slice with dF and reads the
+    image through normal forms: q = 0, p <= 3, every k."""
+    prob = make()
+    for k in range(prob.n + prob.r + 1):
+        for p in range(4):
+            got = boundary_matrix(prob, k, 0, p, reduced=True)
+            want = reduced_boundary_oracle(prob, k, 0, p)
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            assert got.rows == want.rows, (k, p)
 
 
 @pytest.mark.parametrize("make", REGULAR, ids=REGULAR_IDS)
@@ -88,16 +109,15 @@ def test_forcing_the_reduced_complex_on_a_non_regular_pair_is_wrong(
 
 
 def _record_layouts(monkeypatch) -> list:
-    """(k, q, p, dys) of every layout homology builds, dys None over
-    K[x]."""
+    """(k, q, p, quotient) of every layout homology builds."""
     made = []
 
     class Recording(SliceLayout):
         __slots__ = ()
 
-        def __init__(self, problem, k, q, p, dys=None):
-            made.append((k, q, p, dys))
-            super().__init__(problem, k, q, p, dys)
+        def __init__(self, problem, k, q, p, quotient=False):
+            made.append((k, q, p, quotient))
+            super().__init__(problem, k, q, p, quotient)
     monkeypatch.setattr(homology, "SliceLayout", Recording)
     return made
 
@@ -105,11 +125,11 @@ def _record_layouts(monkeypatch) -> list:
 def test_r_1_verify_and_cohomology_assemble_only_the_full_complex(
         monkeypatch):
     """At r = 1 verify's dimensions come from the full complex: homology
-    ranks no reduced slice, and the only reduced layout it builds is the
-    witness class's one-term source, dy_1 at (1, -3, 1). The witness lands
-    in one quotient layout, the reduced (2, 0, 1), through forms.basis.
-    cohomology keeps the full complex at r = 2 too; verify at r = 2 lays
-    out the reduced slices."""
+    ranks no reduced slice, and the only quotient layout it builds is the
+    witness class's source, the unit layout (0, 0, 0). The witness lands
+    in one quotient layout, the reduced (2, 0, 1) as the dy-free (1, 3, 0),
+    through forms.basis. cohomology keeps the full complex at r = 2 too;
+    verify at r = 2 lays out the reduced slices over K[x]/(f)."""
     made = _record_layouts(monkeypatch)
     for field in (Q, F32003):
         prob = fermat_cubic(field)
@@ -117,17 +137,16 @@ def test_r_1_verify_and_cohomology_assemble_only_the_full_complex(
                                   p_max=4).passed
         assert not [key for key in prob._cache if key[0] == "rrank"]
         assert [key for key in prob._cache
-                if key[0] == "basis"] == [("basis", 2, 0, 1, (0,))]
-        reduced = [kqp for kqp in made if kqp[3] is not None]
-        assert reduced == [(1, -3, 1, (0,))]
+                if key[0] == "basis"] == [("basis", 1, 3, 0, True)]
+        assert [kqp for kqp in made if kqp[3]] == [(0, 0, 0, True)]
         made.clear()
     # cohomology certifies nothing, so it keeps the full complex at r = 2
     cohomology_report(two_conics(), [(k, 0, p) for k in range(6)
                                      for p in range(3)])
-    assert made and {dys for *_, dys in made} == {None}
+    assert made and {quotient for *_, quotient in made} == {False}
     prob = two_conics()
     assert verify_predictions(prob, smooth_ci_certificate(prob)).passed
-    assert (0, 1) in {dys for *_, dys in made}
+    assert True in {quotient for *_, quotient in made}
 
 
 def _cli_bytes(run, monkeypatch, full: bool):
@@ -172,3 +191,22 @@ def test_reduced_and_full_paths_print_the_same_bytes(tmp_path, capsys,
         reduced = _cli_bytes(run, monkeypatch, full=False)
         assert reduced[0] == 0 and reduced[1]
         assert _cli_bytes(run, monkeypatch, full=True) == reduced
+
+
+def test_traced_r_2_verify_prints_the_untraced_bytes(tmp_path, capsys):
+    """perfbench's tracer wraps _boundary_rank and forms.basis behind
+    pre-hooks that take four positional arguments. verify at r = 2 ranks
+    the reduced complex and reads the witness class through both, and
+    prints the same bytes traced as untraced: two quadrics in P^3 over
+    F_32003, and the P^4 golden input with --m-max 1."""
+    cases = [(QUADRICS, ["--field", "F32003", "--p", "3"]),
+             (QUADRICS_P4, ["--m-max", "1", "--p", "2"])]
+    for text, argv in cases:
+        argv = ["verify", write(tmp_path, text), *argv]
+        untraced = cli.main(argv), capsys.readouterr().out
+        tracer = spans.Tracer()
+        with tracer.installed():
+            traced = cli.main(argv), capsys.readouterr().out
+        assert traced == untraced and untraced[0] == 0 and untraced[1]
+        names = {span[0] for span in tracer.spans}
+        assert {"homology.brank", "forms.basis"} <= names, argv
