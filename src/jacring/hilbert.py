@@ -10,8 +10,10 @@ exact quotient by (1-t)^(E+1) per E and a truncated product of r series:
 a polynomial amount of work in n and r. The per-vector sum itself is the
 reference oracle of the tests.
 
-Everything is computed in exact rational arithmetic; integrality of the final
-answers is asserted, never rounded.
+H(t) is computed on integer coefficient lists, scaled by (n-1)! so that
+every step is exact over Z; the final division by (n-1)! asserts its
+integrality, never rounds. The `Poly` type, with exact rational
+coefficients, carries the results and the series built from them.
 """
 from __future__ import annotations
 
@@ -97,16 +99,6 @@ class Poly:
         res.coeffs = out
         return res
 
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        res = Poly()
-        if c:
-            res.coeffs = {k: c * v for k, v in self.coeffs.items()}
-        return res
-
-    def derivative(self) -> "Poly":
-        return Poly({k - 1: k * c for k, c in self.coeffs.items() if k > 0})
-
     def __call__(self, value) -> Fraction:
         return sum((c * Fraction(value) ** k for k, c in self.coeffs.items()),
                    Fraction(0))
@@ -179,22 +171,57 @@ _ONE_MINUS_T = Poly({0: 1, 1: -1})
 
 
 @cache
+def _eulerian_coeffs(e: int) -> tuple[int, ...]:
+    """The integer coefficients of p_e, constant term first, from
+    p_(j+1) = t ((1-t) p_j' + (j+1) p_j). Memoized per e."""
+    if e < 0:
+        raise InputError("e must be nonnegative")
+    p = [1]
+    for j in range(e):
+        dp = [k * c for k, c in enumerate(p)][1:] + [0]
+        p = [0] + [a - b + (j + 1) * c
+                   for a, b, c in zip(dp, [0] + dp, p)]
+    return tuple(p)
+
+
+@cache
 def eulerian_p(e: int) -> Poly:
     """The polynomial p_e with p_e(t)/(1-t)^(e+1) = (t d/dt)^e 1/(1-t).
     Memoized: every caller gets the same Poly, which none mutates."""
-    if e < 0:
-        raise InputError("e must be nonnegative")
-    p = Poly.one()
-    for j in range(e):
-        p = Poly.t() * (_ONE_MINUS_T * p.derivative() + p.scale(j + 1))
-    return p
+    return Poly(dict(enumerate(_eulerian_coeffs(e))))
 
 
-def _quotients(n: int, r: int) -> dict[int, Poly]:
-    """Q_(n,E) = G_(n,E) / (1-t)^(E+1) for E = r..n-1, where
-    G_(n,E)(t) = sum_l (-1)^(n-l) C(n,l) A_(n,E)(l) t^(n-l) and
-    A_(n,E)(l) = [X^E] prod_(j=1..n-1) (X - l + j) / (n-1)!."""
-    A = []      # A[l][E] = (n-1)! A_(n,E)(l), an integer
+def _add_product(acc: list[int], a, b, scale: int) -> None:
+    """acc += scale * a * b on coefficient lists, acc long enough."""
+    for i, x in enumerate(a):
+        if x:
+            x *= scale
+            for j, y in enumerate(b):
+                acc[i + j] += x * y
+
+
+def _divide_by_one_minus_t(g: list[int], times: int) -> list[int]:
+    """The exact quotient of g by (1-t)^times on integer coefficient
+    lists: each division by 1 - t is a running sum, whose last value is the
+    remainder g(1). Raises InputError on a nonzero remainder."""
+    for _ in range(times):
+        q, s = [], 0
+        for c in g:
+            s += c
+            q.append(s)
+        if q.pop():
+            raise InputError("polynomial division is not exact")
+        g = q
+    return g
+
+
+def _scaled_quotients(n: int, r: int) -> dict[int, list[int]]:
+    """(n-1)! Q_(n,E) = G_(n,E) / (1-t)^(E+1) for E = r..n-1, as integer
+    coefficient lists, where (n-1)! G_(n,E)(t) = sum_l (-1)^(n-l) C(n,l)
+    A_(n,E)(l) t^(n-l) and A_(n,E)(l) = [X^E] prod_(j=1..n-1) (X - l + j),
+    an integer. (1-t)^(E+1) is monic up to sign, so the quotient of an
+    integer polynomial by it is integral when exact."""
+    A = []      # A[l][E] = A_(n,E)(l)
     for l in range(n + 1):
         a = [1]
         for j in range(1, n):
@@ -202,12 +229,10 @@ def _quotients(n: int, r: int) -> dict[int, Poly]:
         A.append(a)
     out = {}
     for E in range(r, n):
-        g = Poly({n - l: Fraction((-1) ** (n - l) * comb(n, l) * A[l][E],
-                                  factorial(n - 1))
-                  for l in range(n + 1)})
-        one_minus_t_power = Poly({k: (-1) ** k * comb(E + 1, k)
-                                  for k in range(E + 2)})
-        out[E] = g.divide_exact(one_minus_t_power)
+        g = [0] * (n + 1)
+        for l in range(n + 1):
+            g[n - l] = (-1) ** (n - l) * comb(n, l) * A[l][E]
+        out[E] = _divide_by_one_minus_t(g, E + 1)
     return out
 
 
@@ -220,24 +245,40 @@ def closed_form_H(n: int, d) -> Poly:
     E!/prod e_i! * prod d_i^(e_i), so it is taken one E at a time:
     H = (-1)^(n-r) sum_(p=r..n-1) t^p + sum_E Q_(n,E)(t) S_E(t), with
     S_E = E! [z^E] prod_i sum_(e>=1) (d_i z)^e p_e(t)/e!, a binomial
-    convolution over the r degrees."""
+    convolution over the r degrees. All of it runs on integer coefficient
+    lists for (n-1)! H, and the one division by (n-1)! at the end is the
+    integrality assertion."""
     r = len(d)
     if not 1 <= r < n:
         raise HypothesisViolation(f"the closed form needs 1 <= r < n "
                                   f"(got r={r}, n={n})")
     if any(di < 1 for di in d):
         raise InputError("degrees must be at least 1")
-    S = [Poly.one()] + [Poly.zero()] * (n - 1)
+    S = [[1]] + [[0]] * (n - 1)
     for di in d:
-        S = [sum(((S[E - e] * eulerian_p(e)).scale(comb(E, e) * di ** e)
-                  for e in range(1, E + 1)), Poly.zero())
-             for E in range(n)]
+        new = []
+        for E in range(n):
+            acc = [0] * (E + 1)      # S_E has degree at most E
+            for e in range(1, E + 1):
+                _add_product(acc, S[E - e], _eulerian_coeffs(e),
+                             comb(E, e) * di ** e)
+            new.append(acc)
+        S = new
+    scale = factorial(n - 1)
     sign = -1 if (n - r) % 2 else 1
-    H = Poly({p: sign for p in range(r, n)})
-    for E, quot in _quotients(n, r).items():
-        H = H + quot * S[E]
-    H.int_coefficients()   # integrality assertion
-    return H
+    total = [0] * n              # Q_(n,E) S_E has degree at most n-1
+    for p in range(r, n):
+        total[p] = sign * scale
+    for E, quot in _scaled_quotients(n, r).items():
+        _add_product(total, quot, S[E], 1)
+    H = {}
+    for k, c in enumerate(total):
+        h, rem = divmod(c, scale)
+        if rem:
+            raise InputError(f"coefficient of t^{k} is not an integer: "
+                             f"{Fraction(c, scale)}")
+        H[k] = h
+    return Poly(H)
 
 
 def euler_series(n: int, d) -> Poly:

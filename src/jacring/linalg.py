@@ -4,8 +4,10 @@ A `SparseMatrix` is a list of sparse rows, each a dict col -> nonzero
 scalar. One column-order echelon serves every field, with one elimination
 step per field family: over Q it works fraction-free on integer rows and
 divides each updated row by the gcd of its entries; mod p it works on
-Python ints reduced mod p, exact for every p. Rank over Q counts its
-pivots, row reduction back-substitutes, and a batch of column-span
+Python ints reduced mod p, exact for every p. A column -> holder rows
+index hands each step the rows it changes, so the echelon's cost follows
+the rows that hold each pivot column, not all remaining rows. Rank over Q
+counts its pivots, row reduction back-substitutes, and a batch of column-span
 questions reads the pivot rows past the matrix. Rank mod p runs structured
 Gaussian elimination instead (Markowitz pivots on a copy of the rows,
 exact for every p) and, for p below _NUMPY_P_LIMIT, hands the dense Schur
@@ -133,29 +135,39 @@ def _eliminate_modp(row: dict[int, int], prow: dict[int, int], col: int,
 def _echelon(rows: list[dict[int, int]],
              eliminate) -> tuple[list[int], list[dict[int, int]]]:
     """Forward elimination on sparse rows, over the occupied columns in
-    order (elimination never fills a column that no row holds). The pivot
-    is the shortest row holding the column, then the one of least |entry|;
-    only the rows holding the column change, by the field family's
-    `eliminate`. Returns the pivot columns and the pivot rows."""
+    order (elimination never fills a column that no row holds). A column
+    -> holder rows index finds each column's rows: the pivot is the
+    shortest holder, then the one of least |entry|, then the earliest row,
+    and only the other holders change, by the field family's `eliminate`.
+    An updated row changes membership only in the pivot row's columns, so
+    its bookkeeping costs len(pivot row). Returns the pivot columns and the
+    pivot rows."""
+    live = {i: row for i, row in enumerate(rows) if row}
+    holders: dict[int, set[int]] = {}
+    for i, row in live.items():
+        for j in row:
+            holders.setdefault(j, set()).add(i)
     pivots: list[int] = []
     prows: list[dict[int, int]] = []
-    for col in sorted(set().union(*rows)):
-        if not rows:
-            break
-        best = -1
-        best_key = None
-        for idx, row in enumerate(rows):
-            v = row.get(col)
-            if v:
-                key = (len(row), abs(v))
-                if best_key is None or key < best_key:
-                    best, best_key = idx, key
-        if best < 0:
+    for col in sorted(holders):
+        held = holders.pop(col)
+        if not held:
             continue
-        prow = rows.pop(best)
-        rows = [eliminate(row, prow, col) if col in row else row
-                for row in rows]
-        rows = [row for row in rows if row]
+        best = min(held, key=lambda i: (len(live[i]), abs(live[i][col]), i))
+        held.discard(best)
+        prow = live.pop(best)
+        touched = [(j, holders[j]) for j in prow if j != col]
+        for _, holding in touched:
+            holding.discard(best)
+        for i in held:
+            row = live[i] = eliminate(live[i], prow, col)
+            for j, holding in touched:
+                if j in row:
+                    holding.add(i)
+                else:
+                    holding.discard(i)
+            if not row:
+                del live[i]
         pivots.append(col)
         prows.append(prow)
     return pivots, prows

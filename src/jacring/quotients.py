@@ -11,6 +11,8 @@ division needs.
 """
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import InputError
 from .linalg import SparseMatrix, rank, rref_rows
 from .polynomials import MultiPoly, monomials_of_degree
@@ -68,16 +70,35 @@ def _macaulay_matrix(gens: list[MultiPoly],
                      degree: int) -> tuple[list, SparseMatrix]:
     """The Macaulay matrix of (gens) in one degree: the degree's monomials,
     one per column, and the sparse matrix with one row per product m*g of a
-    monomial m and a generator g with deg(m*g) = degree."""
+    monomial m and a generator g with deg(m*g) = degree, generator by
+    generator and m in `monomials_of_degree` order.
+
+    Exponent tuples enter as integers in base degree + 1. The code is
+    additive, and it is one-to-one on exponents up to `degree`, which bounds
+    every exponent of a degree-`degree` product, so the column of m*x^a is
+    the index of code(m) + code(a). The multiplier codes are built once per
+    distinct generator degree."""
     check_generators(gens)
     nvars = gens[0].nvars
     monomials = monomials_of_degree(nvars, degree)
-    index = {m: i for i, m in enumerate(monomials)}
-    products = [(m, g) for g in gens for m in
-                monomials_of_degree(nvars, degree - g.homogeneous_degree())]
-    mat = SparseMatrix(len(products), len(index), gens[0].field)
-    mat.rows = [{index[tuple(a + b for a, b in zip(m, exp))]: c
-                 for exp, c in g.terms.items()} for m, g in products]
+    weights = [(degree + 1) ** i for i in range(nvars)]
+
+    def codes(exps):
+        return [sum(map(mul, exp, weights)) for exp in exps]
+
+    index = dict(zip(codes(monomials), range(len(monomials))))
+    multipliers: dict[int, list[int]] = {}
+    rows = []
+    for g in gens:
+        gd = g.homogeneous_degree()
+        if gd not in multipliers:
+            multipliers[gd] = codes(monomials_of_degree(nvars, degree - gd))
+        if multipliers[gd]:
+            terms = list(zip(codes(g.terms), g.terms.values()))
+            rows.extend({index[m + a]: c for a, c in terms}
+                        for m in multipliers[gd])
+    mat = SparseMatrix(len(rows), len(monomials), gens[0].field)
+    mat.rows = rows
     return monomials, mat
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
@@ -13,6 +14,7 @@ from typing import NamedTuple
 
 from jacring.errors import HypothesisViolation, InputError, SliceMismatch
 from jacring.fields import PrimeField, Rationals, add_term
+from jacring import forms
 from jacring.forms import (DiffForm, SliceLayout, _merge_words, _quotient,
                            dF_of, df_form)
 from jacring.hilbert import Poly, eulerian_p
@@ -83,6 +85,34 @@ def singular_cubic_curve() -> ProblemInput:
     return problem_from_strings(Q, 3, ["x1*x2*x3"])
 
 
+@cache
+def cached_problem(make) -> ProblemInput:
+    """One problem per fixture maker for the whole session, so the ranks
+    and multiplication tables cached on it are computed once for every test
+    that reads it. A test that counts what gets built either makes its own
+    problem or counts only what its own calls add."""
+    return make()
+
+
+def record_table_builds(monkeypatch) -> list:
+    """The list that (id(problem), g, a, quotient) of every multiplication
+    table `forms` builds from now on is appended to."""
+    built = []
+    original = forms._mult_table
+
+    def counting(problem, g, a, quotient):
+        built.append((id(problem), g, a, quotient))
+        return original(problem, g, a, quotient)
+    monkeypatch.setattr(forms, "_mult_table", counting)
+    return built
+
+
+def cached_tables(problems) -> set:
+    """(id(problem), g, a, quotient) of the tables cached on the problems."""
+    return {(id(problem), *key[1:]) for problem in problems
+            for key in problem._cache if key[0] == "table"}
+
+
 def sympy_quotient_dim(gens, degree):
     """Oracle: count standard monomials of a Groebner basis in one degree."""
     import pytest
@@ -110,6 +140,24 @@ def sympy_quotient_dim(gens, degree):
         if not any(divisible(m, l) for l in lead_exps):
             count += 1
     return count
+
+
+def macaulay_oracle(gens, degree) -> tuple[list, SparseMatrix]:
+    """The Macaulay matrix as `quotients._macaulay_matrix` promises it,
+    built by adding exponent tuples: one row per generator g and monomial m
+    of degree `degree - deg g`, generator by generator, m in
+    `monomials_of_degree` order, each row's entries in g's term order."""
+    check_generators(gens)
+    nvars = gens[0].nvars
+    monomials = monomials_of_degree(nvars, degree)
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = [{index[tuple(a + b for a, b in zip(m, exp))]: c
+             for exp, c in g.terms.items()}
+            for g in gens for m in
+            monomials_of_degree(nvars, degree - g.homogeneous_degree())]
+    mat = SparseMatrix(len(rows), len(monomials), gens[0].field)
+    mat.rows = rows
+    return monomials, mat
 
 
 def monomial_index(qs) -> dict:
@@ -627,6 +675,26 @@ def _rank_dense_gauss(rows, is_zero, inv, mul, sub) -> int:
         if rk == len(rows):
             break
     return rk
+
+
+def echelon_scan_oracle(rows, eliminate) -> tuple[list, list]:
+    """`linalg._echelon`'s pivot rule by a scan of every remaining row per
+    column: the shortest row holding the column, then the least |entry|,
+    then the earliest row. Consumes the rows like `_echelon` does."""
+    rows = [row for row in rows if row]
+    pivots, prows = [], []
+    for col in sorted(set().union(*rows)):
+        holding = [(len(row), abs(row[col]), i)
+                   for i, row in enumerate(rows) if col in row]
+        if not holding:
+            continue
+        prow = rows.pop(min(holding)[2])
+        rows = [eliminate(row, prow, col) if col in row else row
+                for row in rows]
+        rows = [row for row in rows if row]
+        pivots.append(col)
+        prows.append(prow)
+    return pivots, prows
 
 
 # ---------------------------------------------------------------------------

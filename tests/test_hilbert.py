@@ -11,8 +11,10 @@ import pytest
 
 from jacring.errors import HypothesisViolation, InputError
 from jacring.fields import PrimeField, Rationals
-from jacring.hilbert import (Poly, closed_form_H, euler_series, eulerian_p,
-                             hodge_table, omega_slice_dim, symmetry_check)
+from jacring import hilbert
+from jacring.hilbert import (Poly, _divide_by_one_minus_t, closed_form_H,
+                             euler_series, eulerian_p, hodge_table,
+                             omega_slice_dim, symmetry_check)
 
 from helpers import (H_at_one, closed_form_H_per_vector, coeff_a, g_poly,
                      product_hilbert_series)
@@ -29,7 +31,6 @@ def test_poly_arithmetic():
     one, t = Poly.one(), Poly.t()
     sq = (one + t) * (one + t)
     assert sq == Poly({0: 1, 1: 2, 2: 1})
-    assert sq.derivative() == Poly({0: 2, 1: 2})
     assert sq(2) == 9 and sq(Fraction(1, 2)) == Fraction(9, 4)
     assert (sq - sq).is_zero() and sq.degree() == 2
     assert Poly.zero().degree() == -1
@@ -178,6 +179,40 @@ def test_closed_form_hypothesis_errors():
         H_at_one(2, (1, 1))
     with pytest.raises(InputError):
         closed_form_H(3, (0,))
+
+
+def test_division_by_powers_of_one_minus_t():
+    """The running-sum division of integer coefficient lists by
+    (1-t)^times agrees with Poly.divide_exact where the division is exact,
+    and a G that (1-t)^times does not divide raises InputError."""
+    rng = random.Random(56)
+    for _ in range(30):
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        times = rng.randint(1, 5)
+        g = Poly(dict(enumerate(q)))
+        for _ in range(times):
+            g = g * Poly({0: 1, 1: -1})
+        coeffs = [int(g.coefficient(k)) for k in range(len(q) + times)]
+        assert _divide_by_one_minus_t(coeffs, times) == q
+    assert _divide_by_one_minus_t([1, -2, 1], 2) == [1]
+    for g, times in (([1, -2, 1], 3), ([1, 1], 1), ([2, -1, -1], 2)):
+        with pytest.raises(InputError):
+            _divide_by_one_minus_t(g, times)
+
+
+def test_closed_form_asserts_integrality(monkeypatch):
+    """(n-1)! H(t) is divided by (n-1)! exactly or not at all: a quotient
+    off by one in its constant term leaves a non-integral coefficient,
+    and closed_form_H raises InputError."""
+    honest = hilbert._scaled_quotients
+
+    def off_by_one(n, r):
+        out = honest(n, r)
+        return {E: [q[0] + 1] + q[1:] for E, q in out.items()}
+
+    monkeypatch.setattr(hilbert, "_scaled_quotients", off_by_one)
+    with pytest.raises(InputError, match="not an integer"):
+        closed_form_H(4, (2, 2))
 
 
 def test_closed_form_matches_per_vector_oracle():

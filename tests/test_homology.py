@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import jacring.forms as forms
 from jacring.certify import no_common_zero_certificate, smooth_ci_certificate
 from jacring.errors import CertificateRequired, InputError, SliceMismatch
 from jacring.fields import PrimeField
@@ -22,13 +21,14 @@ from jacring.linalg import SparseMatrix, in_column_span, rank
 from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
 
-from helpers import (F2, F3, F32003, Q, boundary, conic_char2,
+from helpers import (F2, F3, F32003, Q, boundary, cached_tables, conic_char2,
                      exceptional_pair_char2, fermat_cubic, fermat_quintic,
                      full_witness_class_is_nonzero, key_basis,
                      koszul_cohomology_dim, matrix_of, per_term_assemble,
                      quotient_basis, quotient_wedge_matrix,
-                     singular_cubic_curve, square_pair, theta, theta_matrix,
-                     theta_preimage, two_conics, two_quadrics, wedge_rule, xi)
+                     record_table_builds, singular_cubic_curve, square_pair,
+                     theta, theta_matrix, theta_preimage, two_conics,
+                     two_quadrics, wedge_rule, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +204,13 @@ def test_boundary_matrix_acts_as_the_boundary(data):
 def test_report_builds_no_basis_and_each_table_once(monkeypatch):
     """cohomology_report assembles its boundaries on slice layouts: it
     caches no basis, on the problem or on its modular copy, and builds each
-    multiplication table once per problem, (g, a) and ring."""
-    built = []
-    original = forms._mult_table
-
-    def counting(problem, g, a, quotient):
-        built.append((id(problem), g, a, quotient))
-        return original(problem, g, a, quotient)
-    monkeypatch.setattr(forms, "_mult_table", counting)
-    cached = []
+    multiplication table once per problem, (g, a) and ring. The two
+    quadrics get the same check on their shared problem in
+    test_reduced_complex, whose window contains this one."""
+    built = record_table_builds(monkeypatch)
+    cached = set()
     problems = []
-    for prob in (fermat_cubic(), two_conics(F32003), two_quadrics()):
+    for prob in (fermat_cubic(), two_conics(F32003)):
         slices = [(k, q, p) for k in range(prob.n + prob.r + 1)
                   for q in (-1, 0, 1) for p in range(4)]
         cohomology_report(prob, slices)
@@ -222,8 +218,7 @@ def test_report_builds_no_basis_and_each_table_once(monkeypatch):
         for problem in [prob] + ([reduced] if reduced else []):
             problems.append(problem)   # keeps each id() unique
             assert not [key for key in problem._cache if key[0] == "basis"]
-            cached += [(id(problem), *key[1:]) for key in problem._cache
-                       if key[0] == "table"]
+            cached |= cached_tables([problem])
     assert cached
     assert sorted(built, key=repr) == sorted(cached, key=repr)
 

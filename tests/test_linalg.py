@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -14,9 +15,9 @@ from jacring.homology import boundary_matrix
 from jacring.linalg import (SparseMatrix, in_column_span, kernel_basis, rank,
                             rref_rows, solve)
 
-from helpers import (RREF_FIELDS, fermat_cubic, problem_from_strings,
-                     rank_reference, square_pair, to_dense_rows, two_conics,
-                     two_quadrics)
+from helpers import (RREF_FIELDS, echelon_scan_oracle, fermat_cubic,
+                     problem_from_strings, rank_reference, square_pair,
+                     to_dense_rows, two_conics, two_quadrics)
 
 Q = Rationals()
 FIELDS = [Q, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003),
@@ -456,6 +457,71 @@ def test_row_reduction_is_exact_at_primes_beyond_int64(p):
         _, mac = quotients._macaulay_matrix(gens, degree)
         assert (qs.pivots, qs.rows) == _sympy_rref(mac.rows, mac.ncols,
                                                    field), degree
+
+
+ECHELON_FIELDS = [Q, PrimeField(2), PrimeField(32003), PrimeField(2**89 - 1)]
+# (what it covers, ncols, rows, pivot columns in every ECHELON_FIELDS field)
+ECHELON_CASES = [
+    ("empty and duplicate rows", 4,
+     [{}, {0: 1, 2: 3}, {0: 1, 2: 3}, {}, {1: 1, 3: 1}, {1: 1, 3: 1}],
+     [0, 1]),
+    # the last row loses column 0 to row 0, then cancels against row 1
+    ("a row cancels to zero mid-elimination", 3,
+     [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}], [0, 1]),
+    # row 0 pivots on column 0 and row 1 loses column 2 to it
+    ("a column whose holders vanish before its turn", 4,
+     [{0: 1, 2: 1}, {0: 1, 2: 1, 3: 1}, {1: 1}], [0, 1, 3]),
+    # rows 1 and 2 gain column 3 from the pivot rows above them
+    ("fill into a later column", 4,
+     [{0: 1, 3: 1}, {0: 1, 1: 1}, {1: 1, 2: 1}, {2: 2, 3: 1}], [0, 1, 2, 3]),
+]
+
+
+def _echelon_input(rows, field):
+    """The rows and elimination step that _echelon_over hands to
+    _echelon."""
+    if field.kind == "Q":
+        return linalg._int_dict_rows(rows), linalg._eliminate_q
+    return ([dict(row) for row in rows if row],
+            partial(linalg._eliminate_modp, p=field.p))
+
+
+@pytest.mark.parametrize("case", ECHELON_CASES,
+                         ids=[c[0] for c in ECHELON_CASES])
+def test_echelon_edge_cases(case):
+    """The indexed echelon on rows that exercise its bookkeeping: its
+    pivots and pivot rows equal the scan oracle's, its rank the reference
+    rank, and its RREF sympy's, over Q, F_2, F_32003 and a prime beyond
+    2^63."""
+    _, ncols, ints, want_pivots = case
+    for field in ECHELON_FIELDS:
+        rows = [{j: field.of(v) for j, v in row.items()
+                 if not field.is_zero(field.of(v))} for row in ints]
+        mat = SparseMatrix(len(rows), ncols, field)
+        mat.rows = [dict(row) for row in rows]
+        work, eliminate = _echelon_input(rows, field)
+        pivots, prows = linalg._echelon(copy.deepcopy(work), eliminate)
+        assert (pivots, prows) == echelon_scan_oracle(work, eliminate)
+        assert pivots == want_pivots, field
+        assert rank(mat) == rank_reference(mat) == len(pivots)
+        assert rref_rows(rows, field) == _sympy_rref(rows, ncols, field)
+
+
+def test_echelon_pivot_rule_matches_the_scan_oracle():
+    """Shortest row, then least |entry|, then the earliest row: the same
+    pivot rows as a scan of every remaining row, on random rows with
+    repeats and small entries, where ties are common."""
+    rng = random.Random(37)
+    for field in ECHELON_FIELDS:
+        for trial in range(40):
+            ncols = rng.randint(1, 10)
+            mat = random_matrix(rng, field, rng.randint(0, 12), ncols,
+                                density=rng.choice([0.2, 0.4, 0.8]),
+                                denominators=True)
+            rows = mat.rows + [dict(row) for row in mat.rows[:2]]
+            work, eliminate = _echelon_input(rows, field)
+            got = linalg._echelon(copy.deepcopy(work), eliminate)
+            assert got == echelon_scan_oracle(work, eliminate), (field, trial)
 
 
 def test_rank_kernel_and_span_leave_the_rows_unchanged():

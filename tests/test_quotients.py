@@ -8,13 +8,14 @@ from jacring.certify import jacobian_minors, m_primary_certificate
 from jacring.errors import InputError
 from jacring.fields import PrimeField, Rationals
 from jacring.linalg import rank
-from jacring.polynomials import MultiPoly, monomials_of_degree
+from jacring.polynomials import MultiPoly, monomials_of_degree, parse_poly
 from jacring.quotients import _macaulay_matrix, quotient_dim, quotient_slice
 
 from helpers import (RREF_FIELDS, fermat_cubic, koszul_cohomology_dim,
-                     monomial_index, normal_form, product_hilbert_series,
-                     random_homogeneous, slice_vector, square_pair,
-                     sympy_quotient_dim, two_conics, two_quadrics)
+                     macaulay_oracle, monomial_index, normal_form,
+                     product_hilbert_series, random_homogeneous, slice_vector,
+                     square_pair, sympy_quotient_dim, two_conics,
+                     two_quadrics)
 
 Q = Rationals()
 
@@ -123,6 +124,51 @@ def test_pivot_normal_forms_lie_in_the_ideal_coset():
                     mac.nrows += len(rows)
                     where = (field, prob.degrees, len(gens), degree)
                     assert rank(mac) == before == len(qs.pivots), where
+
+
+# (what it covers, nvars, generators, degree, number of rows)
+MACAULAY_CASES = [
+    ("one variable", 1, ["3*x1^2", "x1^3"], 4, 2),
+    ("degree 0", 2, ["3", "x1 + x2"], 0, 1),
+    ("multiplier degree 0", 3, ["x1^2 + x2*x3"], 2, 1),
+    ("generator above the degree", 2, ["x1^3", "x2^2"], 2, 1),
+    ("mixed degrees", 3, ["x1^2 - x2*x3", "x1*x2*x3 + 4*x3^3", "x2^2",
+                          "x1 + x2"], 4, 6 + 3 + 6 + 10),
+]
+
+
+@pytest.mark.parametrize("case", MACAULAY_CASES,
+                         ids=[c[0] for c in MACAULAY_CASES])
+def test_macaulay_matrix_matches_the_tuple_oracle(case):
+    """The integer-coded builder gives the rows of the tuple-addition
+    oracle, in the same order and each row's entries in the same order,
+    over Q and F_p."""
+    _, nvars, exprs, degree, nrows = case
+    names = [f"x{i + 1}" for i in range(nvars)]
+    for field in (Q, PrimeField(2), PrimeField(32003)):
+        gens = [parse_poly(field, names, e) for e in exprs]
+        monomials, mat = _macaulay_matrix(gens, degree)
+        want_monomials, want = macaulay_oracle(gens, degree)
+        assert monomials == want_monomials
+        assert (mat.nrows, mat.ncols) == (want.nrows, want.ncols)
+        assert mat.nrows == len(mat.rows) == nrows
+        assert [list(row.items()) for row in mat.rows] == [
+            list(row.items()) for row in want.rows], (field, case[0])
+
+
+def test_macaulay_matrix_matches_the_tuple_oracle_on_random_generators():
+    rng = random.Random(31)
+    for field in (Q, PrimeField(3), PrimeField(32003)):
+        for trial in range(25):
+            nvars = rng.randint(1, 4)
+            gens = [random_homogeneous(rng, field, nvars, rng.randint(0, 4))
+                    for _ in range(rng.randint(1, 4))]
+            for degree in range(6):
+                monomials, mat = _macaulay_matrix(gens, degree)
+                want_monomials, want = macaulay_oracle(gens, degree)
+                assert monomials == want_monomials
+                assert [list(row.items()) for row in mat.rows] == [
+                    list(row.items()) for row in want.rows], (field, trial)
 
 
 def test_generator_check_is_shared():

@@ -19,11 +19,14 @@ from jacring.problem import problem_from_strings
 
 import digest_outputs
 import spans  # perfbench's tracer, on sys.path through digest_outputs
-from helpers import (F32003, Q, exceptional_pair_char2, fermat_cubic,
-                     product_hilbert_series, reduced_boundary_oracle,
-                     square_pair, two_conics, two_quadrics)
+from helpers import (F32003, Q, cached_problem, cached_tables,
+                     exceptional_pair_char2, fermat_cubic,
+                     product_hilbert_series, record_table_builds,
+                     reduced_boundary_oracle, square_pair, two_conics,
+                     two_quadrics)
 from test_cli import QUADRICS, QUADRICS_P4, SQUARES, write
 
+# the tests below share one problem per maker (helpers.cached_problem)
 REGULAR = [two_quadrics, lambda: two_quadrics(F32003), two_conics,
            square_pair, exceptional_pair_char2]
 REGULAR_IDS = ["quadrics-Q", "quadrics-F32003", "conics", "squares",
@@ -48,7 +51,7 @@ def test_reduced_counts_match_the_layouts_and_the_hilbert_series(make):
     the terms of the layout it predicts, the reduced (k, q, p) slice as the
     dy-free quotient layout (k - r, q + sum d, p - r), and each degree's
     part of K[x]/(f) is the coefficient of prod (1 - t^d_j) / (1-t)^n."""
-    prob = make()
+    prob = cached_problem(make)
     assert prob.r >= 2 and _certified(prob)
     n, d = prob.n, prob.degrees
     series = product_hilbert_series(n, d, 12)
@@ -61,15 +64,13 @@ def test_reduced_counts_match_the_layouts_and_the_hilbert_series(make):
             assert J == () and len(monos) == series[xdeg]
 
 
-@pytest.mark.parametrize("make", [two_quadrics, lambda: two_quadrics(F32003),
-                                  two_conics],
-                         ids=["quadrics-Q", "quadrics-F32003", "conics"])
+@pytest.mark.parametrize("make", REGULAR[:3], ids=REGULAR_IDS[:3])
 def test_reduced_boundary_is_d_x_on_the_reduced_slices(make):
     """The reduced boundary, assembled on the dy-free quotient layouts,
     equals entry for entry the oracle that wedges each term
     x^a y^b dx_I dy_1..dy_r of the reduced slice with dF and reads the
     image through normal forms: q = 0, p <= 3, every k."""
-    prob = make()
+    prob = cached_problem(make)
     for k in range(prob.n + prob.r + 1):
         for p in range(4):
             got = boundary_matrix(prob, k, 0, p, reduced=True)
@@ -79,12 +80,24 @@ def test_reduced_boundary_is_d_x_on_the_reduced_slices(make):
 
 
 @pytest.mark.parametrize("make", REGULAR, ids=REGULAR_IDS)
-def test_reduced_and_full_dimensions_agree(make):
-    prob = make()
+def test_reduced_and_full_dimensions_agree(make, monkeypatch):
+    """Both complexes give the same dimensions on the window. Its ranks are
+    the largest of the suite, so they are taken once, on the shared
+    problem, and the same reports are checked to cache no basis and to
+    build each multiplication table once per problem (the modular copy
+    included), (g, a) and ring, as test_homology checks elsewhere."""
+    prob = cached_problem(make)
     assert _certified(prob)
     window = _window(prob)
+    problems = [prob] + [m for m in [homology._reduction(prob)] if m]
+    before = cached_tables(problems)
+    built = record_table_builds(monkeypatch)
     reduced = cohomology_report(prob, window, reduced=True)
     assert reduced == cohomology_report(prob, window)
+    assert sorted(built, key=repr) == sorted(
+        cached_tables(problems) - before, key=repr)
+    assert not [key for problem in problems for key in problem._cache
+                if key[0] == "basis"]
     # H^k(q, p) = 0 below k = r or p = r, with no matrix built
     assert not any(dim for (k, _, p), dim in reduced.items()
                    if k < prob.r or p < prob.r)
