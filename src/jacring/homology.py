@@ -14,7 +14,7 @@ on the coordinate vectors of one dx-only layout over K[x]/(f):
 `wedge_division_solve` tests them as they are at m = 0, and at m >= 1
 applies the assembled multiplication by g^m.
 
-`verify` at 2 <= r <= n takes its dimensions from the E_1 page instead.
+`verify` at every r <= n takes its dimensions from the E_1 page instead.
 dF = d_x + d_y, with d_x = (sum_j y_j df_j) /\\ . and
 d_y = (sum_j f_j dy_j) /\\ . ; filtered by the dx word length, the E_0
 differential is d_y, the Koszul complex of f_1..f_r. When f is a regular
@@ -27,32 +27,32 @@ onto them from the dy-free forms over K[x]/(f) that commutes with d_x, so
 the reduced slice (k, q, p) is laid out as the dy-free quotient layout
 (k - r, q + sum d, p - r), the kind wedge division uses too. Its slice
 sizes are counted by `hilbert.reduced_slice_dim`, which is 0 below k = r
-or p = r. The proof that f is regular is the certificate that verify
-requires. A successful smooth-ci certificate (r < n) proves
-(f, r x r minors) m-primary; on a component of V(f) of dimension
-> n - r every minor would vanish (Jacobian criterion), so there is no
-such component, and f is regular since K[x] is Cohen-Macaulay. A
+or p = r. At r = 1, f != 0 is regular; at r >= 2 the proof is the
+certificate that verify requires. A successful smooth-ci certificate
+(r < n) proves (f, r x r minors) m-primary; on a component of V(f) of
+dimension > n - r every minor would vanish (Jacobian criterion), so there
+is no such component, and f is regular since K[x] is Cohen-Macaulay. A
 successful no-common-zero certificate at r = n proves (f) m-primary.
 Without such a proof the reduced complex gives wrong dimensions, so
-`cohomology`, which certifies nothing, keeps the full complex, and so do
-r > n and the dimensions at r = 1, where the reduced complex costs more:
-it row reduces the Macaulay matrix of (f) in every x degree its slices
-reach, and it ranks exactly over Q where the full complex takes most
-ranks from the modular copy below. The reduced complex has no modular
-copy: at an unlucky prime the quotient's standard monomials can change,
-and a reduced matrix mod P would not be the reduction of the Q one.
-The witness class of verify is read on the E_1 page at every r
+`cohomology`, which certifies nothing, keeps the full complex, and so
+does r > n. The witness class of verify is read on the E_1 page too
 (`_witness_class_is_nonzero`): one assembled column, no rank.
 `_boundary_rank` ranks the boundaries of both complexes.
 
-Over Q a full-complex boundary rank comes first from a copy of the
-problem reduced mod the prime _MODULAR_PRIME = 2^31 - 1: reduction never
-raises a rank, and d∘d = 0 bounds the two ranks at a slice by its
-dimension, so where the mod-P cohomology of the copy vanishes at either
-end of a boundary, its mod-P rank is its Q rank. Every other boundary,
-and every boundary of a problem with no reduction (P divides a
-denominator, or a polynomial vanishes mod P), is ranked exactly over Q:
-the only full-complex boundaries a problem over Q assembles to rank.
+Over Q a boundary rank comes first from a copy of the problem reduced
+mod the prime _MODULAR_PRIME = 2^31 - 1 whose boundary is the entrywise
+reduction of the Q one: reduction never raises a rank, and d∘d = 0
+bounds the two ranks at a slice by its dimension, so where the mod-P
+cohomology of the copy vanishes at either end of a boundary, its mod-P
+rank is its Q rank. Every full-complex boundary reduces so. A reduced
+one does at r = 1 when f mod P keeps f's lex-leading monomial LM(f): the
+Macaulay columns of a quotient slice follow lex order, x1 > ... > xn,
+and {f} is a Groebner basis, so over both fields the pivots are the
+multiples of LM(f), and a normal form divides only by f's leading
+coefficient, a unit mod P. At r >= 2 the standard monomials can change
+mod P, so there is no copy. Every other boundary, and every boundary of a
+problem with no reduction (P divides a denominator, or a polynomial
+vanishes mod P), is ranked exactly over Q.
 """
 from __future__ import annotations
 
@@ -118,31 +118,35 @@ def _reduction(problem: ProblemInput) -> ProblemInput | None:
     return problem._cache[key]
 
 
-def _proves_rank(reduced: ProblemInput, k: int, q: int, p: int) -> bool:
-    """Whether the mod-P cohomology of the reduced problem vanishes at the
-    source or the target of the boundary out of (k, q, p), which proves that
-    boundary's Q rank equal to its mod-P rank (see the module docstring)."""
-    return (cohomology_dim(reduced, k, q, p) == 0
-            or cohomology_dim(reduced, k + 1, q, p + 1) == 0)
+def _proves_rank(modular: ProblemInput, k: int, q: int, p: int,
+                 reduced: bool) -> bool:
+    """Whether the mod-P cohomology of the modular copy's full or reduced
+    complex vanishes at the source or the target of the boundary out of
+    (k, q, p), which proves that boundary's Q rank equal to its mod-P rank
+    (see the module docstring)."""
+    return (cohomology_dim(modular, k, q, p, reduced) == 0
+            or cohomology_dim(modular, k + 1, q, p + 1, reduced) == 0)
 
 
 def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int, *,
                    reduced: bool = False) -> int:
     """Rank of the boundary out of (k, q, p) of the full complex or, with
     reduced set, of the reduced one, cached on the problem: 0 when its
-    source or target counts no term, else for the full complex over Q the
-    rank of the modular copy where a vanishing mod-P slice proves it, else
-    the rank of the assembled boundary (the reduced complex's over Q
-    exactly)."""
+    source or target counts no term, else over Q the rank of the modular
+    copy where a vanishing mod-P slice proves it, else the rank of the
+    assembled boundary."""
     key = ("rrank" if reduced else "brank", k, q, p)
     cached = problem._cache.get(key)
     if cached is None:
-        modular = None if reduced else _reduction(problem)
+        modular = _reduction(problem)
+        if reduced and modular is not None and (problem.r > 1 or max(
+                modular.polys[0].terms) != max(problem.polys[0].terms)):
+            modular = None   # no sound reduced copy (the module docstring)
         if (not _count(problem, k, q, p, reduced)
                 or not _count(problem, k + 1, q, p + 1, reduced)):
             cached = 0
-        elif modular is not None and _proves_rank(modular, k, q, p):
-            cached = _boundary_rank(modular, k, q, p)
+        elif modular is not None and _proves_rank(modular, k, q, p, reduced):
+            cached = _boundary_rank(modular, k, q, p, reduced=reduced)
         else:
             cached = rank(boundary_matrix(problem, k, q, p, reduced))
         problem._cache[key] = cached
@@ -314,14 +318,6 @@ def check_verify_bounds(problem: ProblemInput, p_max: int | None,
                          f" got r = {problem.r}, n = {problem.n}")
 
 
-def _uses_reduced(problem: ProblemInput) -> bool:
-    """Whether verify_predictions takes its dimensions from the reduced
-    complex: at 2 <= r <= n, where the certificate it requires proves f a
-    regular sequence (the module docstring). At r = 1 the full complex is
-    cheaper: the reduced one row reduces a quotient slice per x degree."""
-    return 2 <= problem.r <= problem.n
-
-
 def verify_predictions(problem: ProblemInput, certificate,
                        p_max: int | None = None,
                        division_m_max: int | None = None) -> VerificationReport:
@@ -330,9 +326,10 @@ def verify_predictions(problem: ProblemInput, certificate,
     The input fixes the mode: complete-intersection when r < n, which needs
     a successful smooth-ci certificate, else no-common-zero, which needs a
     successful no-common-zero certificate; without it CertificateRequired is
-    raised; then check_verify_bounds checks the bounds. At 2 <= r <= n
-    the dimensions come from the reduced complex, which that certificate
-    licenses (the module docstring).
+    raised; then check_verify_bounds checks the bounds. At r <= n the
+    dimensions come from the reduced complex: f is a regular sequence,
+    proven by that certificate at r >= 2 and by f != 0 at r = 1 (the
+    module docstring).
 
     With division_m_max set (complete-intersection mode), also checks the
     wedge-division property: every form in the joint kernel of all the
@@ -357,7 +354,7 @@ def verify_predictions(problem: ProblemInput, certificate,
         p_max = n + 1
     top = n + r
     slices = [(k, 0, p) for k in range(top + 1) for p in range(p_max + 1)]
-    dims = cohomology_report(problem, slices, _uses_reduced(problem))
+    dims = cohomology_report(problem, slices, r <= n)
 
     # every row outside the live ones must vanish
     live_rows = {2 * r, top - 1, top} if mode == MODE_CI else {2 * n}

@@ -320,13 +320,15 @@ def rref_rows(rows: list[dict], field) -> tuple[list[int], list[dict]]:
     scalar as in SparseMatrix.rows, which are left as they were. Returns
     (pivot columns, nonzero rows with unit pivots, no other entry in a
     pivot column, and columns in ascending order): the column-order echelon,
-    then back-substitution by the same elimination step. Exact over Q and
-    at every prime."""
+    then back-substitution by the same elimination step, last row first,
+    over the pivot columns each row holds. A later row is already reduced,
+    so eliminating it brings in no pivot column. Exact over Q and at every
+    prime."""
     pivots, prows, eliminate = _echelon_over(rows, field)
+    row_of = {pc: i for i, pc in enumerate(pivots)}
     for i in reversed(range(len(prows))):
-        for j in range(i + 1, len(prows)):
-            if pivots[j] in prows[i]:
-                prows[i] = eliminate(prows[i], prows[j], pivots[j])
+        for c in [c for c in prows[i] if c in row_of and c != pivots[i]]:
+            prows[i] = eliminate(prows[i], prows[row_of[c]], c)
     out = []
     for pc, row in zip(pivots, prows):
         if field.kind == "Q":

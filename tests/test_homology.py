@@ -460,13 +460,15 @@ def test_no_boundary_is_assembled_into_an_empty_slice(monkeypatch, make):
 
 
 @pytest.mark.parametrize("make", [two_quadrics, lambda: two_quadrics(F32003),
-                                  two_conics, square_pair],
+                                  two_conics, square_pair, fermat_cubic,
+                                  lambda: fermat_cubic(F32003)],
                          ids=["quadrics-Q", "quadrics-F32003", "conics",
-                              "squares"])
-def test_verify_at_2_le_r_le_n_uses_no_full_complex(monkeypatch, make):
-    """At 2 <= r <= n verify takes its dimensions from the reduced complex
+                              "squares", "cubic-Q", "cubic-F32003"])
+def test_verify_at_r_le_n_uses_no_full_complex(monkeypatch, make):
+    """At every r <= n verify takes its dimensions from the reduced complex
     and reads the witness class on a quotient layout, so it ranks and
-    assembles no boundary of the full complex, division rows included."""
+    assembles no boundary of the full complex, division rows included.
+    Over Q the modular copy ranks reduced slices at r = 1 only."""
     original, original_rank = homology.boundary_matrix, homology._boundary_rank
 
     def reduced_only(problem, k, q, p, reduced=False):
@@ -485,6 +487,9 @@ def test_verify_at_2_le_r_le_n_uses_no_full_complex(monkeypatch, make):
     else:
         report = verify_predictions(prob, no_common_zero_certificate(prob))
     assert report.passed
+    modular = homology._reduction(prob)
+    assert modular is None or (prob.r == 1) == any(
+        key[0] == "rrank" for key in modular._cache)
 
 
 # ---------------------------------------------------------------------------

@@ -369,9 +369,17 @@ def _sympy_rref(rows, ncols, field):
 
 def test_rref_matches_sympy_on_random_rows():
     """Rows with denominators, zero rows and repeated rows, against an
-    independent RREF, at primes below and beyond int64 products."""
+    independent RREF, at primes below and beyond int64 products; first,
+    dense upper-triangular rows where each row holds every later pivot
+    column and a free column between each two, so back-substitution
+    eliminates every later pivot from every row."""
     rng = random.Random(23)
     for field in RREF_FIELDS:
+        rows = [{j: field.of((1, 3, 7, 9)[(i + 2 * j) % 4])
+                 for j in range(2 * i, 16)} for i in range(8)]
+        pivots, red = rref_rows(rows, field)
+        assert pivots == list(range(0, 16, 2))
+        assert (pivots, red) == _sympy_rref(rows, 16, field), field
         for trial in range(30):
             ncols = rng.randint(1, 12)
             mat = random_matrix(rng, field, rng.randint(1, 10), ncols,

@@ -1,8 +1,9 @@
-"""The reduced complex of `verify` at 2 <= r <= n: the forms
+"""The reduced complex of `verify` at every r <= n: the forms
 c y^b dx_I dy_1..dy_r with c in K[x]/(f) under d_x F /\\ . . Its slice
 counts, its boundary against the term-by-term oracle, its dimensions
-against the full complex's, the proof obligation (f regular), and the CLI
-bytes of both paths, traced and untraced."""
+against the full complex's, its modular copy at r = 1, the proof
+obligation (f regular), and the CLI bytes of both paths, traced and
+untraced."""
 from __future__ import annotations
 
 import pytest
@@ -22,9 +23,9 @@ import spans  # perfbench's tracer, on sys.path through digest_outputs
 from helpers import (F32003, Q, cached_problem, cached_tables,
                      exceptional_pair_char2, fermat_cubic,
                      product_hilbert_series, record_table_builds,
-                     reduced_boundary_oracle, square_pair, two_conics,
-                     two_quadrics)
-from test_cli import QUADRICS, QUADRICS_P4, SQUARES, write
+                     reduced_boundary_oracle, singular_cubic_curve,
+                     square_pair, two_conics, two_quadrics)
+from test_cli import CUBIC, QUADRICS, QUADRICS_P4, SQUARES, write
 
 # the tests below share one problem per maker (helpers.cached_problem)
 REGULAR = [two_quadrics, lambda: two_quadrics(F32003), two_conics,
@@ -103,6 +104,53 @@ def test_reduced_and_full_dimensions_agree(make, monkeypatch):
                    if k < prob.r or p < prob.r)
 
 
+# r = 1 over Q: the lex-leading coefficient of the third cubic is not 1
+R_1 = [fermat_cubic, singular_cubic_curve,
+       lambda: problem_from_strings(Q, 3,
+                                    ["2*x1^3 - x2^3 + 3*x3^3 + x1*x2*x3"])]
+R_1_IDS = ["fermat", "singular", "leading-2"]
+
+
+@pytest.mark.parametrize("make", R_1, ids=R_1_IDS)
+def test_r_1_modular_copy_gives_the_reduced_q_dimensions(make, monkeypatch):
+    """At r = 1 f mod P keeps f's lex-leading monomial, so the reduced
+    complex takes the ranks that its modular copy proves (the copy caches
+    rrank keys). On the window its dimensions equal those ranked exactly
+    over Q, with _reduction patched to None, and the full complex's."""
+    prob = make()
+    window = _window(prob)
+    copied = cohomology_report(prob, window, reduced=True)
+    assert [key for key in homology._reduction(prob)._cache
+            if key[0] == "rrank"]
+    full = cohomology_report(make(), window)
+    monkeypatch.setattr(homology, "_reduction", lambda problem: None)
+    assert copied == cohomology_report(make(), window, reduced=True) == full
+
+
+def test_no_reduced_copy_when_the_prime_divides_the_leading_coefficient(
+        monkeypatch):
+    """Mod 5, 5 x1^3 + x2^3 + x3^3 + x1 x2 x3 leads with x1 x2 x3, so the
+    quotient's standard monomials change: the reduced complex takes no rank
+    from the copy, whose cache holds no rrank key, and still gives the full
+    complex's dimensions."""
+    monkeypatch.setattr(homology, "_MODULAR_PRIME", 5)
+    prob = problem_from_strings(Q, 3, ["5*x1^3 + x2^3 + x3^3 + x1*x2*x3"])
+    window = _window(prob)
+    reduced = cohomology_report(prob, window, reduced=True)
+    modular = homology._reduction(prob)
+    assert modular is not None
+    assert not [key for key in modular._cache if key[0] == "rrank"]
+    assert reduced == cohomology_report(prob, window)
+
+
+def _full_complex(monkeypatch):
+    """Makes verify take its dimensions from the full complex."""
+    report = homology.cohomology_report
+    monkeypatch.setattr(homology, "cohomology_report",
+                        lambda problem, slices, reduced=False:
+                        report(problem, slices))
+
+
 def test_forcing_the_reduced_complex_on_a_non_regular_pair_is_wrong(
         monkeypatch):
     """x1 x2, x1 x3 is no regular sequence, and no certificate proves it
@@ -116,7 +164,7 @@ def test_forcing_the_reduced_complex_on_a_non_regular_pair_is_wrong(
     forged = Certificate(kind="smooth-ci", field="Q", num_generators=2,
                          bound=1, vanishing_degree=1)
     reduced = verify_predictions(prob, forged, p_max=2).dims
-    monkeypatch.setattr(homology, "_uses_reduced", lambda problem: False)
+    _full_complex(monkeypatch)
     full = verify_predictions(prob, forged, p_max=2).dims
     assert (full[(2, 0, 1)], reduced[(2, 0, 1)]) == (1, 0)
 
@@ -135,31 +183,34 @@ def _record_layouts(monkeypatch) -> list:
     return made
 
 
-def test_r_1_verify_and_cohomology_assemble_only_the_full_complex(
+def test_r_1_verify_ranks_the_reduced_complex_and_cohomology_the_full(
         monkeypatch):
-    """At r = 1 verify's dimensions come from the full complex: homology
-    ranks no reduced slice, and the only quotient layout it builds is the
-    witness class's source, the unit layout (0, 0, 0). The witness lands
-    in one quotient layout, the reduced (2, 0, 1) as the dy-free (1, 3, 0),
-    through forms.basis. cohomology keeps the full complex at r = 2 too;
-    verify at r = 2 lays out the reduced slices over K[x]/(f)."""
+    """At r = 1 verify's dimensions come from the reduced complex: homology
+    lays out only quotient slices and ranks no full-complex boundary, on
+    the problem or on its modular copy. The witness lands in one quotient
+    layout, the reduced (2, 0, 1) as the dy-free (1, 3, 0), through
+    forms.basis. cohomology certifies nothing, so it keeps the full
+    complex at r = 1 and at r = 2."""
     made = _record_layouts(monkeypatch)
     for field in (Q, F32003):
         prob = fermat_cubic(field)
         assert verify_predictions(prob, smooth_ci_certificate(prob),
                                   p_max=4).passed
-        assert not [key for key in prob._cache if key[0] == "rrank"]
+        problems = [prob] + [m for m in [homology._reduction(prob)] if m]
+        assert len(problems) == (2 if field is Q else 1)
+        assert not [key for problem in problems for key in problem._cache
+                    if key[0] == "brank"]
+        assert [key for key in prob._cache if key[0] == "rrank"]
         assert [key for key in prob._cache
                 if key[0] == "basis"] == [("basis", 1, 3, 0, True)]
-        assert [kqp for kqp in made if kqp[3]] == [(0, 0, 0, True)]
+        assert made and {quotient for *_, quotient in made} == {True}
         made.clear()
-    # cohomology certifies nothing, so it keeps the full complex at r = 2
-    cohomology_report(two_conics(), [(k, 0, p) for k in range(6)
-                                     for p in range(3)])
-    assert made and {quotient for *_, quotient in made} == {False}
-    prob = two_conics()
-    assert verify_predictions(prob, smooth_ci_certificate(prob)).passed
-    assert True in {quotient for *_, quotient in made}
+    for prob in (fermat_cubic(), two_conics()):
+        cohomology_report(prob, [(k, 0, p) for k in range(prob.n + prob.r + 1)
+                                 for p in range(3)])
+        assert made and {quotient for *_, quotient in made} == {False}
+        assert not [key for key in prob._cache if key[0] == "rrank"]
+        made.clear()
 
 
 def _cli_bytes(run, monkeypatch, full: bool):
@@ -168,7 +219,7 @@ def _cli_bytes(run, monkeypatch, full: bool):
     counted = []
     with monkeypatch.context() as m:
         if full:
-            m.setattr(homology, "_uses_reduced", lambda problem: False)
+            _full_complex(m)
         m.setattr(homology, "reduced_slice_dim",
                   lambda *args: counted.append(args) or reduced_slice_dim(
                       *args))
@@ -179,7 +230,8 @@ def _cli_bytes(run, monkeypatch, full: bool):
 
 def _golden_runs(tmp_path, capsys):
     from jacring.cli import main
-    for text, argv in [(QUADRICS, ["--p", "2"]), (SQUARES, [])]:
+    for text, argv in [(QUADRICS, ["--p", "2"]), (SQUARES, []), (CUBIC, []),
+                       (CUBIC, ["--m-max", "1"])]:
         for fmt in ([], ["--json"]):
             def run(text=text, argv=argv, fmt=fmt):
                 rc = main(["verify", write(tmp_path, text), *argv, *fmt])
@@ -189,17 +241,19 @@ def _golden_runs(tmp_path, capsys):
 
 def _job_runs():
     jobs = {job.id: job for job in digest_outputs.jobs.generate("slices", 1)}
-    for jid in ("quadrics-fp", "conics-q-0", "quadrics-q-0"):
+    for jid in ("quadrics-fp", "conics-q-0", "quadrics-q-0",
+                "cubic-curve-q-0", "cubic-surface-q"):
         yield lambda job=jobs[jid]: digest_outputs.run(job)
 
 
 def test_reduced_and_full_paths_print_the_same_bytes(tmp_path, capsys,
                                                      monkeypatch):
-    """The r >= 2 verify goldens and three r = 2 benchmark jobs of seed 1
-    print the same bytes from the reduced complex and, monkeypatched,
-    from the full one."""
+    """The verify goldens of the quadrics, the squares and the cubic, and
+    five benchmark jobs of seed 1, three at r = 2 and two at r = 1, print
+    the same bytes from the reduced complex and, monkeypatched, from the
+    full one."""
     runs = list(_golden_runs(tmp_path, capsys)) + list(_job_runs())
-    assert len(runs) == 7
+    assert len(runs) == 13
     for run in runs:
         reduced = _cli_bytes(run, monkeypatch, full=False)
         assert reduced[0] == 0 and reduced[1]
