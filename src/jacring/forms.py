@@ -86,14 +86,6 @@ class DiffForm:
         return cls(problem, k)
 
     @classmethod
-    def term(cls, problem, xexp, yexp, dxs, dys, c=1) -> "DiffForm":
-        xexp, yexp = tuple(xexp), tuple(yexp)
-        dxs, dys = tuple(dxs), tuple(dys)
-        if len(xexp) != problem.n or len(yexp) != problem.r:
-            raise InputError("exponent tuple lengths do not match the problem")
-        return cls(problem, len(dxs) + len(dys), {(xexp, yexp, dxs, dys): c})
-
-    @classmethod
     def of_poly(cls, problem, poly: MultiPoly) -> "DiffForm":
         """A 0-form from a polynomial in the x-variables."""
         if poly.nvars != problem.n:
@@ -175,10 +167,6 @@ class DiffForm:
         res.terms = out
         return res
 
-    def times_poly(self, poly: MultiPoly) -> "DiffForm":
-        """Multiply by a polynomial in the x-variables."""
-        return DiffForm.of_poly(self.problem, poly).wedge(self)
-
     def to_string(self) -> str:
         if not self.terms:
             return "0"
@@ -244,36 +232,36 @@ def dF_of(problem: ProblemInput) -> DiffForm:
 def _words(problem: ProblemInput, l: int) -> tuple:
     """The ascending dx words of length l, in order, and the position of
     each word. Cached on the problem."""
-    key = ("words", l)
-    got = problem._cache.get(key)
-    if got is None:
-        words = list(combinations(range(problem.n), l))
-        got = problem._cache[key] = (words,
-                                     {w: i for i, w in enumerate(words)})
-    return got
+    return problem.memo(("words", l), _index_words, problem.n, l)
+
+
+def _index_words(n: int, l: int) -> tuple:
+    """_words's value, built on a cache miss."""
+    words = list(combinations(range(n), l))
+    return words, {w: i for i, w in enumerate(words)}
 
 
 def _quotient(problem: ProblemInput, xdeg: int):
     """The degree-xdeg quotient slice of K[x]/(f), f the problem's
     polynomials; cached on the problem."""
-    key = ("quotient", xdeg)
-    if key not in problem._cache:
-        problem._cache[key] = quotient_slice(list(problem.polys), xdeg)
-    return problem._cache[key]
+    return problem.memo(("quotient", xdeg), quotient_slice, problem.polys,
+                        xdeg)
 
 
 def _monomials(problem: ProblemInput, xdeg: int, quotient: bool) -> tuple:
     """The x-monomials of a block of degree xdeg and the position of each:
     every monomial of that degree, or over K[x]/(f) the complement
     monomials of its quotient slice. Cached on the problem."""
-    key = ("monomials", xdeg, quotient)
-    got = problem._cache.get(key)
-    if got is None:
-        monos = (_quotient(problem, xdeg).complement if quotient
-                 else monomials_of_degree(problem.n, xdeg))
-        got = problem._cache[key] = (monos,
-                                     {m: i for i, m in enumerate(monos)})
-    return got
+    return problem.memo(("monomials", xdeg, quotient), _index_monomials,
+                        problem, xdeg, quotient)
+
+
+def _index_monomials(problem: ProblemInput, xdeg: int,
+                     quotient: bool) -> tuple:
+    """_monomials's value, built on a cache miss."""
+    monos = (_quotient(problem, xdeg).complement if quotient
+             else monomials_of_degree(problem.n, xdeg))
+    return monos, {m: i for i, m in enumerate(monos)}
 
 
 def _coords(problem: ProblemInput, m: tuple, xdeg: int):
@@ -332,11 +320,8 @@ def basis(problem: ProblemInput, k: int, q: int, p: int, *,
           quotient: bool = False) -> SliceLayout:
     """SliceLayout(problem, k, q, p, quotient), cached on the problem: the
     quotient layout that the witness class of homology lands in."""
-    key = ("basis", k, q, p, quotient)
-    layout = problem._cache.get(key)
-    if layout is None:
-        layout = problem._cache[key] = SliceLayout(problem, k, q, p, quotient)
-    return layout
+    return problem.memo(("basis", k, q, p, quotient), SliceLayout, problem,
+                        k, q, p, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +363,8 @@ def _mult_table(problem: ProblemInput, g: tuple, a: int,
 
 def _table(problem: ProblemInput, g: tuple, a: int, quotient: bool) -> tuple:
     """_mult_table(problem, g, a, quotient), built once per problem."""
-    key = ("table", g, a, quotient)
-    table = problem._cache.get(key)
-    if table is None:
-        table = problem._cache[key] = _mult_table(problem, g, a, quotient)
-    return table
+    return problem.memo(("table", g, a, quotient), _mult_table, problem, g,
+                        a, quotient)
 
 
 def assemble(mu: DiffForm, source: SliceLayout,

@@ -40,19 +40,26 @@ does r > n. The witness class of verify is read on the E_1 page too
 `_boundary_rank` ranks the boundaries of both complexes.
 
 Over Q a boundary rank comes first from a copy of the problem reduced
-mod the prime _MODULAR_PRIME = 2^31 - 1 whose boundary is the entrywise
-reduction of the Q one: reduction never raises a rank, and d∘d = 0
-bounds the two ranks at a slice by its dimension, so where the mod-P
-cohomology of the copy vanishes at either end of a boundary, its mod-P
-rank is its Q rank. Every full-complex boundary reduces so. A reduced
-one does at r = 1 when f mod P keeps f's lex-leading monomial LM(f): the
-Macaulay columns of a quotient slice follow lex order, x1 > ... > xn,
-and {f} is a Groebner basis, so over both fields the pivots are the
-multiples of LM(f), and a normal form divides only by f's leading
-coefficient, a unit mod P. At r >= 2 the standard monomials can change
-mod P, so there is no copy. Every other boundary, and every boundary of a
-problem with no reduction (P divides a denominator, or a polynomial
-vanishes mod P), is ranked exactly over Q.
+mod the prime _MODULAR_PRIME = P = 2^31 - 1, accepted only under a proof
+(Abbott, Bronstein & Mulders, ISSAC '99). The copy exists when P divides
+no denominator and no polynomial vanishes mod P; then, for the full and
+the reduced complex alike, rank_P <= rank_Q on every boundary:
+1. A full boundary of the copy is the entrywise reduction of the Q one,
+   and reduction never raises a rank.
+2. At r = 1, f and f mod P are regular, so each reduced complex has the
+   cohomology h_j of its full complex (the E_1 argument above). The two
+   reduced complexes have equal slice sizes (`reduced_slice_dim`), and so
+   have the two full ones.
+3. Along a chain (k + i, q, p + i), which is 0 for small i, the boundary
+   d_i has rank sum_{j <= i} (-1)^(i-j) (dim C_j - h_j). So rank_P - rank_Q
+   of a reduced boundary equals that of the full boundary with the same
+   index, which is <= 0 by 1.
+Then d∘d = 0 bounds the two ranks at a slice by its dimension, so where
+the mod-P cohomology of the copy vanishes at either end of a boundary,
+its mod-P rank is its Q rank (`_proves_rank`). At r >= 2 nothing proves
+f mod P regular, so the reduced complex has no copy. Every other
+boundary, and every boundary of a problem with no copy, is ranked
+exactly over Q.
 """
 from __future__ import annotations
 
@@ -106,16 +113,17 @@ def _reduction(problem: ProblemInput) -> ProblemInput | None:
     shares nothing with it."""
     if problem.field.kind != "Q":
         return None
-    key = ("reduction",)
-    if key not in problem._cache:
-        field = PrimeField(_MODULAR_PRIME)
-        try:
-            reduced = ProblemInput(field, [MultiPoly(field, f.nvars, f.terms)
-                                           for f in problem.polys])
-        except (ZeroDivisionError, InputError):
-            reduced = None
-        problem._cache[key] = reduced
-    return problem._cache[key]
+    return problem.memo(("reduction",), _reduce, problem.polys)
+
+
+def _reduce(polys) -> ProblemInput | None:
+    """_reduction's value, built on a cache miss."""
+    field = PrimeField(_MODULAR_PRIME)
+    try:
+        return ProblemInput(field, [MultiPoly(field, f.nvars, f.terms)
+                                    for f in polys])
+    except (ZeroDivisionError, InputError):
+        return None
 
 
 def _proves_rank(modular: ProblemInput, k: int, q: int, p: int,
@@ -133,24 +141,22 @@ def _boundary_rank(problem: ProblemInput, k: int, q: int, p: int, *,
     """Rank of the boundary out of (k, q, p) of the full complex or, with
     reduced set, of the reduced one, cached on the problem: 0 when its
     source or target counts no term, else over Q the rank of the modular
-    copy where a vanishing mod-P slice proves it, else the rank of the
-    assembled boundary."""
-    key = ("rrank" if reduced else "brank", k, q, p)
-    cached = problem._cache.get(key)
-    if cached is None:
-        modular = _reduction(problem)
-        if reduced and modular is not None and (problem.r > 1 or max(
-                modular.polys[0].terms) != max(problem.polys[0].terms)):
-            modular = None   # no sound reduced copy (the module docstring)
-        if (not _count(problem, k, q, p, reduced)
-                or not _count(problem, k + 1, q, p + 1, reduced)):
-            cached = 0
-        elif modular is not None and _proves_rank(modular, k, q, p, reduced):
-            cached = _boundary_rank(modular, k, q, p, reduced=reduced)
-        else:
-            cached = rank(boundary_matrix(problem, k, q, p, reduced))
-        problem._cache[key] = cached
-    return cached
+    copy where a vanishing mod-P slice proves it (the reduced complex has
+    no copy at r >= 2), else the rank of the assembled boundary."""
+    return problem.memo(("rrank" if reduced else "brank", k, q, p),
+                        _prove_or_rank, problem, k, q, p, reduced)
+
+
+def _prove_or_rank(problem: ProblemInput, k: int, q: int, p: int,
+                   reduced: bool) -> int:
+    """_boundary_rank's value, computed on a cache miss."""
+    if (not _count(problem, k, q, p, reduced)
+            or not _count(problem, k + 1, q, p + 1, reduced)):
+        return 0
+    modular = None if reduced and problem.r > 1 else _reduction(problem)
+    if modular is not None and _proves_rank(modular, k, q, p, reduced):
+        return _boundary_rank(modular, k, q, p, reduced=reduced)
+    return rank(boundary_matrix(problem, k, q, p, reduced))
 
 
 def _count(problem: ProblemInput, k: int, q: int, p: int,

@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 Terms are stored as a dict mapping exponent tuples to nonzero scalars of the
-underlying field. Iteration order everywhere is graded-lexicographic on the
-exponent tuple, so all downstream constructions are deterministic.
+underlying field, in insertion order. Two orders are fixed, so everything
+built from them is deterministic: `monomials_of_degree` lists a degree's
+exponent tuples in descending lex order, x1 > ... > xn, and `iter_terms`
+yields terms in ascending graded-lex order.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ def grlex_key(exp: tuple) -> tuple:
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple]:
-    """All exponent tuples of the given total degree, in a fixed order."""
+    """All exponent tuples of the given total degree, in descending lex
+    order, x1 > ... > xn."""
     if degree < 0:
         return []
     if nvars == 1:
@@ -66,10 +69,6 @@ class MultiPoly:
         return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
-    def monomial(cls, field, nvars: int, exp, c=1) -> "MultiPoly":
-        return cls(field, nvars, {tuple(exp): c})
-
-    @classmethod
     def variable(cls, field, nvars: int, i: int) -> "MultiPoly":
         exp = [0] * nvars
         exp[i] = 1
@@ -89,7 +88,7 @@ class MultiPoly:
         return degs.pop()
 
     def iter_terms(self):
-        """(exponent, coefficient) pairs in graded-lex order."""
+        """(exponent, coefficient) pairs in ascending graded-lex order."""
         for exp in sorted(self.terms, key=grlex_key):
             yield exp, self.terms[exp]
 

@@ -65,6 +65,14 @@ class ProblemInput:
         )
         self._cache = {}
 
+    def memo(self, key, build, *args):
+        """The value cached on the problem under key, built as build(*args)
+        when the key is missing; a cached None counts as a hit."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build(*args)
+        return cache[key]
+
     def canonical_text(self) -> str:
         lines = [f"field {self.field!r}", f"n {self.n}", f"r {self.r}",
                  "degrees " + " ".join(map(str, self.degrees))]

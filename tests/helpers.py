@@ -224,6 +224,21 @@ def random_problem(rng: random.Random, field, n: int, r: int,
     return ProblemInput(field, polys)
 
 
+def form_term(problem: ProblemInput, xexp, yexp, dxs, dys,
+              c=1) -> DiffForm:
+    """The one-term form c x^xexp y^yexp dx_dxs dy_dys; InputError when an
+    exponent tuple has the wrong length or a word is not ascending."""
+    xexp, yexp, dxs, dys = map(tuple, (xexp, yexp, dxs, dys))
+    if len(xexp) != problem.n or len(yexp) != problem.r:
+        raise InputError("exponent tuple lengths do not match the problem")
+    return DiffForm(problem, len(dxs) + len(dys), {(xexp, yexp, dxs, dys): c})
+
+
+def times_poly(form: DiffForm, poly: MultiPoly) -> DiffForm:
+    """form multiplied by a polynomial in the x-variables."""
+    return DiffForm.of_poly(form.problem, poly).wedge(form)
+
+
 def random_form(rng: random.Random, problem: ProblemInput, k: int,
                 max_terms: int = 4, max_deg: int = 2) -> DiffForm:
     """A random k-form with small exponents; may be zero."""
@@ -241,8 +256,8 @@ def random_form(rng: random.Random, problem: ProblemInput, k: int,
         yexp = tuple(rng.randint(0, 1) for _ in range(r))
         c = rng.randint(-3, 3)
         if c:
-            form = form + DiffForm.term(problem, xexp, yexp, dxs, dys,
-                                        problem.field.of(c))
+            form = form + form_term(problem, xexp, yexp, dxs, dys,
+                                   problem.field.of(c))
     return form
 
 
@@ -491,10 +506,10 @@ def xi(problem: ProblemInput, k: int) -> DiffForm:
                 coef = f.mul(coef, f.of(problem.degrees[i]))
         if f.is_zero(coef):
             continue
-        part = DiffForm.term(problem, zx, zy, (), ())
+        part = form_term(problem, zx, zy, (), ())
         for j in subset:
             part = part.wedge(df_form(problem, j))
-        part = part.wedge(DiffForm.term(problem, zx, zy, (), subset))
+        part = part.wedge(form_term(problem, zx, zy, (), subset))
         acc = acc + part.scale(coef)
     return acc
 
@@ -954,7 +969,7 @@ def wedge_division_oracle(omega: DiffForm, multipliers: list[DiffForm],
         return zero_solution(0)
     for m in range(m_max + 1):
         # g^m * omega stays nonzero: K[x] is a domain
-        target = omega.times_poly(g.pow(m)) if m else omega
+        target = times_poly(omega, g.pow(m)) if m else omega
         weight = base_weight + (m * g.homogeneous_degree() if m else 0)
         tgt = space(k, weight)
         rhs = tgt.vector_of_form(target)

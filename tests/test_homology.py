@@ -23,7 +23,7 @@ from jacring.problem import problem_from_strings
 
 from helpers import (F2, F3, F32003, Q, boundary, cached_tables, conic_char2,
                      exceptional_pair_char2, fermat_cubic, fermat_quintic,
-                     full_witness_class_is_nonzero, key_basis,
+                     form_term, full_witness_class_is_nonzero, key_basis,
                      koszul_cohomology_dim, matrix_of, per_term_assemble,
                      quotient_basis, quotient_wedge_matrix,
                      record_table_builds, singular_cubic_curve, square_pair,
@@ -153,15 +153,15 @@ def test_assemble_rejects_a_target_that_misses_the_image():
     layout = SliceLayout(prob, 1, 4, 0, quotient=True)
     oracle = quotient_basis(prob, 1, 4)
     pivot = next(iter(oracle.quotient.pivot_normal_forms()))
-    inside = DiffForm.term(prob, pivot, (0,), (0,), ())
+    inside = form_term(prob, pivot, (0,), (0,), ())
     mat = assemble(inside, unit, layout)
     assert unit.dim == 1
     assert [row.get(0, Q.zero) for row in mat.rows] == \
         oracle.vector_of_form(inside)
-    strays = [DiffForm.term(prob, pivot, (1,), (0,), ()),        # a y
-              DiffForm.term(prob, pivot, (0,), (), (0,)),        # a dy
-              DiffForm.term(prob, (2, 0, 0), (0,), (0,), ()),    # x degree
-              DiffForm.term(prob, (2, 0, 0), (0,), (0, 1), ())]  # word length
+    strays = [form_term(prob, pivot, (1,), (0,), ()),        # a y
+              form_term(prob, pivot, (0,), (), (0,)),        # a dy
+              form_term(prob, (2, 0, 0), (0,), (0,), ()),    # x degree
+              form_term(prob, (2, 0, 0), (0,), (0, 1), ())]  # word length
     for stray in strays:
         with pytest.raises(SliceMismatch):
             assemble(stray, unit, layout)

@@ -28,8 +28,10 @@ def test_monomials_of_degree_counts():
 
 
 def test_monomials_order_deterministic():
-    """Lex order, x1 > ... > xn: the Macaulay columns of quotients follow
-    it, and the modular copy of homology's reduced complex relies on it."""
+    """Descending lex order, x1 > ... > xn. The Macaulay columns of the
+    quotient slices follow it, so it fixes their complement bases, the
+    order of kernel vectors and of matrix rows, and with them the output
+    bytes; no rank or dimension depends on it."""
     for nvars in range(1, 6):
         for N in range(0, 8):
             monos = monomials_of_degree(nvars, N)

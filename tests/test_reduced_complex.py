@@ -1,9 +1,9 @@
 """The reduced complex of `verify` at every r <= n: the forms
 c y^b dx_I dy_1..dy_r with c in K[x]/(f) under d_x F /\\ . . Its slice
 counts, its boundary against the term-by-term oracle, its dimensions
-against the full complex's, its modular copy at r = 1, the proof
-obligation (f regular), and the CLI bytes of both paths, traced and
-untraced."""
+against the full complex's, its modular copy at r = 1 and its absence at
+r = 2, the proof obligation (f regular), and the CLI bytes of both paths,
+traced and untraced."""
 from __future__ import annotations
 
 import pytest
@@ -104,19 +104,18 @@ def test_reduced_and_full_dimensions_agree(make, monkeypatch):
                    if k < prob.r or p < prob.r)
 
 
-# r = 1 over Q: the lex-leading coefficient of the third cubic is not 1
+# r = 1 over Q; the third cubic's coefficients are not all 1
 R_1 = [fermat_cubic, singular_cubic_curve,
        lambda: problem_from_strings(Q, 3,
                                     ["2*x1^3 - x2^3 + 3*x3^3 + x1*x2*x3"])]
 R_1_IDS = ["fermat", "singular", "leading-2"]
 
 
-@pytest.mark.parametrize("make", R_1, ids=R_1_IDS)
-def test_r_1_modular_copy_gives_the_reduced_q_dimensions(make, monkeypatch):
-    """At r = 1 f mod P keeps f's lex-leading monomial, so the reduced
-    complex takes the ranks that its modular copy proves (the copy caches
-    rrank keys). On the window its dimensions equal those ranked exactly
-    over Q, with _reduction patched to None, and the full complex's."""
+def _copy_gives_the_q_dimensions(make, monkeypatch):
+    """The reduced complex of make()'s problem takes the ranks that its
+    modular copy proves (the copy caches rrank keys), and on the window its
+    dimensions equal those ranked exactly over Q, with _reduction patched
+    to None, and the full complex's."""
     prob = make()
     window = _window(prob)
     copied = cohomology_report(prob, window, reduced=True)
@@ -127,20 +126,45 @@ def test_r_1_modular_copy_gives_the_reduced_q_dimensions(make, monkeypatch):
     assert copied == cohomology_report(make(), window, reduced=True) == full
 
 
-def test_no_reduced_copy_when_the_prime_divides_the_leading_coefficient(
+@pytest.mark.parametrize("make", R_1, ids=R_1_IDS)
+def test_r_1_modular_copy_gives_the_reduced_q_dimensions(make, monkeypatch):
+    """At r = 1 the reduced complex has a modular copy (the argument is in
+    homology's docstring), which gives the Q dimensions."""
+    _copy_gives_the_q_dimensions(make, monkeypatch)
+
+
+@pytest.mark.parametrize("prime, text", [
+    (5, "5*x1^3 + x2^3 + x3^3 + x1*x2*x3"),
+    (3, "3*x1^3 + x2^3 + x3^3 + x1*x2*x3")], ids=["P=5", "P=3-singular"])
+def test_reduced_copy_serves_when_the_prime_divides_the_leading_coefficient(
+        monkeypatch, prime, text):
+    """Mod P the cubic loses its lex-leading monomial x1^3, and mod 3 it is
+    singular at (1:0:0); f mod P is still nonzero, so regular, and the
+    reduced copy serves and gives the Q dimensions (homology's
+    docstring)."""
+    monkeypatch.setattr(homology, "_MODULAR_PRIME", prime)
+    _copy_gives_the_q_dimensions(
+        lambda: problem_from_strings(Q, 3, [text]), monkeypatch)
+
+
+def test_no_reduced_copy_at_r_2_where_the_prime_breaks_regularity(
         monkeypatch):
-    """Mod 5, 5 x1^3 + x2^3 + x3^3 + x1 x2 x3 leads with x1 x2 x3, so the
-    quotient's standard monomials change: the reduced complex takes no rank
-    from the copy, whose cache holds no rrank key, and still gives the full
-    complex's dimensions."""
+    """x1 x2 + 5 x3^2, x1 x3 + 5 x2^2 has a smooth-ci certificate over Q,
+    but mod 5 both forms vanish on x1 = 0, so f mod 5 is no regular
+    sequence. At r >= 2 the reduced complex takes no rank from the copy
+    (no rrank key), and its dimensions equal the full complex's, which
+    the copy serves soundly; a copy of the reduced complex would give
+    H^3(0, 2) = 1 where both give 0."""
     monkeypatch.setattr(homology, "_MODULAR_PRIME", 5)
-    prob = problem_from_strings(Q, 3, ["5*x1^3 + x2^3 + x3^3 + x1*x2*x3"])
-    window = _window(prob)
+    prob = problem_from_strings(Q, 3, ["x1*x2 + 5*x3^2", "x1*x3 + 5*x2^2"])
+    assert smooth_ci_certificate(prob).success
+    window = [(k, 0, p) for k in range(prob.n + prob.r + 1) for p in range(3)]
     reduced = cohomology_report(prob, window, reduced=True)
     modular = homology._reduction(prob)
     assert modular is not None
     assert not [key for key in modular._cache if key[0] == "rrank"]
     assert reduced == cohomology_report(prob, window)
+    assert reduced[(3, 0, 2)] == 0
 
 
 def _full_complex(monkeypatch):

@@ -15,8 +15,9 @@ from jacring.homology import joint_wedge_kernel, wedge_division_solve
 from jacring.polynomials import MultiPoly
 from jacring.problem import problem_from_strings
 
-from helpers import (Q, fermat_cubic, layout_keys, reduce_form_mod_ideal,
-                     singular_cubic_curve, two_conics, wedge_division_oracle)
+from helpers import (Q, fermat_cubic, form_term, layout_keys,
+                     reduce_form_mod_ideal, singular_cubic_curve, times_poly,
+                     two_conics, wedge_division_oracle)
 
 
 def conic_pair_of_points() -> "ProblemInput":
@@ -64,7 +65,7 @@ def _random_dx_form(rng, prob, k, degree):
         for mono in monomials_of_degree(prob.n, degree):
             c = rng.randint(-2, 2)
             if c:
-                form = form + DiffForm.term(prob, mono, zy, word, (), prob.field.of(c))
+                form = form + form_term(prob, mono, zy, word, (), prob.field.of(c))
     return form
 
 
@@ -180,8 +181,8 @@ def test_zero_solutions_have_word_length_k_minus_J():
     alpha of word length 2 - 1 = 1, so the identity can be checked."""
     prob = fermat_cubic()
     f = prob.polys[0]
-    omega = DiffForm.term(prob, (0, 0, 0), (0,), (0, 1), ()).times_poly(f)
-    mult = DiffForm.term(prob, (5, 0, 0), (0,), (0,), ())
+    omega = times_poly(form_term(prob, (0, 0, 0), (0,), (0, 1), ()), f)
+    mult = form_term(prob, (5, 0, 0), (0,), (0,), ())
     sol = wedge_division_oracle(omega, [mult], "saito", over="quotient-by-f")
     assert sol is not None and sol.m == 0 and sol.shape == "saito"
     assert [a.k for a in sol.alphas] == [1]
@@ -193,7 +194,7 @@ def test_unsolvable_form_returns_none():
     prob = fermat_cubic()
     dfs = _dfs(prob)
     zy = (0,)
-    omega = DiffForm.term(prob, (2, 0, 0), zy, (1, 2), ())  # x1^2 dx2 dx3
+    omega = form_term(prob, (2, 0, 0), zy, (1, 2), ())  # x1^2 dx2 dx3
     assert wedge_division_oracle(omega, dfs, "full-product") is None
     assert wedge_division_oracle(omega, dfs, "saito") is None
 
@@ -206,8 +207,8 @@ def test_saturation_finds_positive_exponent():
     dfs = _dfs(prob)
     g = _first_minor(prob)
     assert str(g) in ("2*x1", "(2)*x1") or g.terms == {(1, 0): Q.of(2)}
-    omega = DiffForm.term(prob, (0, 1), (0,), (0,), ()) \
-        - DiffForm.term(prob, (1, 0), (0,), (1,), ())
+    omega = form_term(prob, (0, 1), (0,), (0,), ()) \
+        - form_term(prob, (1, 0), (0,), (1,), ())
     # it is in the joint kernel over the quotient: df /\ omega = 0 mod (f)
     assert reduce_form_mod_ideal(dfs[0].wedge(omega)).is_zero()
     assert wedge_division_oracle(omega, dfs, "saito",
@@ -216,7 +217,7 @@ def test_saturation_finds_positive_exponent():
                                 saturation=(g, 3))
     assert sol is not None and sol.m == 1
     lhs = dfs[0].wedge(sol.alphas[0])
-    target = omega.times_poly(g)
+    target = times_poly(omega, g)
     assert reduce_form_mod_ideal(lhs - target).is_zero()
 
 
@@ -234,7 +235,7 @@ def test_singular_input_kernel_needs_no_saturation_at_smooth_points():
         # reported unsolvable; no exceptions, no wrong witnesses
         if sol is not None:
             lhs = dfs[0].wedge(sol.alphas[0])
-            target = omega if sol.m == 0 else omega.times_poly(g.pow(sol.m))
+            target = omega if sol.m == 0 else times_poly(omega, g.pow(sol.m))
             assert reduce_form_mod_ideal(lhs - target).is_zero()
 
 
@@ -254,7 +255,7 @@ def test_error_cases():
 def test_oracle_rejects_unknown_shapes():
     prob = fermat_cubic()
     dfs = _dfs(prob)
-    omega = dfs[0].wedge(DiffForm.term(prob, (0, 0, 0), (0,), (1,), ()))
+    omega = dfs[0].wedge(form_term(prob, (0, 0, 0), (0,), (1,), ()))
     with pytest.raises(InputError):
         wedge_division_oracle(omega, dfs, "not-a-shape")
     with pytest.raises(InputError):
@@ -299,7 +300,7 @@ def test_rank_decision_matches_the_oracle_on_every_division_check(
             if sol is None:
                 continue
             assert sol.m == m, (prob.degrees, check.name)
-            target = omega.times_poly(g.pow(m)) if m else omega
+            target = times_poly(omega, g.pow(m)) if m else omega
             # below word length r the image is 0, so the target itself
             # must vanish mod (f)
             lhs = (_full_product(prob, sol.alphas[0]) if omega.k >= prob.r
