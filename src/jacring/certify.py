@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import HypothesisViolation, InputError
+from .forms import df_product
 from .linalg import _NUMPY_P_LIMIT
 from .polynomials import MultiPoly
 from .problem import ProblemInput
@@ -72,16 +73,18 @@ def m_primary_certificate(gens: list[MultiPoly], bound: int,
 
 
 def jacobian_minors(problem: ProblemInput) -> list[MultiPoly]:
-    """All r x r minors of the Jacobian matrix (df_j/dx_i), as polynomials.
-    Requires r <= n."""
+    """All r x r minors of the Jacobian matrix (df_j/dx_i), as polynomials,
+    one per column set in combinations(range(n), r) order, zero ones
+    included: the coefficients of df_1 /\\ ... /\\ df_r
+    (forms.df_product) read off by dx word. Requires r <= n."""
     n, r = problem.n, problem.r
     if r > n:
         raise HypothesisViolation(f"r x r minors need r <= n (got r={r}, n={n})")
-    minors = []
-    for cols in combinations(range(n), r):
-        minors.append(_determinant([[problem.partials[j][i] for i in cols]
-                                    for j in range(r)]))
-    return minors
+    by_word = {}
+    for (xexp, _, dxs, _), c in df_product(problem).terms.items():
+        by_word.setdefault(dxs, {})[xexp] = c
+    return [MultiPoly(problem.field, n, by_word.get(cols))
+            for cols in combinations(range(n), r)]
 
 
 def jacobian_determinant(problem: ProblemInput) -> MultiPoly:
@@ -89,21 +92,6 @@ def jacobian_determinant(problem: ProblemInput) -> MultiPoly:
     if problem.r != problem.n:
         raise HypothesisViolation("the Jacobian determinant needs r == n")
     return jacobian_minors(problem)[0]
-
-
-def _determinant(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Cofactor expansion along the first row; fine at the sizes used here."""
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    field = rows[0][0].field
-    nvars = rows[0][0].nvars
-    total = MultiPoly.zero(field, nvars)
-    for j in range(m):
-        sub = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _determinant(sub)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def smooth_ci_certificate(problem: ProblemInput,

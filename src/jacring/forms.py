@@ -3,7 +3,8 @@
 A form is a sum of terms  c * x^a y^b dx_I dy_J  with I, J ascending index
 tuples; the wedge factors are kept in the canonical order "all dx before all
 dy". The boundary of the complex is the left wedge with dF,
-F = sum_j y_j f_j (`dF_of`).
+F = sum_j y_j f_j (`dF_of`); the r x r Jacobian minors are the
+coefficients of df_1 /\\ ... /\\ df_r (`df_product`).
 
 A slice is laid out block by block from `problem.slice_blocks`
 (`SliceLayout`), over K[x] or, keeping its dy-free blocks, over K[x]/(f):
@@ -222,6 +223,24 @@ def dF_of(problem: ProblemInput) -> DiffForm:
         for exp, c in problem.polys[j].terms.items():
             terms.append(((exp, zy, (), (j,)), c))
     return DiffForm(problem, 1, terms)
+
+
+def df_product(problem: ProblemInput) -> DiffForm:
+    """df_1 /\\ ... /\\ df_r, whose coefficient at the dx word I is the
+    r x r Jacobian minor on the columns I. Wedged once per problem: every
+    returned form shares the terms cached on it (a cached form would hold
+    the problem, so the cache would point back at it)."""
+    product = DiffForm(problem, problem.r)
+    product.terms = problem.memo(("df_product",), _wedge_dfs, problem)
+    return product
+
+
+def _wedge_dfs(problem: ProblemInput) -> dict:
+    """df_product's terms, built on a cache miss."""
+    product = df_form(problem, 0)
+    for j in range(1, problem.r):
+        product = product.wedge(df_form(problem, j))
+    return product.terms
 
 
 # ---------------------------------------------------------------------------

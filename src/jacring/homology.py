@@ -69,7 +69,7 @@ from math import prod
 from .certify import ideal_membership, jacobian_determinant, jacobian_minors
 from .errors import CertificateRequired, InputError
 from .fields import PrimeField
-from .forms import DiffForm, SliceLayout, assemble, basis, dF_of, df_form
+from .forms import DiffForm, SliceLayout, assemble, basis, dF_of, df_product
 from .hilbert import hodge_table, omega_slice_dim, reduced_slice_dim
 from .linalg import SparseMatrix, in_column_span, kernel_basis, rank
 from .polynomials import MultiPoly
@@ -92,10 +92,9 @@ def boundary_matrix(problem: ProblemInput, k: int, q: int, p: int,
     (k - r + 1, q + sum d, p - r + 1). Wedging with dy_1..dy_r maps these
     onto the reduced slices block for block, in order, and commutes with
     d_x, whose merge sign ignores dy letters."""
-    mu = dF_of(problem)
+    mu = _d_x(problem) if reduced else dF_of(problem)
     if reduced:
-        mu, r = _d_x(problem), problem.r
-        k, q, p = k - r, q + sum(problem.degrees), p - r
+        k, q, p = k - problem.r, q + sum(problem.degrees), p - problem.r
     return assemble(mu, SliceLayout(problem, k, q, p, reduced),
                     SliceLayout(problem, k + 1, q, p + 1, reduced))
 
@@ -194,14 +193,6 @@ def cohomology_report(problem: ProblemInput, slices,
 # ---------------------------------------------------------------------------
 
 
-def _df_product(problem: ProblemInput) -> DiffForm:
-    """df_1 /\\ ... /\\ df_r."""
-    product = df_form(problem, 0)
-    for j in range(1, problem.r):
-        product = product.wedge(df_form(problem, j))
-    return product
-
-
 def joint_wedge_kernel(problem: ProblemInput, k: int,
                        weight: int) -> tuple[SliceLayout, list]:
     """The dx-only layout of word length k and the given weight over
@@ -235,7 +226,7 @@ def wedge_division_solve(problem: ProblemInput, layout: SliceLayout,
         raise InputError("saturation multiplier must be nonzero homogeneous")
     if not vectors:
         return []
-    product = _df_product(problem)
+    product = df_product(problem)
     f, k = problem.field, layout.k
     found, todo = [None] * len(vectors), range(len(vectors))
     for m in range(m_max + 1):
@@ -308,7 +299,7 @@ def _witness_class_is_nonzero(problem: ProblemInput) -> bool:
     r = problem.r
     unit = SliceLayout(problem, 0, 0, 0, True)
     tgt = basis(problem, r, sum(problem.degrees), 0, quotient=True)
-    return any(assemble(_df_product(problem), unit, tgt).rows)
+    return any(assemble(df_product(problem), unit, tgt).rows)
 
 
 def check_verify_bounds(problem: ProblemInput, p_max: int | None,

@@ -527,6 +527,21 @@ def full_witness_class_is_nonzero(problem: ProblemInput) -> bool:
     return not in_column_span(bmat, [tgt.vector_of_form(w)])[0]
 
 
+def determinant_oracle(rows: list[list[MultiPoly]]) -> MultiPoly:
+    """Oracle for the r x r Jacobian minors of certify.jacobian_minors,
+    which reads them off df_1 /\\ ... /\\ df_r: the determinant of a square
+    matrix of polynomials by cofactor expansion along the first row."""
+    m = len(rows)
+    if m == 1:
+        return rows[0][0]
+    total = MultiPoly.zero(rows[0][0].field, rows[0][0].nvars)
+    for j in range(m):
+        sub = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
+        term = rows[0][j] * determinant_oracle(sub)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Hilbert-series oracles: the paper's closed form term by term, one term per
 # exponent vector, and two independent evaluations

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,13 +12,15 @@ from jacring.certify import (Certificate, ideal_membership,
                              m_primary_certificate, no_common_zero_certificate,
                              smooth_ci_certificate)
 from jacring.errors import HypothesisViolation, InputError
+from jacring.forms import DiffForm
 from jacring.polynomials import MultiPoly, parse_poly
 from jacring.problem import problem_from_strings
 from jacring.quotients import quotient_dim, quotient_slice
 
-from helpers import (F3, F7, F32003, Q, conic_char2, fermat_cubic,
-                     normal_form, random_homogeneous, singular_cubic_curve,
-                     square_pair, sympy_quotient_dim, two_quadrics)
+from helpers import (F2, F3, F7, F32003, Q, conic_char2, determinant_oracle,
+                     fermat_cubic, normal_form, random_homogeneous,
+                     singular_cubic_curve, square_pair, sympy_quotient_dim,
+                     two_quadrics)
 
 
 def test_smooth_ci_certificate_values():
@@ -103,6 +106,51 @@ def test_jacobian_minors_and_determinant():
     over = problem_from_strings(Q, 2, ["x1^2", "x2^2", "x1*x2"])
     with pytest.raises(HypothesisViolation):
         jacobian_minors(over)                   # r > n
+
+
+# r = 1, 2, 3, and a pair with zero minors: the Jacobian rows
+# (2 x1, 2 x2, 0, 0) and (0, 0, x4, x3) leave the minor on (x1, x2) zero
+MINOR_SYSTEMS = [
+    (3, ["x1^3 + x2^3 + x3^3"]),
+    (4, ["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2"]),
+    (4, ["x1^2 + x2*x3", "x1*x4 + x2^2 + x3^2", "x3^3 + x1*x2*x4 + x4^3"]),
+    (4, ["x1^2 + x2^2", "x3*x4"]),
+]
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F32003], ids=repr)
+def test_jacobian_minors_match_the_cofactor_oracle(field):
+    """The minors read off df_1 /\\ ... /\\ df_r are the cofactor
+    determinants of the Jacobian's r x r column sets, in combinations
+    order, zero ones kept as zero polynomials; each call returns a fresh
+    list."""
+    for n, exprs in MINOR_SYSTEMS:
+        prob = problem_from_strings(field, n, exprs)
+        r = prob.r
+        want = [determinant_oracle([[prob.partials[j][i] for i in cols]
+                                    for j in range(r)])
+                for cols in combinations(range(n), r)]
+        minors = jacobian_minors(prob)
+        assert minors == want, (field, exprs)
+        assert minors is not jacobian_minors(prob)
+        minors.clear()
+        assert jacobian_minors(prob) == want
+    assert any(m.is_zero() for m in jacobian_minors(
+        problem_from_strings(field, *MINOR_SYSTEMS[-1])))
+
+
+def test_jacobian_minors_refuse_r_above_n_before_any_wedge(monkeypatch):
+    wedges = []
+    wedge = DiffForm.wedge
+
+    def counting(self, other):
+        wedges.append(True)
+        return wedge(self, other)
+    monkeypatch.setattr(DiffForm, "wedge", counting)
+    over = problem_from_strings(Q, 2, ["x1^2", "x2^2", "x1*x2"])
+    with pytest.raises(HypothesisViolation):
+        jacobian_minors(over)
+    assert wedges == [] and over._cache == {}
 
 
 def test_certificate_mode_mismatches():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 from math import prod
+from types import BuiltinFunctionType, FunctionType, ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -413,6 +414,39 @@ def test_report_caches_slices_and_leaves_no_cycles():
             assert gc.collect() == 0, field
         finally:
             gc.enable()
+
+
+def _reaches(root, target) -> bool:
+    """Whether target is reachable from root along gc.get_referents,
+    descending into no type, module or function."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        for ref in gc.get_referents(obj):
+            if id(ref) in seen or isinstance(ref, (type, ModuleType,
+                                                   FunctionType,
+                                                   BuiltinFunctionType)):
+                continue
+            seen.add(id(ref))
+            stack.append(ref)
+    return False
+
+
+@pytest.mark.parametrize("field", [Q, F32003], ids=repr)
+def test_nothing_a_problem_caches_points_back_at_it(field):
+    """The README's memory claim: after a certificate, verify with its
+    division rows and a cohomology window, no value cached on the problem
+    (the modular copy's own cache included, over Q) leads back to the
+    problem, so reference counting frees it."""
+    prob = two_quadrics(field)
+    cert = smooth_ci_certificate(prob)
+    assert verify_predictions(prob, cert, p_max=2, division_m_max=1).passed
+    cohomology_report(prob, [(k, 0, p) for k in range(7) for p in range(3)])
+    assert ("df_product",) in prob._cache
+    assert (homology._reduction(prob) is not None) == (field == Q)
+    assert not _reaches(prob._cache, prob)
 
 
 def test_q_problem_builds_bases_only_to_rank_over_q(monkeypatch):

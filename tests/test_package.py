@@ -2,11 +2,13 @@
 `from jacring import *` cannot fail on a stale entry; and no module of the
 package reads `SparseMatrix.entries`, the view kept for the benchmark's
 tracer, so the hot paths stay on the sparse rows; no module of the
-package or the test suite imports a name it never reads; and every private
-function and method of the package is referenced in the package."""
+package or the test suite imports a name it never reads; every private
+function and method of the package is referenced in the package; and every
+cache key on a problem starts with a literal of its own."""
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import jacring
@@ -26,6 +28,33 @@ def test_no_module_reads_the_entries_view():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert readers == []
+
+
+def test_every_memo_key_starts_with_its_own_literal():
+    """Each `memo(key, ...)` call of the package starts its key with a
+    string literal, or with a conditional between two literals; no literal
+    appears at two call sites. perfbench and the tests read the caches by
+    these literals, so a shared one would alias two caches unnoticed."""
+    literals, bad = [], []
+    for path in sorted(Path(jacring.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "memo"):
+                continue
+            key = node.args[0] if node.args else None
+            head = (key.elts[0] if isinstance(key, ast.Tuple) and key.elts
+                    else None)
+            heads = ([head.body, head.orelse] if isinstance(head, ast.IfExp)
+                     else [head])
+            if all(isinstance(h, ast.Constant) and isinstance(h.value, str)
+                   for h in heads):
+                literals += [h.value for h in heads]
+            else:
+                bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
+    assert {"brank", "rrank", "df_product"} <= set(literals)
+    assert [lit for lit, n in Counter(literals).items() if n > 1] == []
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -11,11 +11,12 @@ from jacring.certify import jacobian_minors, smooth_ci_certificate
 from jacring.errors import InputError
 from jacring.forms import DiffForm, df_form
 import jacring.homology as homology
-from jacring.homology import joint_wedge_kernel, wedge_division_solve
+from jacring.homology import (joint_wedge_kernel, verify_predictions,
+                              wedge_division_solve)
 from jacring.polynomials import MultiPoly
 from jacring.problem import problem_from_strings
 
-from helpers import (Q, fermat_cubic, form_term, layout_keys,
+from helpers import (F32003, Q, fermat_cubic, form_term, layout_keys,
                      reduce_form_mod_ideal, singular_cubic_curve, times_poly,
                      two_conics, wedge_division_oracle)
 
@@ -358,3 +359,25 @@ def test_each_product_matrix_is_eliminated_once(monkeypatch):
     checks = homology._division_checks(quadric_surface(), 0)
     assert len(checks) == 24 and all(c.passed for c in checks)
     assert sorted(batches) == [1, 4, 4, 15]
+
+
+def test_one_wedge_of_the_dfs_per_problem(monkeypatch):
+    """On two quadrics in P^4 (the verify-quadrics-P4-mmax golden input),
+    the certificate's minors, the witness class, the g of the division
+    rows and every wedge_division_solve call read one product
+    df_1 /\\ df_2: the df_j are wedged r - 1 = 1 time in all."""
+    wedges = []
+    wedge = DiffForm.wedge
+
+    def counting(self, other):
+        wedges.append((self.k, other.k))
+        return wedge(self, other)
+    monkeypatch.setattr(DiffForm, "wedge", counting)
+    prob = problem_from_strings(F32003, 5, [
+        "x1^2 + x2^2 + x3^2 + x4^2 + x5^2",
+        "x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2 + 5*x5^2"])
+    cert = smooth_ci_certificate(prob)
+    report = verify_predictions(prob, cert, p_max=2, division_m_max=1)
+    assert report.passed
+    assert any(c.name.startswith("division[") for c in report.checks)
+    assert wedges == [(1, 1)]
